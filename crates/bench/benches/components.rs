@@ -4,15 +4,15 @@
 //! the machinery), not reproduction benches (see `--bin repro`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use kea_ml::{HuberRegressor, LinearRegression};
+use kea_ml::LinearModel1D;
 use kea_opt::{LpProblem, Relation};
 use kea_sim::{run, ClusterSpec, SimConfig};
 use kea_stats::{t_test_welch, Alternative, Summary};
 use kea_telemetry::daily_group_aggregates;
 use std::hint::black_box;
 
-fn regression_data(n: usize, outliers: bool) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let x: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 * 0.1]).collect();
+fn regression_data(n: usize, outliers: bool) -> (Vec<f64>, Vec<f64>) {
+    let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.1).collect();
     let y: Vec<f64> = (0..n)
         .map(|i| {
             let base = 5.0 + 2.0 * i as f64 * 0.1 + ((i * 37) % 11) as f64 * 0.05;
@@ -29,10 +29,10 @@ fn regression_data(n: usize, outliers: bool) -> (Vec<Vec<f64>>, Vec<f64>) {
 fn bench_estimators(c: &mut Criterion) {
     let (x, y) = regression_data(1000, true);
     c.bench_function("ols_fit_1000", |b| {
-        b.iter(|| LinearRegression::fit(black_box(&x), black_box(&y)).unwrap())
+        b.iter(|| LinearModel1D::fit_ols(black_box(&x), black_box(&y)).unwrap())
     });
     c.bench_function("huber_fit_1000", |b| {
-        b.iter(|| HuberRegressor::fit(black_box(&x), black_box(&y)).unwrap())
+        b.iter(|| LinearModel1D::fit_huber(black_box(&x), black_box(&y)).unwrap())
     });
 }
 

@@ -5,41 +5,27 @@ use std::fmt;
 /// Errors raised while building or fitting a model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MlError {
-    /// Feature matrix and target vector disagree on the number of rows.
+    /// The regressor and the target disagree in length.
     ShapeMismatch {
-        /// Rows in the feature matrix.
+        /// Entries in the regressor (or the predictions).
         x_rows: usize,
-        /// Entries in the target vector.
+        /// Entries in the target.
         y_len: usize,
-    },
-    /// Feature rows disagree on width (the design matrix is ragged).
-    RaggedRows {
-        /// Width of the first row.
-        expected: usize,
-        /// Index of the first offending row.
-        row: usize,
-        /// That row's width.
-        actual: usize,
     },
     /// Not enough observations to identify the coefficients.
     InsufficientData {
-        /// Observations required (≥ number of coefficients).
+        /// Observations required (two for a line).
         required: usize,
         /// Observations provided.
         actual: usize,
     },
-    /// The normal-equations system was singular (e.g. perfectly collinear
-    /// features or a constant regressor next to the intercept).
+    /// The normal-equations system was singular (a constant regressor
+    /// next to the intercept).
     SingularSystem,
     /// Input contained NaN or infinity.
     NonFiniteInput,
-    /// A hyper-parameter was out of range (message explains which).
+    /// A value was out of range (message explains which).
     InvalidParameter(&'static str),
-    /// IRLS failed to converge within the iteration budget.
-    DidNotConverge {
-        /// Iterations performed.
-        iterations: usize,
-    },
 }
 
 impl fmt::Display for MlError {
@@ -48,48 +34,17 @@ impl fmt::Display for MlError {
             MlError::ShapeMismatch { x_rows, y_len } => {
                 write!(f, "shape mismatch: X has {x_rows} rows but y has {y_len}")
             }
-            MlError::RaggedRows {
-                expected,
-                row,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "ragged feature rows: row {row} has {actual} features, expected {expected}"
-                )
-            }
             MlError::InsufficientData { required, actual } => {
                 write!(f, "need at least {required} observations, got {actual}")
             }
             MlError::SingularSystem => write!(f, "normal equations are singular"),
             MlError::NonFiniteInput => write!(f, "input contains NaN or infinite values"),
             MlError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
-            MlError::DidNotConverge { iterations } => {
-                write!(f, "IRLS did not converge within {iterations} iterations")
-            }
         }
     }
 }
 
 impl std::error::Error for MlError {}
-
-/// Validates that every feature row has the same width as the first,
-/// returning that width. Estimators call this before building a design
-/// matrix, so a ragged input surfaces as [`MlError::RaggedRows`] instead
-/// of an index panic deep in the solver.
-pub(crate) fn check_rectangular(x_rows: &[Vec<f64>]) -> Result<usize, MlError> {
-    let expected = x_rows.first().map_or(0, |r| r.len());
-    for (row, r) in x_rows.iter().enumerate().skip(1) {
-        if r.len() != expected {
-            return Err(MlError::RaggedRows {
-                expected,
-                row,
-                actual: r.len(),
-            });
-        }
-    }
-    Ok(expected)
-}
 
 #[cfg(test)]
 mod tests {
@@ -97,7 +52,10 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = MlError::ShapeMismatch { x_rows: 3, y_len: 4 };
+        let e = MlError::ShapeMismatch {
+            x_rows: 3,
+            y_len: 4,
+        };
         assert!(e.to_string().contains("3"));
         assert!(e.to_string().contains("4"));
         assert!(MlError::SingularSystem.to_string().contains("singular"));

@@ -1,62 +1,32 @@
-//! From-scratch regression models for KEA's What-if Engine.
+//! The univariate regression models of KEA's What-if Engine.
 //!
 //! The paper (§5.1) uses "regression models as the predictors, such as
 //! linear regression (LR), support vector machines (SVM), or deep neural
 //! nets (DNN). Linear models are more explainable, which is critical for
 //! domain experts", and §5.2.1 specifically uses a **Huber Regressor**
 //! because it is "more robust to outliers compared to the Least Squares
-//! Regression". This crate provides exactly that toolbox:
+//! Regression". Every model the paper calibrates is a line in one
+//! variable, so this crate provides exactly that:
 //!
-//! * [`matrix`] — a small dense row-major matrix with a partial-pivoting
-//!   linear solver (all KEA models are tiny: a handful of coefficients per
-//!   machine group).
-//! * [`linreg`] — ordinary least squares and ridge regression via the
-//!   normal equations.
-//! * [`huber`] — the Huber robust regressor fitted with iteratively
-//!   reweighted least squares (IRLS) and a MAD scale estimate.
-//! * [`mod@line`] — the univariate [`line::LinearModel1D`] used for the paper's
-//!   `g_k`, `h_k`, `f_k`, `p`, `q` models, with an exact inverse (needed by
-//!   the Monte-Carlo SKU-design optimizer, §6.1).
-//! * [`mlp`] — a one-hidden-layer neural regressor, the "DNN" option of
-//!   §5.1 for genuinely curved relationships (the engine still defaults
-//!   to linear models for the paper's explainability reason).
-//! * [`features`] — polynomial expansion and standardization.
-//! * [`metrics`] — R², RMSE, MAE, MAPE.
-//! * [`validate`] — seeded train/test splits and k-fold cross-validation.
+//! * [`mod@line`] — [`LinearModel1D`], fitted by OLS or by Huber robust
+//!   regression (IRLS with a MAD scale estimate), used for the paper's
+//!   `g_k`, `h_k`, `f_k`, `p`, `q` models, with an exact inverse (needed
+//!   by the Monte-Carlo SKU-design optimizer, §6.1). The two fits live in
+//!   the private `linreg` and `huber` modules and share the 2×2 solve in
+//!   `matrix`.
+//! * [`metrics`] — R², the goodness of fit reviewed with domain experts.
+//! * [`error`] — [`MlError`], the typed reasons a fit is refused.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod error;
-pub mod features;
-pub mod huber;
+mod huber;
 pub mod line;
-pub mod linreg;
-pub mod matrix;
+mod linreg;
+mod matrix;
 pub mod metrics;
-pub mod mlp;
-pub mod validate;
 
 pub use error::MlError;
-pub use huber::HuberRegressor;
 pub use line::LinearModel1D;
-pub use linreg::{LinearRegression, RidgeRegression};
-pub use matrix::Matrix;
-pub use metrics::{mae, mape, r2_score, rmse};
-pub use mlp::{MlpConfig, MlpRegressor};
-
-/// A fitted regression model mapping a feature row to a prediction.
-///
-/// KEA's What-if Engine treats every calibrated model uniformly through this
-/// trait, so the optimizer can compose `g_k`, `h_k`, `f_k` without caring
-/// which estimator produced them.
-pub trait Regressor {
-    /// Predicts the target for one feature row (without intercept column;
-    /// the model handles its own intercept).
-    fn predict_row(&self, features: &[f64]) -> f64;
-
-    /// Predicts a batch; default implementation maps [`Self::predict_row`].
-    fn predict(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict_row(r)).collect()
-    }
-}
+pub use metrics::r2_score;

@@ -7,11 +7,14 @@
 //! design optimizer additionally needs the inverse maps `p⁻¹`, `q⁻¹`
 //! (§6.1, step 2). [`LinearModel1D`] packages a fitted line with its
 //! inverse and provenance.
+//!
+//! Both fits run directly on the `x` and `y` slices and solve the 2×2
+//! normal equations of the design `[1, x]` in closed form: OLS in
+//! `linreg`, Huber robust regression (IRLS with a MAD scale, the paper's
+//! choice for the What-if Engine, §5.2.1) in `huber`.
 
 use crate::error::MlError;
-use crate::huber::HuberRegressor;
-use crate::linreg::LinearRegression;
-use crate::Regressor;
+use crate::{huber, linreg};
 
 /// Which estimator produced a [`LinearModel1D`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,42 +39,60 @@ pub struct LinearModel1D {
 impl LinearModel1D {
     /// Fits by OLS.
     ///
+    /// ```
+    /// use kea_ml::LinearModel1D;
+    /// // y = 2 + 3x, exactly.
+    /// let x: Vec<f64> = (0..10).map(f64::from).collect();
+    /// let y: Vec<f64> = x.iter().map(|v| 2.0 + 3.0 * v).collect();
+    /// let model = LinearModel1D::fit_ols(&x, &y).unwrap();
+    /// assert!((model.intercept() - 2.0).abs() < 1e-9);
+    /// assert!((model.slope() - 3.0).abs() < 1e-9);
+    /// assert!((model.predict(4.0) - 14.0).abs() < 1e-9);
+    /// ```
+    ///
     /// # Errors
-    /// Needs at least two finite observations with varying `x`.
+    /// `x` and `y` must have the same length, at least two observations,
+    /// finite values, and varying `x` (checked in that order).
     pub fn fit_ols(x: &[f64], y: &[f64]) -> Result<Self, MlError> {
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let m = LinearRegression::fit(&rows, y)?;
-        Ok(LinearModel1D {
-            intercept: m.intercept(),
-            slope: m.coefficients()[0], // kea-lint: allow(index-in-library) — degree-1 fit always has one coefficient
-            estimator: Estimator::Ols,
-            n_obs: x.len(),
-        })
+        check_inputs(x, y)?;
+        let (intercept, slope) = linreg::fit(x, y)?;
+        Ok(Self::fitted(intercept, slope, Estimator::Ols, x.len()))
     }
 
     /// Fits by Huber robust regression (the paper's choice, §5.2.1).
     ///
+    /// ```
+    /// use kea_ml::LinearModel1D;
+    /// // y = 1 + 2x with one gross outlier; Huber shrugs it off.
+    /// let x: Vec<f64> = (0..30).map(f64::from).collect();
+    /// let y: Vec<f64> = x
+    ///     .iter()
+    ///     .map(|v| 1.0 + 2.0 * v + if *v == 7.0 { 500.0 } else { 0.0 })
+    ///     .collect();
+    /// let model = LinearModel1D::fit_huber(&x, &y).unwrap();
+    /// assert!((model.slope() - 2.0).abs() < 0.05);
+    /// ```
+    ///
     /// # Errors
-    /// Same as [`LinearModel1D::fit_ols`], plus IRLS convergence failures.
+    /// Same as [`LinearModel1D::fit_ols`].
     pub fn fit_huber(x: &[f64], y: &[f64]) -> Result<Self, MlError> {
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let m = HuberRegressor::fit(&rows, y)?;
-        Ok(LinearModel1D {
-            intercept: m.intercept(),
-            slope: m.coefficients()[0], // kea-lint: allow(index-in-library) — degree-1 fit always has one coefficient
-            estimator: Estimator::Huber,
-            n_obs: x.len(),
-        })
+        check_inputs(x, y)?;
+        let (intercept, slope) = huber::fit(x, y)?;
+        Ok(Self::fitted(intercept, slope, Estimator::Huber, x.len()))
+    }
+
+    fn fitted(intercept: f64, slope: f64, estimator: Estimator, n_obs: usize) -> Self {
+        LinearModel1D {
+            intercept,
+            slope,
+            estimator,
+            n_obs,
+        }
     }
 
     /// Builds a model from known parameters.
     pub fn from_parameters(intercept: f64, slope: f64) -> Self {
-        LinearModel1D {
-            intercept,
-            slope,
-            estimator: Estimator::Manual,
-            n_obs: 0,
-        }
+        Self::fitted(intercept, slope, Estimator::Manual, 0)
     }
 
     /// Intercept (`α` in the paper's Equations 11–12).
@@ -114,10 +135,25 @@ impl LinearModel1D {
     }
 }
 
-impl Regressor for LinearModel1D {
-    fn predict_row(&self, features: &[f64]) -> f64 {
-        self.predict(features.first().copied().unwrap_or(f64::NAN))
+/// The validation both fits share: shape, then at least two rows, then
+/// finite values.
+fn check_inputs(x: &[f64], y: &[f64]) -> Result<(), MlError> {
+    if x.len() != y.len() {
+        return Err(MlError::ShapeMismatch {
+            x_rows: x.len(),
+            y_len: y.len(),
+        });
     }
+    if x.len() < 2 {
+        return Err(MlError::InsufficientData {
+            required: 2,
+            actual: x.len(),
+        });
+    }
+    if x.iter().chain(y).any(|v| !v.is_finite()) {
+        return Err(MlError::NonFiniteInput);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -164,9 +200,132 @@ mod tests {
         assert!(m.inverse(4.0).is_err());
     }
 
+    /// Asserts the raw bits of `(intercept, slope)` from OLS, then Huber.
+    fn assert_fit_bits(name: &str, (x, y): (Vec<f64>, Vec<f64>), want: [u64; 4]) {
+        let ols = LinearModel1D::fit_ols(&x, &y).unwrap();
+        let huber = LinearModel1D::fit_huber(&x, &y).unwrap();
+        let got = [
+            ols.intercept(),
+            ols.slope(),
+            huber.intercept(),
+            huber.slope(),
+        ];
+        assert_eq!(got.map(f64::to_bits), want, "{name}");
+    }
+
+    fn line_with(
+        n: usize,
+        x_of: impl Fn(usize) -> f64,
+        y_of: impl Fn(usize, f64) -> f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let x: Vec<f64> = (0..n).map(x_of).collect();
+        let y = x.iter().enumerate().map(|(i, &v)| y_of(i, v)).collect();
+        (x, y)
+    }
+
+    /// Both fits reproduce, bit for bit, the coefficients of the general
+    /// p-feature solver (dense matrix, IRLS over feature rows) that this
+    /// closed-form path replaced. The bits were recorded from that solver.
     #[test]
-    fn regressor_trait_matches_predict() {
-        let m = LinearModel1D::from_parameters(1.0, 2.0);
-        assert_eq!(m.predict_row(&[5.0]), m.predict(5.0));
+    fn golden_bits_match_the_p_feature_solver() {
+        assert_fit_bits(
+            "1,000-row line, 10% outliers (the components bench)",
+            line_with(
+                1000,
+                |i| i as f64 * 0.1,
+                |i, v| {
+                    let base = 5.0 + 2.0 * v + ((i * 37) % 11) as f64 * 0.05;
+                    if i % 10 == 3 {
+                        base + 100.0
+                    } else {
+                        base
+                    }
+                },
+            ),
+            [
+                0x402ead859f90e5a6,
+                0x3ffff8b3745ef32f,
+                0x401524e18e990f47,
+                0x400000033777aa43,
+            ],
+        );
+        assert_fit_bits(
+            "exact line: Huber exits at scale < 1e-12 with the OLS start",
+            line_with(20, |i| i as f64, |_, v| 5.0 - 0.5 * v),
+            [
+                0x4014000000000000,
+                0xbfe0000000000000,
+                0x4014000000000000,
+                0xbfe0000000000000,
+            ],
+        );
+        assert_fit_bits(
+            "y pinned at 100 on half the rows (saturated group)",
+            line_with(
+                40,
+                |i| i as f64 * 0.75,
+                |i, v| {
+                    if i >= 20 {
+                        100.0
+                    } else {
+                        40.0 + 2.5 * v + ((i * 7) % 5) as f64 * 0.3
+                    }
+                },
+            ),
+            [
+                0x404618a9d58a9d58,
+                0x40032718affb639e,
+                0x4044af220cd77c02,
+                0x4003bd7f61c19ce8,
+            ],
+        );
+        assert_fit_bits(
+            "heavily tied x, including zeros",
+            line_with(
+                30,
+                |i| (i % 4) as f64,
+                |i, v| {
+                    1.0 + 0.5 * v
+                        + ((i * 11) % 7) as f64 * 0.1
+                        + if i % 10 == 7 { 20.0 } else { 0.0 }
+                },
+            ),
+            [
+                0x3ff3506e58e171b9,
+                0x3fff49abde912688,
+                0x3ff407a70048f592,
+                0x3fe2213a049db260,
+            ],
+        );
+        assert_fit_bits(
+            "x in (0, 1): the pivot does not swap",
+            line_with(
+                25,
+                |i| (i as f64 + 0.5) / 25.0,
+                |i, v| {
+                    3.0 - 2.0 * v + ((i * 5) % 3) as f64 * 0.05 + if i == 9 { 10.0 } else { 0.0 }
+                },
+            ),
+            [
+                0x400de8363177925f,
+                0xc004a56a56a56a5e,
+                0x40087b260f90c35c,
+                0xc000196566927b16,
+            ],
+        );
+        assert_fit_bits(
+            "x around 1e6",
+            line_with(
+                50,
+                |i| 1e6 + i as f64 * 3.0,
+                |i, v| 0.002 * v + ((i * 13) % 9) as f64 * 0.01,
+            ),
+            [
+                0xc03c221c84017576,
+                0x3f609d6253014751,
+                0xc03c2c3f546dac66,
+                0x3f609d77947d8bfd,
+            ],
+        );
     }
 }

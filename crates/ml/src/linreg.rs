@@ -1,372 +1,96 @@
-//! Ordinary least squares and ridge regression via the normal equations.
-//!
-//! These are the "LR" baselines of §5.1. Coefficient vectors are exposed so
-//! domain experts can read the model — the paper's stated reason for
-//! preferring linear models.
+//! Ordinary least squares for a line: the normal equations `XᵀX β = Xᵀy`
+//! of the design `[1, x]`.
 
 use crate::error::MlError;
-use crate::matrix::Matrix;
-use crate::Regressor;
+use crate::matrix::{self, NormalEquations};
 
-/// Shared fitting core: solves `(XᵀX + λ·P) β = Xᵀy` where `P` is the
-/// identity with a zero in the intercept position (the intercept is never
-/// penalized).
-fn fit_linear(
-    x_rows: &[Vec<f64>],
-    y: &[f64],
-    fit_intercept: bool,
-    lambda: f64,
-) -> Result<(f64, Vec<f64>), MlError> {
-    if x_rows.len() != y.len() {
-        return Err(MlError::ShapeMismatch {
-            x_rows: x_rows.len(),
-            y_len: y.len(),
-        });
-    }
-    if y.iter().any(|v| !v.is_finite()) {
-        return Err(MlError::NonFiniteInput);
-    }
-    // Validate row widths up front: a ragged input should be a typed
-    // error here, not a failure (or panic) deep in the matrix layer.
-    let n_features = crate::error::check_rectangular(x_rows)?;
-    let p = n_features + usize::from(fit_intercept);
-    if x_rows.len() < p.max(1) {
-        return Err(MlError::InsufficientData {
-            required: p.max(1),
-            actual: x_rows.len(),
-        });
-    }
-
-    // Build the (optionally intercept-augmented) design matrix.
-    let design: Vec<Vec<f64>> = x_rows
-        .iter()
-        .map(|r| {
-            if fit_intercept {
-                let mut row = Vec::with_capacity(p);
-                row.push(1.0);
-                row.extend_from_slice(r);
-                row
-            } else {
-                r.clone()
-            }
-        })
-        .collect();
-    let x = Matrix::from_rows(&design)?;
-    let xt = x.transpose();
-    let mut xtx = xt.matmul(&x)?;
-    if lambda > 0.0 {
-        let start = usize::from(fit_intercept);
-        for i in start..p {
-            let v = xtx.get(i, i) + lambda;
-            xtx.set(i, i, v);
-        }
-    }
-    let xty = xt.matvec(y)?;
-    let beta = xtx.solve(&xty)?;
-
-    if fit_intercept {
-        Ok((beta[0], beta[1..].to_vec())) // kea-lint: allow(index-in-library) — beta has 1 + n_features entries by construction
-    } else {
-        Ok((0.0, beta))
-    }
+/// OLS `(intercept, slope)` on validated input.
+pub(crate) fn fit(x: &[f64], y: &[f64]) -> Result<(f64, f64), MlError> {
+    matrix::solve(normal_equations(x, y))
 }
 
-/// Ordinary least squares.
-///
-/// ```
-/// use kea_ml::{LinearRegression, Regressor};
-/// // y = 2 + 3x, exactly.
-/// let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-/// let y: Vec<f64> = (0..10).map(|i| 2.0 + 3.0 * i as f64).collect();
-/// let model = LinearRegression::fit(&x, &y).unwrap();
-/// assert!((model.intercept() - 2.0).abs() < 1e-9);
-/// assert!((model.coefficients()[0] - 3.0).abs() < 1e-9);
-/// assert!((model.predict_row(&[4.0]) - 14.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearRegression {
-    intercept: f64,
-    coefficients: Vec<f64>,
-}
-
-impl LinearRegression {
-    /// Fits OLS with an intercept.
-    ///
-    /// # Errors
-    /// Shapes must agree, inputs must be finite, and the design must be
-    /// full-rank with at least as many rows as coefficients.
-    pub fn fit(x_rows: &[Vec<f64>], y: &[f64]) -> Result<Self, MlError> {
-        let (intercept, coefficients) = fit_linear(x_rows, y, true, 0.0)?;
-        Ok(LinearRegression {
-            intercept,
-            coefficients,
-        })
+/// Least squares `XᵀX β = Xᵀy` for the design `[1, x]`.
+fn normal_equations(x: &[f64], y: &[f64]) -> NormalEquations {
+    let (mut sx, mut sxx) = (0.0, 0.0);
+    for &xi in x {
+        sx += xi;
+        sxx += xi * xi;
     }
-
-    /// Fits OLS through the origin (no intercept).
-    ///
-    /// # Errors
-    /// Same as [`LinearRegression::fit`].
-    pub fn fit_no_intercept(x_rows: &[Vec<f64>], y: &[f64]) -> Result<Self, MlError> {
-        let (intercept, coefficients) = fit_linear(x_rows, y, false, 0.0)?;
-        Ok(LinearRegression {
-            intercept,
-            coefficients,
-        })
-    }
-
-    /// Builds a model directly from known parameters (used by the What-if
-    /// Engine when loading calibrated coefficients).
-    pub fn from_parameters(intercept: f64, coefficients: Vec<f64>) -> Self {
-        LinearRegression {
-            intercept,
-            coefficients,
-        }
-    }
-
-    /// The fitted intercept.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// The fitted slope coefficients (one per feature).
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-}
-
-impl Regressor for LinearRegression {
-    fn predict_row(&self, features: &[f64]) -> f64 {
-        self.intercept
-            + self
-                .coefficients
-                .iter()
-                .zip(features)
-                .map(|(c, x)| c * x)
-                .sum::<f64>()
-    }
-}
-
-/// Ridge regression (`L2`-penalized least squares, intercept unpenalized).
-///
-/// Used when machine groups have few observations and the plain normal
-/// equations are ill-conditioned.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RidgeRegression {
-    intercept: f64,
-    coefficients: Vec<f64>,
-    lambda: f64,
-}
-
-impl RidgeRegression {
-    /// Fits ridge regression with penalty `lambda ≥ 0`.
-    ///
-    /// # Errors
-    /// `lambda` must be non-negative and finite; otherwise as
-    /// [`LinearRegression::fit`].
-    pub fn fit(x_rows: &[Vec<f64>], y: &[f64], lambda: f64) -> Result<Self, MlError> {
-        if !lambda.is_finite() || lambda < 0.0 {
-            return Err(MlError::InvalidParameter("lambda must be non-negative"));
-        }
-        let (intercept, coefficients) = fit_linear(x_rows, y, true, lambda)?;
-        Ok(RidgeRegression {
-            intercept,
-            coefficients,
-            lambda,
-        })
-    }
-
-    /// The fitted intercept.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// The fitted slope coefficients.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-
-    /// The penalty used at fit time.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-}
-
-impl Regressor for RidgeRegression {
-    fn predict_row(&self, features: &[f64]) -> f64 {
-        self.intercept
-            + self
-                .coefficients
-                .iter()
-                .zip(features)
-                .map(|(c, x)| c * x)
-                .sum::<f64>()
-    }
+    // `Xᵀy` goes through `Iterator::sum`, which starts from −0.0 where the
+    // loops above start from +0.0; the two differ in the sign of a zero sum.
+    let sy: f64 = y.iter().sum();
+    let sxy: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
+    ([[x.len() as f64, sx], [sx, sxx]], [sy, sxy])
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn exact_line(n: usize, a: f64, b: f64) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let x: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (0..n).map(|i| a + b * i as f64).collect();
-        (x, y)
-    }
+    use crate::{LinearModel1D, MlError};
 
     #[test]
     fn recovers_exact_line() {
-        let (x, y) = exact_line(20, -1.5, 0.75);
-        let m = LinearRegression::fit(&x, &y).unwrap();
+        let x: Vec<f64> = (0..20).map(f64::from).collect();
+        let y: Vec<f64> = x.iter().map(|v| -1.5 + 0.75 * v).collect();
+        let m = LinearModel1D::fit_ols(&x, &y).unwrap();
         assert!((m.intercept() + 1.5).abs() < 1e-9);
-        assert!((m.coefficients()[0] - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn recovers_multivariate_plane() {
-        // y = 1 + 2a − 3b
-        let x: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![(i % 5) as f64, (i % 7) as f64])
-            .collect();
-        let y: Vec<f64> = x.iter().map(|r| 1.0 + 2.0 * r[0] - 3.0 * r[1]).collect();
-        let m = LinearRegression::fit(&x, &y).unwrap();
-        assert!((m.intercept() - 1.0).abs() < 1e-8);
-        assert!((m.coefficients()[0] - 2.0).abs() < 1e-8);
-        assert!((m.coefficients()[1] + 3.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn no_intercept_goes_through_origin() {
-        let x: Vec<Vec<f64>> = (1..10).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (1..10).map(|i| 4.0 * i as f64).collect();
-        let m = LinearRegression::fit_no_intercept(&x, &y).unwrap();
-        assert_eq!(m.intercept(), 0.0);
-        assert!((m.coefficients()[0] - 4.0).abs() < 1e-9);
+        assert!((m.slope() - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn least_squares_minimizes_residuals_on_noisy_data() {
         // OLS residuals must be orthogonal to the regressors.
-        let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
+        let x: Vec<f64> = (0..50).map(f64::from).collect();
         let y: Vec<f64> = (0..50)
             .map(|i| 3.0 + 0.5 * i as f64 + if i % 2 == 0 { 0.3 } else { -0.3 })
             .collect();
-        let m = LinearRegression::fit(&x, &y).unwrap();
-        let resid: Vec<f64> = x
-            .iter()
-            .zip(&y)
-            .map(|(r, &t)| t - m.predict_row(r))
-            .collect();
+        let m = LinearModel1D::fit_ols(&x, &y).unwrap();
+        let resid: Vec<f64> = x.iter().zip(&y).map(|(&v, &t)| t - m.predict(v)).collect();
         let sum: f64 = resid.iter().sum();
-        let dot: f64 = resid.iter().zip(&x).map(|(r, xr)| r * xr[0]).sum();
+        let dot: f64 = resid.iter().zip(&x).map(|(r, v)| r * v).sum();
         assert!(sum.abs() < 1e-8, "residuals must sum to ~0, got {sum}");
         assert!(dot.abs() < 1e-6, "residuals ⟂ x violated, got {dot}");
     }
 
     #[test]
     fn shape_mismatch_rejected() {
-        let x = vec![vec![1.0], vec![2.0]];
-        assert!(matches!(
-            LinearRegression::fit(&x, &[1.0]),
-            Err(MlError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn ragged_rows_rejected_up_front() {
-        let x = vec![vec![1.0], vec![2.0, 9.0], vec![3.0]];
-        let y = [1.0, 2.0, 3.0];
         assert_eq!(
-            LinearRegression::fit(&x, &y),
-            Err(MlError::RaggedRows {
-                expected: 1,
-                row: 1,
-                actual: 2
+            LinearModel1D::fit_ols(&[1.0, 2.0], &[1.0]),
+            Err(MlError::ShapeMismatch {
+                x_rows: 2,
+                y_len: 1
             })
         );
-        assert!(matches!(
-            LinearRegression::fit_no_intercept(&x, &y),
-            Err(MlError::RaggedRows { .. })
-        ));
-        assert!(matches!(
-            RidgeRegression::fit(&x, &y, 0.5),
-            Err(MlError::RaggedRows { .. })
-        ));
     }
 
     #[test]
     fn underdetermined_rejected() {
-        // 2 coefficients (intercept + slope) but 1 row.
-        assert!(matches!(
-            LinearRegression::fit(&[vec![1.0]], &[1.0]),
-            Err(MlError::InsufficientData { .. })
-        ));
+        // Two coefficients (intercept + slope) need two rows; the row count
+        // is checked before the values.
+        let cases: [(&[f64], &[f64]); 3] = [(&[], &[]), (&[1.0], &[1.0]), (&[1.0], &[f64::NAN])];
+        for (x, y) in cases {
+            assert_eq!(
+                LinearModel1D::fit_ols(x, y),
+                Err(MlError::InsufficientData {
+                    required: 2,
+                    actual: x.len()
+                })
+            );
+        }
     }
 
     #[test]
     fn collinear_features_detected() {
-        let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
-        let y: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        assert_eq!(LinearRegression::fit(&x, &y), Err(MlError::SingularSystem));
-    }
-
-    #[test]
-    fn ridge_fixes_collinearity() {
-        let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
-        let y: Vec<f64> = (0..10).map(|i| 5.0 * i as f64).collect();
-        let m = RidgeRegression::fit(&x, &y, 1e-3).unwrap();
-        // Combined effect ≈ 5: c0 + 2·c1 ≈ 5.
-        let combined = m.coefficients()[0] + 2.0 * m.coefficients()[1];
-        assert!((combined - 5.0).abs() < 0.01, "combined = {combined}");
-    }
-
-    #[test]
-    fn ridge_shrinks_toward_zero() {
-        let (x, y) = exact_line(20, 0.0, 3.0);
-        let small = RidgeRegression::fit(&x, &y, 0.01).unwrap();
-        let large = RidgeRegression::fit(&x, &y, 1000.0).unwrap();
-        assert!(large.coefficients()[0].abs() < small.coefficients()[0].abs());
-        assert!(small.coefficients()[0] <= 3.0 + 1e-9);
-    }
-
-    #[test]
-    fn ridge_zero_lambda_equals_ols() {
-        let (x, y) = exact_line(15, 2.0, -1.0);
-        let ols = LinearRegression::fit(&x, &y).unwrap();
-        let ridge = RidgeRegression::fit(&x, &y, 0.0).unwrap();
-        assert!((ols.intercept() - ridge.intercept()).abs() < 1e-9);
-        assert!((ols.coefficients()[0] - ridge.coefficients()[0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ridge_rejects_negative_lambda() {
-        let (x, y) = exact_line(5, 0.0, 1.0);
-        assert!(RidgeRegression::fit(&x, &y, -1.0).is_err());
-        assert!(RidgeRegression::fit(&x, &y, f64::NAN).is_err());
+        // A constant x is collinear with the intercept column.
+        let x = [2.0; 10];
+        let y: Vec<f64> = (0..10).map(f64::from).collect();
+        assert_eq!(LinearModel1D::fit_ols(&x, &y), Err(MlError::SingularSystem));
     }
 
     #[test]
     fn nan_target_rejected() {
-        let x = vec![vec![1.0], vec![2.0], vec![3.0]];
         assert_eq!(
-            LinearRegression::fit(&x, &[1.0, f64::NAN, 3.0]),
+            LinearModel1D::fit_ols(&[1.0, 2.0, 3.0], &[1.0, f64::NAN, 3.0]),
             Err(MlError::NonFiniteInput)
         );
-    }
-
-    #[test]
-    fn from_parameters_round_trips() {
-        let m = LinearRegression::from_parameters(1.0, vec![2.0, 3.0]);
-        assert_eq!(m.predict_row(&[10.0, 100.0]), 1.0 + 20.0 + 300.0);
-    }
-
-    #[test]
-    fn batch_predict_matches_row_predict() {
-        let (x, y) = exact_line(10, 1.0, 2.0);
-        let m = LinearRegression::fit(&x, &y).unwrap();
-        let batch = m.predict(&x);
-        for (b, r) in batch.iter().zip(&x) {
-            assert_eq!(*b, m.predict_row(r));
-        }
     }
 }

@@ -1,213 +1,43 @@
-//! A small dense row-major matrix.
+//! The 2×2 normal equations of a line fit, and their solve.
 //!
-//! KEA's models are deliberately tiny — a handful of coefficients per
-//! SC-SKU group — so a simple dense matrix with an `O(n³)` partial-pivoting
-//! solver is the right tool: no sparse formats, no BLAS, fully auditable.
-
-// kea-lint: allow-file(index-in-library) — dense row-major kernel; dimensions validated at matrix construction
+//! Both fits reduce to `A·(intercept, slope) = b` for the design `[1, x]`
+//! and solve it in closed form by Gaussian elimination with a partial
+//! pivot on the first column.
 
 use crate::error::MlError;
 
-/// Dense row-major matrix of `f64`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
+/// The 2×2 normal equations `A·(intercept, slope) = b` of a line fit.
+pub(crate) type NormalEquations = ([[f64; 2]; 2], [f64; 2]);
 
-impl Matrix {
-    /// Zero matrix of the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+/// Solves the normal equations by Gaussian elimination with a partial
+/// pivot, returning `(intercept, slope)`.
+///
+/// # Errors
+/// [`MlError::SingularSystem`] when a pivot falls below `1e-12`.
+pub(crate) fn solve(
+    ([[p00, p01], [p10, p11]], [q0, q1]): NormalEquations,
+) -> Result<(f64, f64), MlError> {
+    let (a00, a01, a10, a11, b0, b1) = if p10.abs() > p00.abs() {
+        (p10, p11, p00, p01, q1, q0)
+    } else {
+        (p00, p01, p10, p11, q0, q1)
+    };
+    if a00.abs() < 1e-12 {
+        return Err(MlError::SingularSystem);
     }
-
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
+    let factor = a10 / a00;
+    // A zero factor skips the update, which could otherwise turn an
+    // overflowed (infinite) entry into NaN.
+    let (a11, b1) = if factor == 0.0 {
+        (a11, b1)
+    } else {
+        (a11 - factor * a01, b1 - factor * b0)
+    };
+    if a11.abs() < 1e-12 {
+        return Err(MlError::SingularSystem);
     }
-
-    /// Builds a matrix from rows.
-    ///
-    /// # Errors
-    /// All rows must have equal length; at least one row and one column.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self, MlError> {
-        if rows.is_empty() || rows[0].is_empty() {
-            return Err(MlError::InvalidParameter("matrix must be non-empty"));
-        }
-        let cols = rows[0].len();
-        if rows.iter().any(|r| r.len() != cols) {
-            return Err(MlError::InvalidParameter("ragged rows"));
-        }
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            data.extend_from_slice(r);
-        }
-        if data.iter().any(|v| !v.is_finite()) {
-            return Err(MlError::NonFiniteInput);
-        }
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Element at `(r, c)`.
-    ///
-    /// # Panics
-    /// Panics on out-of-bounds indices (debug-friendly; all call sites use
-    /// validated shapes).
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
-        self.data[r * self.cols + c]
-    }
-
-    /// Sets element at `(r, c)`.
-    ///
-    /// # Panics
-    /// Panics on out-of-bounds indices.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// Row `r` as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self × other`.
-    ///
-    /// # Errors
-    /// Inner dimensions must agree.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, MlError> {
-        if self.cols != other.rows {
-            return Err(MlError::InvalidParameter("matmul inner dimension mismatch"));
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(r, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..other.cols {
-                    let v = out.get(r, c) + a * other.get(k, c);
-                    out.set(r, c, v);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix-vector product.
-    ///
-    /// # Errors
-    /// `v.len()` must equal the number of columns.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, MlError> {
-        if v.len() != self.cols {
-            return Err(MlError::InvalidParameter("matvec dimension mismatch"));
-        }
-        Ok((0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect())
-    }
-
-    /// Solves `self × x = b` with Gaussian elimination and partial pivoting.
-    ///
-    /// # Errors
-    /// The matrix must be square, `b` must match, and the system must be
-    /// numerically non-singular.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MlError> {
-        if self.rows != self.cols {
-            return Err(MlError::InvalidParameter("solve requires a square matrix"));
-        }
-        if b.len() != self.rows {
-            return Err(MlError::InvalidParameter("solve rhs dimension mismatch"));
-        }
-        let n = self.rows;
-        // Augmented working copy.
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-
-        for col in 0..n {
-            // Partial pivot: largest |value| in this column at or below the
-            // diagonal.
-            let mut pivot_row = col;
-            let mut pivot_val = a[col * n + col].abs();
-            for r in (col + 1)..n {
-                let v = a[r * n + col].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = r;
-                }
-            }
-            if pivot_val < 1e-12 {
-                return Err(MlError::SingularSystem);
-            }
-            if pivot_row != col {
-                for c in 0..n {
-                    // kea-lint: allow(panic-method-in-library) — col, pivot_row, c all < n by loop bounds, so both flat indices are < n*n
-                    a.swap(col * n + c, pivot_row * n + c);
-                }
-                // kea-lint: allow(panic-method-in-library) — col and pivot_row are < n = x.len() by loop bounds
-                x.swap(col, pivot_row);
-            }
-            // Eliminate below.
-            let pivot = a[col * n + col];
-            for r in (col + 1)..n {
-                let factor = a[r * n + col] / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                for c in col..n {
-                    a[r * n + c] -= factor * a[col * n + c];
-                }
-                x[r] -= factor * x[col];
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut acc = x[col];
-            for c in (col + 1)..n {
-                acc -= a[col * n + c] * x[c];
-            }
-            x[col] = acc / a[col * n + col];
-        }
-        Ok(x)
-    }
+    let slope = b1 / a11;
+    Ok(((b0 - a01 * slope) / a00, slope))
 }
 
 #[cfg(test)]
@@ -215,108 +45,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_rows_and_accessors() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 2);
-        assert_eq!(m.get(0, 1), 2.0);
-        assert_eq!(m.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged_and_empty() {
-        assert!(Matrix::from_rows(&[]).is_err());
-        assert!(Matrix::from_rows(&[vec![]]).is_err());
-        assert!(Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]).is_err());
-        assert!(Matrix::from_rows(&[vec![f64::NAN]]).is_err());
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.get(2, 1), 6.0);
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn matmul_small_example() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[vec![1.5, -2.0], vec![0.0, 4.0]]).unwrap();
-        assert_eq!(a.matmul(&Matrix::identity(2)).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_shape_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn matvec_works() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(a.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
     fn solve_2x2() {
         // x + 2y = 5; 3x + 4y = 11 → x = 1, y = 2.
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let x = a.solve(&[5.0, 11.0]).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
+        let (a, b) = solve(([[1.0, 2.0], [3.0, 4.0]], [5.0, 11.0])).unwrap();
+        assert!((a - 1.0).abs() < 1e-12);
+        assert!((b - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn solve_requires_pivoting() {
         // Leading zero on the diagonal forces a row swap.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let x = a.solve(&[3.0, 7.0]).unwrap();
-        assert!((x[0] - 7.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
+        let (a, b) = solve(([[0.0, 1.0], [1.0, 0.0]], [3.0, 7.0])).unwrap();
+        assert!((a - 7.0).abs() < 1e-12);
+        assert!((b - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn solve_singular_detected() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
-        assert_eq!(a.solve(&[1.0, 2.0]), Err(MlError::SingularSystem));
-    }
-
-    #[test]
-    fn solve_larger_system_residual_is_small() {
-        // A well-conditioned 5×5 system: verify Ax ≈ b.
-        let rows: Vec<Vec<f64>> = (0..5)
-            .map(|i| {
-                (0..5)
-                    .map(|j| if i == j { 10.0 } else { ((i * 5 + j) % 7) as f64 * 0.3 })
-                    .collect()
-            })
-            .collect();
-        let a = Matrix::from_rows(&rows).unwrap();
-        let b = [1.0, -2.0, 3.0, 0.5, 4.0];
-        let x = a.solve(&b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        for (got, want) in ax.iter().zip(&b) {
-            assert!((got - want).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn solve_non_square_rejected() {
-        let a = Matrix::zeros(2, 3);
-        assert!(a.solve(&[1.0, 2.0]).is_err());
-        let sq = Matrix::identity(2);
-        assert!(sq.solve(&[1.0]).is_err());
+        assert_eq!(
+            solve(([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])),
+            Err(MlError::SingularSystem)
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Goodness-of-fit metrics for calibrated models.
+//! Goodness of fit for calibrated models.
 //!
 //! Phase II of the KEA methodology ends with the data scientists validating
 //! calibrated models with the domain experts (Figure 3); these are the
@@ -55,52 +55,6 @@ pub fn r2_score(y_true: &[f64], y_pred: &[f64]) -> Result<f64, MlError> {
     Ok(1.0 - ss_res / ss_tot)
 }
 
-/// Root mean squared error.
-///
-/// # Errors
-/// Shapes must match and data must be finite.
-pub fn rmse(y_true: &[f64], y_pred: &[f64]) -> Result<f64, MlError> {
-    check(y_true, y_pred)?;
-    let mse: f64 = y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(t, p)| (t - p).powi(2))
-        .sum::<f64>()
-        / y_true.len() as f64;
-    Ok(mse.sqrt())
-}
-
-/// Mean absolute error.
-///
-/// # Errors
-/// Shapes must match and data must be finite.
-pub fn mae(y_true: &[f64], y_pred: &[f64]) -> Result<f64, MlError> {
-    check(y_true, y_pred)?;
-    Ok(y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(t, p)| (t - p).abs())
-        .sum::<f64>()
-        / y_true.len() as f64)
-}
-
-/// Mean absolute percentage error (as a fraction, not percent).
-///
-/// # Errors
-/// Additionally requires every true value to be non-zero.
-pub fn mape(y_true: &[f64], y_pred: &[f64]) -> Result<f64, MlError> {
-    check(y_true, y_pred)?;
-    if y_true.contains(&0.0) {
-        return Err(MlError::InvalidParameter("MAPE undefined for zero targets"));
-    }
-    Ok(y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(t, p)| ((t - p) / t).abs())
-        .sum::<f64>()
-        / y_true.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,9 +63,6 @@ mod tests {
     fn perfect_fit_metrics() {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(r2_score(&y, &y).unwrap(), 1.0);
-        assert_eq!(rmse(&y, &y).unwrap(), 0.0);
-        assert_eq!(mae(&y, &y).unwrap(), 0.0);
-        assert_eq!(mape(&y, &y).unwrap(), 0.0);
     }
 
     #[test]
@@ -136,31 +87,9 @@ mod tests {
     }
 
     #[test]
-    fn rmse_and_mae_hand_example() {
-        let y = [0.0, 0.0];
-        let pred = [3.0, -4.0];
-        // MSE = (9 + 16)/2 = 12.5 → RMSE = 3.5355…; MAE = 3.5.
-        assert!((rmse(&y, &pred).unwrap() - 12.5f64.sqrt()).abs() < 1e-12);
-        assert_eq!(mae(&y, &pred).unwrap(), 3.5);
-    }
-
-    #[test]
-    fn mape_hand_example() {
-        let y = [10.0, 20.0];
-        let pred = [11.0, 18.0];
-        // |1/10| and |2/20| → mean = 0.1.
-        assert!((mape(&y, &pred).unwrap() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mape_rejects_zero_targets() {
-        assert!(mape(&[0.0, 1.0], &[1.0, 1.0]).is_err());
-    }
-
-    #[test]
     fn shape_and_finite_checks() {
         assert!(r2_score(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(rmse(&[], &[]).is_err());
-        assert!(mae(&[f64::NAN], &[1.0]).is_err());
+        assert!(r2_score(&[], &[]).is_err());
+        assert!(r2_score(&[f64::NAN], &[1.0]).is_err());
     }
 }

@@ -1,6 +1,6 @@
-//! Property-based tests for the regression stack.
+//! Property-based tests for the line fits.
 
-use kea_ml::{HuberRegressor, LinearRegression, Matrix, Regressor};
+use kea_ml::LinearModel1D;
 use proptest::prelude::*;
 
 proptest! {
@@ -10,11 +10,11 @@ proptest! {
         slope in -50.0..50.0f64,
         n in 3usize..40,
     ) {
-        let x: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (0..n).map(|i| intercept + slope * i as f64).collect();
-        let m = LinearRegression::fit(&x, &y).unwrap();
+        let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let y: Vec<f64> = x.iter().map(|v| intercept + slope * v).collect();
+        let m = LinearModel1D::fit_ols(&x, &y).unwrap();
         prop_assert!((m.intercept() - intercept).abs() < 1e-6 * intercept.abs().max(1.0));
-        prop_assert!((m.coefficients()[0] - slope).abs() < 1e-6 * slope.abs().max(1.0));
+        prop_assert!((m.slope() - slope).abs() < 1e-6 * slope.abs().max(1.0));
     }
 
     #[test]
@@ -24,7 +24,7 @@ proptest! {
         outlier in 100.0..1000.0f64,
     ) {
         let n = 60;
-        let x: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 * 0.5]).collect();
+        let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
         let y: Vec<f64> = (0..n)
             .map(|i| {
                 let base = intercept + slope * i as f64 * 0.5
@@ -32,52 +32,24 @@ proptest! {
                 if i % 12 == 5 { base + outlier } else { base }
             })
             .collect();
-        let m = HuberRegressor::fit(&x, &y).unwrap();
+        let m = LinearModel1D::fit_huber(&x, &y).unwrap();
         prop_assert!(
-            (m.coefficients()[0] - slope).abs() < 0.05 * slope.max(1.0),
-            "slope {} vs true {}", m.coefficients()[0], slope
+            (m.slope() - slope).abs() < 0.05 * slope.max(1.0),
+            "slope {} vs true {}", m.slope(), slope
         );
-    }
-
-    #[test]
-    fn matrix_solve_has_small_residual(
-        seed in 0u64..500,
-        n in 2usize..6,
-    ) {
-        // Diagonally dominant systems are well-conditioned.
-        let mut rows = Vec::new();
-        let mut state = seed;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / u32::MAX as f64) * 2.0 - 1.0
-        };
-        for i in 0..n {
-            let mut row: Vec<f64> = (0..n).map(|_| next()).collect();
-            row[i] += n as f64 + 1.0;
-            rows.push(row);
-        }
-        let b: Vec<f64> = (0..n).map(|_| next() * 10.0).collect();
-        let a = Matrix::from_rows(&rows).unwrap();
-        let x = a.solve(&b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        for (got, want) in ax.iter().zip(&b) {
-            prop_assert!((got - want).abs() < 1e-8, "residual {} vs {}", got, want);
-        }
     }
 
     #[test]
     fn prediction_is_affine_in_features(
         intercept in -5.0..5.0f64,
-        c0 in -5.0..5.0f64,
-        c1 in -5.0..5.0f64,
-        x0 in -100.0..100.0f64,
-        x1 in -100.0..100.0f64,
+        slope in -5.0..5.0f64,
+        x in -100.0..100.0f64,
     ) {
-        let m = LinearRegression::from_parameters(intercept, vec![c0, c1]);
-        let direct = m.predict_row(&[x0, x1]);
-        prop_assert!((direct - (intercept + c0 * x0 + c1 * x1)).abs() < 1e-9);
-        // Affinity: doubling features doubles the non-intercept part.
-        let doubled = m.predict_row(&[2.0 * x0, 2.0 * x1]);
+        let m = LinearModel1D::from_parameters(intercept, slope);
+        let direct = m.predict(x);
+        prop_assert!((direct - (intercept + slope * x)).abs() < 1e-9);
+        // Affinity: doubling x doubles the non-intercept part.
+        let doubled = m.predict(2.0 * x);
         prop_assert!(((doubled - intercept) - 2.0 * (direct - intercept)).abs() < 1e-6);
     }
 }

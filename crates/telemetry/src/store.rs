@@ -1515,7 +1515,8 @@ pub mod reference {
         }
     }
 
-    #[cfg(test)]
+    // The one test needs the debug-build validation panic.
+    #[cfg(all(test, debug_assertions))]
     mod tests {
         use super::*;
         use crate::record::{MetricValues, ScId, SkuId};
@@ -1523,7 +1524,6 @@ pub mod reference {
         /// Regression twin of the columnar store's test: the reference
         /// `merge` must apply the same non-finite validation as `push`.
         #[test]
-        #[cfg(debug_assertions)]
         #[should_panic(expected = "non-finite telemetry emitted")]
         fn merge_rejects_non_finite_records() {
             let bad_record = MachineHourRecord {
