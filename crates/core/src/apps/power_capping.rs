@@ -249,23 +249,9 @@ mod tests {
         }
     }
 
-    /// Runs the heavy suite when `KEA_SLOW_TESTS=1` is set, so the
-    /// opt-in works without test-runner flags; `cargo test -- --ignored`
-    /// reaches the `#[ignore]`d twin directly.
     #[test]
-    fn reproduces_figure_15_shape_when_opted_in() {
-        if std::env::var("KEA_SLOW_TESTS").is_ok_and(|v| v == "1") {
-            reproduces_figure_15_shape_impl();
-        }
-    }
-
-    #[test]
-    #[ignore = "slow (~4 s on the sharded engine, was ~16 s) Monte-Carlo suite; run with `cargo test -- --ignored` or KEA_SLOW_TESTS=1"]
+    #[ignore = "slow (~4 s on the sharded engine) Monte-Carlo suite; run with `cargo test -- --ignored`"]
     fn reproduces_figure_15_shape() {
-        reproduces_figure_15_shape_impl();
-    }
-
-    fn reproduces_figure_15_shape_impl() {
         let out = run_power_capping(&quick_params()).unwrap();
         assert_eq!(out.cells.len(), 2 * 3);
 

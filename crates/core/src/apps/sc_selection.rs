@@ -171,23 +171,9 @@ mod tests {
         }
     }
 
-    /// Runs the heavy suite when `KEA_SLOW_TESTS=1` is set, so the
-    /// opt-in works without test-runner flags; `cargo test -- --ignored`
-    /// reaches the `#[ignore]`d twin directly.
     #[test]
-    fn sc2_dominates_as_in_table_4_when_opted_in() {
-        if std::env::var("KEA_SLOW_TESTS").is_ok_and(|v| v == "1") {
-            sc2_dominates_as_in_table_4_impl();
-        }
-    }
-
-    #[test]
-    #[ignore = "slow (~7 s on the sharded engine, was ~24 s) Monte-Carlo suite; run with `cargo test -- --ignored` or KEA_SLOW_TESTS=1"]
+    #[ignore = "slow (~7 s on the sharded engine) Monte-Carlo suite; run with `cargo test -- --ignored`"]
     fn sc2_dominates_as_in_table_4() {
-        sc2_dominates_as_in_table_4_impl();
-    }
-
-    fn sc2_dominates_as_in_table_4_impl() {
         let out = run_sc_selection(&quick_params()).unwrap();
         assert_eq!(out.recommendation, "SC2");
         let throughput = &out.table4[0];

@@ -20,7 +20,7 @@ pub enum OptError {
     InvalidParameter(&'static str),
     /// Input contained NaN or infinity.
     NonFiniteInput,
-    /// The search space was empty (no candidates / empty grid axis).
+    /// The search space was empty (no candidates).
     EmptySearchSpace,
 }
 

@@ -1,7 +1,7 @@
 //! Optimization toolkit for KEA's Optimizer module.
 //!
 //! The paper's Optimizer consumes calibrated models and picks the best
-//! configuration. Three solver families cover all four applications:
+//! configuration. Two solvers cover the applications:
 //!
 //! * [`simplex`] — a from-scratch bounded-variable two-phase primal
 //!   simplex solving the linear program of §5.2 (Equations 7–10:
@@ -13,8 +13,6 @@
 //!   The paper uses "commercial solvers"; the original row-materialising
 //!   solver survives as `simplex::reference`, the executable
 //!   specification the property tests pin the production solver against.
-//! * [`grid`] — exhaustive grid search, the "simple heuristics" fallback
-//!   mentioned in §6.2.
 //! * [`monte_carlo`] — the Monte-Carlo expected-cost minimizer of §6.1,
 //!   used to choose SSD/RAM sizes for future SKUs (Figure 14).
 
@@ -22,11 +20,9 @@
 #![deny(missing_docs)]
 
 pub mod error;
-pub mod grid;
 pub mod monte_carlo;
 pub mod simplex;
 
 pub use error::OptError;
-pub use grid::{GridPoint, GridSearch};
 pub use monte_carlo::{minimize_expected_cost, CandidateCost, MonteCarloReport};
 pub use simplex::{Basis, LpProblem, LpSolution, Relation};

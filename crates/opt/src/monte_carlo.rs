@@ -36,14 +36,6 @@ pub struct MonteCarloReport {
     pub best_index: usize,
 }
 
-impl MonteCarloReport {
-    /// The winning candidate's estimate.
-    pub fn best(&self) -> &CandidateCost {
-        // kea-lint: allow(index-in-library) — best_index is produced in-bounds by minimize_expected_cost
-        &self.candidates[self.best_index]
-    }
-}
-
 /// Estimates the expected cost of each candidate with `draws` Monte-Carlo
 /// samples and returns the argmin.
 ///
@@ -125,7 +117,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(report.best_index, 0);
-        assert!((report.best().mean_cost - 0.0).abs() < 0.05);
+        assert!((report.candidates[0].mean_cost - 0.0).abs() < 0.05);
         assert_eq!(report.candidates.len(), 4);
     }
 
@@ -151,7 +143,7 @@ mod tests {
         // Cost curve is U-shaped: endpoints more expensive than the winner.
         let first = report.candidates.first().unwrap().mean_cost;
         let last = report.candidates.last().unwrap().mean_cost;
-        let best = report.best().mean_cost;
+        let best = report.candidates[report.best_index].mean_cost;
         assert!(best < first && best < last);
     }
 

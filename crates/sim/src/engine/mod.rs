@@ -21,7 +21,7 @@
 //!   3. **windowed telemetry emission**: completed machine-hours stream
 //!      into the output [`kea_telemetry::TelemetryStore`] once per
 //!      simulated window (default daily) through `reserve` +
-//!      `extend_validated`, bounding accumulator memory at
+//!      the validating `extend`, bounding accumulator memory at
 //!      300k-machine × week scale;
 //!   4. optional **federated execution** (`ExecConfig::shards != 1`):
 //!      scheduling is sharded per sub-cluster, each domain simulated by a
@@ -1449,7 +1449,7 @@ impl<'a, R: RngCore> Fleet<'a, R> {
         }
         self.out.telemetry.reserve(self.records.len());
         let batch = std::mem::take(&mut self.records);
-        let dropped = self.out.telemetry.extend_validated(batch);
+        let dropped = self.out.telemetry.extend(batch);
         self.out.nonfinite_dropped += dropped as u64;
     }
 

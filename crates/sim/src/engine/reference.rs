@@ -714,7 +714,7 @@ impl<'a> Engine<'a> {
         // Ingest through the validating path (the same non-finite filter
         // CSV ingest applies), counting rejects instead of smuggling them.
         self.out.telemetry.reserve(records.len());
-        let dropped = self.out.telemetry.extend_validated(records);
+        let dropped = self.out.telemetry.extend(records);
         self.out.nonfinite_dropped += dropped as u64;
         self.out.jobs_in_flight_at_end = self.jobs_active;
         debug_assert_eq!(

@@ -180,13 +180,13 @@ impl SimOutput {
     /// deterministically; telemetry merges through the store's validating
     /// path and counters add key-wise.
     pub fn absorb(&mut self, other: SimOutput) {
-        self.telemetry.merge(other.telemetry);
+        let dropped = self.telemetry.merge(other.telemetry);
         self.jobs.extend(other.jobs);
         self.tasks.extend(other.tasks);
         self.counters.absorb(other.counters);
         self.tasks_in_flight_at_end += other.tasks_in_flight_at_end;
         self.jobs_in_flight_at_end += other.jobs_in_flight_at_end;
-        self.nonfinite_dropped += other.nonfinite_dropped;
+        self.nonfinite_dropped += other.nonfinite_dropped + dropped as u64;
     }
 }
 

@@ -3,9 +3,10 @@
 //! KEA's Performance Monitor aggregates raw per-machine observations into
 //! hourly and daily summaries (Table 2 of the paper). The routines here are
 //! the numerical core of that aggregation: numerically stable means and
-//! variances (Welford), interpolated percentiles (used for the p99 queueing
-//! latency of Fig 12 and the high-load sensitivity run of Fig 10), and a
-//! five-number [`Summary`].
+//! variances (Welford), an interpolated percentile over a sorted sample,
+//! and the five-number-plus [`Summary`] of a machine group's daily
+//! metric. The Experiment Module sizes its groups from the same mean and
+//! standard deviation.
 
 use crate::error::{check_finite, StatsError};
 
@@ -47,39 +48,15 @@ pub fn stddev(data: &[f64]) -> Result<f64, StatsError> {
     variance(data).map(f64::sqrt)
 }
 
-/// Median of a sample (linear-interpolation percentile at 50).
-pub fn median(data: &[f64]) -> Result<f64, StatsError> {
-    percentile(data, 50.0)
-}
-
-/// Percentile with linear interpolation between closest ranks
-/// (the "exclusive" definition used by most telemetry systems).
+/// Percentile of an ascending-sorted slice, with linear interpolation
+/// between closest ranks (the "exclusive" definition used by most
+/// telemetry systems). `p` is in percent: `percentile_of_sorted(s, 99.0)`
+/// is the p99. Sort once and call this per percentile, as
+/// [`Summary::of`] does.
 ///
-/// `p` is in percent: `percentile(data, 99.0)` is the p99.
-///
-/// # Errors
-/// `p` must lie in `[0, 100]` and the sample must be non-empty and finite.
-pub fn percentile(data: &[f64], p: f64) -> Result<f64, StatsError> {
-    if data.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    if !(0.0..=100.0).contains(&p) {
-        return Err(StatsError::InvalidParameter("percentile must be in [0, 100]"));
-    }
-    check_finite(data)?;
-    let mut sorted = data.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    Ok(percentile_of_sorted(&sorted, p))
-}
-
-/// Percentile of an already-sorted slice. Callers computing many percentiles
-/// over the same sample should sort once and use this directly.
-///
-/// Out-of-range or NaN `p` is clamped into `[0, 100]` (NaN maps to 0) and an
-/// empty slice returns NaN; prefer [`percentile`] for untrusted input, which
-/// reports those cases as typed errors instead.
+/// Total in every build profile: an empty slice gives NaN, `p` above 100
+/// gives the maximum, and `p` below 0 or NaN gives the minimum.
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
     if sorted.is_empty() {
         return f64::NAN;
     }
@@ -125,11 +102,6 @@ impl Welford {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Number of observations pushed so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Running mean; 0.0 when empty.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -142,31 +114,6 @@ impl Welford {
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Population variance; 0.0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel aggregation).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n_total = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n_total as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n_total as f64;
-        self.n = n_total;
     }
 }
 
@@ -268,34 +215,27 @@ mod tests {
     }
 
     #[test]
-    fn median_odd_and_even() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5);
-    }
-
-    #[test]
     fn percentile_endpoints() {
         let data = [10.0, 20.0, 30.0];
-        assert_eq!(percentile(&data, 0.0).unwrap(), 10.0);
-        assert_eq!(percentile(&data, 100.0).unwrap(), 30.0);
+        assert_eq!(percentile_of_sorted(&data, 0.0), 10.0);
+        assert_eq!(percentile_of_sorted(&data, 100.0), 30.0);
     }
 
     #[test]
     fn percentile_interpolates() {
         let data = [0.0, 10.0];
-        assert!((percentile(&data, 25.0).unwrap() - 2.5).abs() < 1e-12);
+        assert!((percentile_of_sorted(&data, 25.0) - 2.5).abs() < 1e-12);
     }
 
+    /// The contract holds in every build profile: empty input gives NaN,
+    /// and NaN or out-of-range `p` clamps to the nearest end.
     #[test]
-    fn percentile_out_of_range() {
-        assert!(matches!(
-            percentile(&[1.0], 101.0),
-            Err(StatsError::InvalidParameter(_))
-        ));
-        assert!(matches!(
-            percentile(&[1.0], -0.5),
-            Err(StatsError::InvalidParameter(_))
-        ));
+    fn percentile_of_sorted_is_total() {
+        assert!(percentile_of_sorted(&[], 50.0).is_nan());
+        let data = [1.0, 2.0, 4.0];
+        assert_eq!(percentile_of_sorted(&data, f64::NAN), 1.0);
+        assert_eq!(percentile_of_sorted(&data, 150.0), 4.0);
+        assert_eq!(percentile_of_sorted(&data, -3.0), 1.0);
     }
 
     #[test]
@@ -307,44 +247,6 @@ mod tests {
         }
         assert!((acc.mean() - mean(&data).unwrap()).abs() < 1e-12);
         assert!((acc.sample_variance() - variance(&data).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_merge_equals_single_stream() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [10.0, 20.0, 30.0, 40.0];
-        let mut left = Welford::new();
-        for &v in &a {
-            left.push(v);
-        }
-        let mut right = Welford::new();
-        for &v in &b {
-            right.push(v);
-        }
-        left.merge(&right);
-
-        let mut whole = Welford::new();
-        for &v in a.iter().chain(&b) {
-            whole.push(v);
-        }
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-12);
-        assert!((left.sample_variance() - whole.sample_variance()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_merge_with_empty_sides() {
-        let mut empty = Welford::new();
-        let mut full = Welford::new();
-        full.push(5.0);
-        full.push(7.0);
-        empty.merge(&full);
-        assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - 6.0).abs() < 1e-12);
-        let snapshot = empty.clone();
-        empty.merge(&Welford::new());
-        assert!((empty.mean() - snapshot.mean()).abs() < 1e-12);
-        assert_eq!(empty.count(), snapshot.count());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! KEA reports Student t statistics for every production comparison
 //! (t = 4.45 / 7.13 for the §5.2.2 roll-out, t = 40.4 / 27.1 for Table 4),
 //! so the t distribution CDF — and therefore the regularized incomplete beta
-//! function — is the workhorse of this crate. Everything is implemented from
-//! scratch: Lanczos log-gamma, a Lentz continued fraction for the incomplete
-//! beta, an erf-based normal CDF, and Acklam's normal quantile.
+//! function — is the workhorse of this crate. Experiment sizing needs only
+//! the standard normal quantile. Everything is implemented from scratch:
+//! Lanczos log-gamma, a Lentz continued fraction for the incomplete beta,
+//! and Acklam's normal quantile.
 
 // kea-lint: allow-file(index-in-library) — fixed-size coefficient tables indexed by constant literals
 
@@ -123,66 +124,15 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Error function, using the Abramowitz & Stegun 7.1.26 rational
-/// approximation refined with one extra term (max error ~1.5e-7, plenty for
-/// p-value reporting; the t path goes through [`inc_beta`] and is far more
-/// accurate).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736)
-            * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
-/// Standard normal distribution (μ = 0, σ = 1) helpers, plus a general
-/// normal via [`Normal::new`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    sd: f64,
-}
+/// The standard normal distribution (μ = 0, σ = 1). Only its quantile
+/// is needed: [`crate::power`] sizes experiments from `z` scores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Normal;
 
 impl Normal {
     /// Standard normal.
     pub fn standard() -> Self {
-        Normal { mean: 0.0, sd: 1.0 }
-    }
-
-    /// Normal with the given mean and standard deviation.
-    ///
-    /// # Errors
-    /// `sd` must be positive and both parameters finite.
-    pub fn new(mean: f64, sd: f64) -> Result<Self, StatsError> {
-        if !mean.is_finite() || !sd.is_finite() {
-            return Err(StatsError::NonFiniteInput);
-        }
-        if sd <= 0.0 {
-            return Err(StatsError::InvalidParameter("normal sd must be positive"));
-        }
-        Ok(Normal { mean, sd })
-    }
-
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.sd;
-        (-0.5 * z * z).exp() / (self.sd * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    /// Cumulative distribution function at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / (self.sd * std::f64::consts::SQRT_2);
-        0.5 * (1.0 + erf(z))
-    }
-
-    /// Survival function `1 − CDF(x)`.
-    pub fn sf(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
+        Normal
     }
 
     /// Inverse CDF (quantile) using Acklam's algorithm
@@ -195,7 +145,7 @@ impl Normal {
         if !(0.0..=1.0).contains(&p) || p == 0.0 || p == 1.0 {
             return Err(StatsError::InvalidParameter("quantile p must be in (0, 1)"));
         }
-        Ok(self.mean + self.sd * standard_normal_quantile(p))
+        Ok(standard_normal_quantile(p))
     }
 }
 
@@ -265,11 +215,6 @@ impl StudentsT {
             return Err(StatsError::InvalidParameter("t df must be positive"));
         }
         Ok(StudentsT { df })
-    }
-
-    /// Degrees of freedom.
-    pub fn df(&self) -> f64 {
-        self.df
     }
 
     /// CDF at `t`, via the regularized incomplete beta:
@@ -364,35 +309,20 @@ mod tests {
     }
 
     #[test]
-    fn erf_reference_points() {
-        assert!(erf(0.0).abs() < 1e-7);
-        assert!((erf(1.0) - 0.842_700_79).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-6);
-        assert!((erf(2.0) - 0.995_322_27).abs() < 1e-6);
-    }
-
-    #[test]
-    fn normal_cdf_reference_points() {
-        let n = Normal::standard();
-        assert!((n.cdf(0.0) - 0.5).abs() < 1e-9);
-        assert!((n.cdf(1.959_964) - 0.975).abs() < 1e-4);
-        assert!((n.cdf(-1.644_854) - 0.05).abs() < 1e-4);
-    }
-
-    #[test]
-    fn normal_pdf_peak() {
-        let n = Normal::standard();
-        assert!((n.pdf(0.0) - 0.398_942_28).abs() < 1e-7);
-        let shifted = Normal::new(10.0, 2.0).unwrap();
-        assert!((shifted.pdf(10.0) - 0.398_942_28 / 2.0).abs() < 1e-7);
-    }
-
-    #[test]
     fn normal_quantile_round_trip() {
+        // Reference quantiles (R's qnorm), at least one per branch of
+        // Acklam's approximation: lower tail (p < 0.02425), central
+        // region, upper tail.
         let n = Normal::standard();
-        for p in [0.001, 0.025, 0.1, 0.5, 0.9, 0.975, 0.999] {
+        for (p, z) in [
+            (0.001, -3.090_232_306),
+            (0.5, 0.0),
+            (0.8, 0.841_621_234),
+            (0.975, 1.959_963_985),
+            (0.999, 3.090_232_306),
+        ] {
             let x = n.quantile(p).unwrap();
-            assert!((n.cdf(x) - p).abs() < 1e-6, "p = {p}");
+            assert!((x - z).abs() < 1e-8, "p = {p}: {x} vs {z}");
         }
     }
 
@@ -401,13 +331,6 @@ mod tests {
         let n = Normal::standard();
         assert!(n.quantile(0.0).is_err());
         assert!(n.quantile(1.0).is_err());
-    }
-
-    #[test]
-    fn normal_rejects_bad_sd() {
-        assert!(Normal::new(0.0, 0.0).is_err());
-        assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
     }
 
     #[test]
@@ -432,10 +355,16 @@ mod tests {
 
     #[test]
     fn t_converges_to_normal_for_large_df() {
+        // Standard normal CDF values Φ(x) (R's pnorm).
         let t = StudentsT::new(10_000.0).unwrap();
-        let n = Normal::standard();
-        for x in [-2.0, -0.5, 0.0, 1.0, 2.5] {
-            assert!((t.cdf(x) - n.cdf(x)).abs() < 1e-3, "x = {x}");
+        for (x, phi) in [
+            (-2.0, 0.022_750_132),
+            (-0.5, 0.308_537_539),
+            (0.0, 0.5),
+            (1.0, 0.841_344_746),
+            (2.5, 0.993_790_335),
+        ] {
+            assert!((t.cdf(x) - phi).abs() < 1e-3, "x = {x}");
         }
     }
 

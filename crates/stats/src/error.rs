@@ -19,8 +19,8 @@ pub enum StatsError {
         /// Number of observations actually provided.
         actual: usize,
     },
-    /// A parameter was outside its mathematical domain (e.g. a percentile
-    /// outside `[0, 100]`, a non-positive degrees-of-freedom).
+    /// A parameter was outside its mathematical domain (e.g. a significance
+    /// level outside `(0, 1)`, a non-positive degrees-of-freedom).
     InvalidParameter(&'static str),
     /// The input contained a non-finite value (NaN or infinity).
     NonFiniteInput,

@@ -3,44 +3,34 @@
 //! KEA ("Tuning an Exabyte-Scale Data Infrastructure", SIGMOD 2021) leans on
 //! classical statistics rather than heavyweight ML: the paper validates every
 //! configuration change with Student's t-tests, summarises machine behaviour
-//! with robust descriptive statistics, and evaluates production roll-outs
-//! with treatment-effect analysis. This crate implements that machinery from
-//! scratch:
+//! with descriptive statistics, evaluates production roll-outs with
+//! treatment-effect analysis, and sizes its experiments for significance.
+//! This crate implements that machinery from scratch:
 //!
-//! * [`describe`] — streaming and batch descriptive statistics (mean,
-//!   variance, percentiles, five-number summaries).
-//! * [`dist`] — special functions (log-gamma, regularized incomplete beta)
-//!   and the normal / Student-t distributions built on top of them.
-//! * [`ttest`] — one-sample, pooled two-sample, and Welch two-sample t-tests.
-//! * [`mannwhitney`] — the Mann-Whitney U test as a non-parametric
-//!   cross-check for skewed machine metrics.
-//! * [`power`] — experiment sizing: required group sizes and minimum
-//!   detectable effects (§7's "relatively large sample size", made
-//!   quantitative).
-//! * [`bootstrap`] — seeded percentile-bootstrap confidence intervals.
-//! * [`treatment`] — before/after treatment effects and
-//!   difference-in-differences, as used for the §5.2.2 production roll-out.
-//!
-//! All randomised routines take explicit [`rand::Rng`] handles so that every
-//! KEA experiment is reproducible from a seed.
+//! * [`describe`] — means, variances, percentiles and the five-number-plus
+//!   [`Summary`] of KEA's daily machine-group aggregation.
+//! * [`dist`] — special functions (log-gamma, regularized incomplete beta),
+//!   the Student-t distribution built on them, and the standard normal
+//!   quantile.
+//! * [`ttest`] — Welch's two-sample t-test.
+//! * [`power`] — experiment sizing: the group size a two-sample comparison
+//!   needs (§7's "relatively large sample size", made quantitative).
+//! * [`treatment`] — before/after treatment effects, as used for the
+//!   §5.2.2 production roll-out.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bootstrap;
 pub mod describe;
 pub mod dist;
 pub mod error;
-pub mod mannwhitney;
 pub mod power;
 pub mod treatment;
 pub mod ttest;
 
-pub use bootstrap::{bootstrap_ci, BootstrapCi};
-pub use describe::{mean, median, percentile, stddev, variance, Summary, Welford};
+pub use describe::{mean, stddev, variance, Summary, Welford};
 pub use dist::{Normal, StudentsT};
 pub use error::StatsError;
-pub use mannwhitney::{mann_whitney_u, MannWhitneyResult};
-pub use power::{achieved_power, minimum_detectable_effect, required_n_two_sample};
-pub use treatment::{diff_in_diff, treatment_effect, DiffInDiff, TreatmentEffect};
-pub use ttest::{t_test_one_sample, t_test_pooled, t_test_welch, Alternative, TTestResult};
+pub use power::required_n_two_sample;
+pub use treatment::{treatment_effect, TreatmentEffect};
+pub use ttest::{t_test_welch, Alternative, TTestResult};

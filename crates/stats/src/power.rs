@@ -4,8 +4,7 @@
 //! relatively large sample size" — the paper picked 120 machines per arm
 //! for power capping and ~700 per group for SC selection. This module
 //! makes that choice quantitative: given the metric's noise, how many
-//! samples does a two-sample comparison need to detect a given effect,
-//! and conversely, what is the smallest effect a given design can see?
+//! samples does a two-sample comparison need to detect a given effect?
 //!
 //! Normal-approximation formulas (the sample sizes involved are far past
 //! the small-sample regime where exact t computations matter):
@@ -67,57 +66,6 @@ pub fn required_n_two_sample(
     Ok(n.ceil().max(2.0) as usize)
 }
 
-/// Minimum detectable absolute effect for a two-sided two-sample test
-/// with `n` samples per group and noise `sd`.
-///
-/// # Errors
-/// `n ≥ 2`, positive finite `sd`, valid `alpha`/`power`.
-pub fn minimum_detectable_effect(
-    n: usize,
-    sd: f64,
-    alpha: f64,
-    power: f64,
-) -> Result<f64, StatsError> {
-    validate(alpha, power)?;
-    if n < 2 {
-        return Err(StatsError::InsufficientData {
-            required: 2,
-            actual: n,
-        });
-    }
-    if !(sd > 0.0 && sd.is_finite()) {
-        return Err(StatsError::InvalidParameter("sd must be positive"));
-    }
-    let za = z(1.0 - alpha / 2.0)?;
-    let zb = z(power)?;
-    Ok((za + zb) * sd * (2.0 / n as f64).sqrt())
-}
-
-/// Achieved power of a two-sided two-sample test for a true absolute
-/// effect `effect`, noise `sd`, and `n` samples per group.
-///
-/// # Errors
-/// Same domain requirements as [`minimum_detectable_effect`].
-pub fn achieved_power(n: usize, effect: f64, sd: f64, alpha: f64) -> Result<f64, StatsError> {
-    if !(alpha > 0.0 && alpha < 1.0) {
-        return Err(StatsError::InvalidParameter("alpha must be in (0, 1)"));
-    }
-    if n < 2 {
-        return Err(StatsError::InsufficientData {
-            required: 2,
-            actual: n,
-        });
-    }
-    if !(effect > 0.0 && effect.is_finite() && sd > 0.0 && sd.is_finite()) {
-        return Err(StatsError::InvalidParameter(
-            "effect and sd must be positive",
-        ));
-    }
-    let za = z(1.0 - alpha / 2.0)?;
-    let ncp = effect / (sd * (2.0 / n as f64).sqrt());
-    Ok(Normal::standard().cdf(ncp - za))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,57 +79,10 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_designs_have_power() {
-        // Table 4 detected a ~10% change with σ/μ ≈ 50% noise on ~700
-        // machines × 5 days of machine-days. Even per-machine (n = 700),
-        // the design is overwhelmingly powered.
-        let p = achieved_power(700, 0.10, 0.50, 0.05).unwrap();
-        assert!(p > 0.95, "power = {p}");
-        // And 120 machines per arm (power capping) detects ~15% effects.
-        let mde = minimum_detectable_effect(120, 0.50, 0.05, 0.8).unwrap();
-        assert!(mde < 0.20, "mde = {mde}");
-    }
-
-    #[test]
-    fn round_trips_are_consistent() {
-        // required_n(mde(n)) ≈ n.
-        let sd = 2.5;
-        for n in [30usize, 100, 1000] {
-            let mde = minimum_detectable_effect(n, sd, 0.05, 0.8).unwrap();
-            let back = required_n_two_sample(mde, sd, 0.05, 0.8).unwrap();
-            let diff = back as i64 - n as i64;
-            assert!(diff.abs() <= 1, "n = {n}, back = {back}");
-        }
-    }
-
-    #[test]
-    fn power_increases_with_n_and_effect() {
-        let p_small = achieved_power(20, 0.1, 1.0, 0.05).unwrap();
-        let p_big_n = achieved_power(2000, 0.1, 1.0, 0.05).unwrap();
-        let p_big_eff = achieved_power(20, 1.0, 1.0, 0.05).unwrap();
-        assert!(p_big_n > p_small);
-        assert!(p_big_eff > p_small);
-        assert!((0.0..=1.0).contains(&p_small));
-    }
-
-    #[test]
-    fn mde_at_alpha_equals_power_boundary() {
-        // With the true effect exactly at the MDE, achieved power equals
-        // the design power (up to normal-approximation rounding).
-        let sd = 1.7;
-        let n = 250;
-        let mde = minimum_detectable_effect(n, sd, 0.05, 0.8).unwrap();
-        let p = achieved_power(n, mde, sd, 0.05).unwrap();
-        assert!((p - 0.8).abs() < 0.01, "p = {p}");
-    }
-
-    #[test]
     fn domain_validation() {
         assert!(required_n_two_sample(0.0, 1.0, 0.05, 0.8).is_err());
         assert!(required_n_two_sample(1.0, -1.0, 0.05, 0.8).is_err());
         assert!(required_n_two_sample(1.0, 1.0, 0.0, 0.8).is_err());
         assert!(required_n_two_sample(1.0, 1.0, 0.05, 0.04).is_err());
-        assert!(minimum_detectable_effect(1, 1.0, 0.05, 0.8).is_err());
-        assert!(achieved_power(2, f64::INFINITY, 1.0, 0.05).is_err());
     }
 }

@@ -3,11 +3,10 @@
 //! §5.2.2 of the paper: "We extracted the performance data for the periods
 //! of one month before and one month after the roll-out. We use *treatment
 //! effects* to evaluate the performance changes during the two periods with
-//! significant tests." This module implements the simple before/after
-//! treatment effect with a Welch test, plus difference-in-differences for
-//! designs where a control group is available (the hybrid experiment
-//! setting of §7).
+//! significant tests." This module implements that before/after (or
+//! control/treatment) effect with a Welch test.
 
+use crate::describe::mean;
 use crate::error::StatsError;
 use crate::ttest::{t_test_welch, Alternative, TTestResult};
 
@@ -59,8 +58,8 @@ impl TreatmentEffect {
 /// for the relative effect to be defined.
 pub fn treatment_effect(baseline: &[f64], treated: &[f64]) -> Result<TreatmentEffect, StatsError> {
     let test = t_test_welch(treated, baseline, Alternative::TwoSided)?;
-    let treated_mean = test.mean_diff + mean_of(baseline)?;
-    let baseline_mean = mean_of(baseline)?;
+    let baseline_mean = mean(baseline)?;
+    let treated_mean = test.mean_diff + baseline_mean;
     if baseline_mean == 0.0 {
         return Err(StatsError::InvalidParameter(
             "baseline mean is zero; relative effect undefined",
@@ -72,68 +71,6 @@ pub fn treatment_effect(baseline: &[f64], treated: &[f64]) -> Result<TreatmentEf
         treated_mean,
         effect,
         relative_effect: effect / baseline_mean,
-        test,
-    })
-}
-
-fn mean_of(data: &[f64]) -> Result<f64, StatsError> {
-    crate::describe::mean(data)
-}
-
-/// Difference-in-differences estimate.
-///
-/// Removes shared temporal drift by comparing the before→after change of the
-/// treatment group against the before→after change of a control group:
-/// `DiD = (T_after − T_before) − (C_after − C_before)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffInDiff {
-    /// Change observed in the treatment group.
-    pub treatment_delta: f64,
-    /// Change observed in the control group (the drift estimate).
-    pub control_delta: f64,
-    /// The difference-in-differences effect.
-    pub effect: f64,
-    /// Welch t-test on per-unit deltas (treatment deltas vs control deltas).
-    pub test: TTestResult,
-}
-
-/// Difference-in-differences over paired per-unit observations.
-///
-/// All four slices must align per unit: `treatment_before[i]` and
-/// `treatment_after[i]` are the same machine, and likewise for control.
-///
-/// # Errors
-/// Pairs must have equal lengths and each group at least two units.
-pub fn diff_in_diff(
-    treatment_before: &[f64],
-    treatment_after: &[f64],
-    control_before: &[f64],
-    control_after: &[f64],
-) -> Result<DiffInDiff, StatsError> {
-    if treatment_before.len() != treatment_after.len()
-        || control_before.len() != control_after.len()
-    {
-        return Err(StatsError::InvalidParameter(
-            "before/after slices must pair per unit",
-        ));
-    }
-    let t_delta: Vec<f64> = treatment_after
-        .iter()
-        .zip(treatment_before)
-        .map(|(a, b)| a - b)
-        .collect();
-    let c_delta: Vec<f64> = control_after
-        .iter()
-        .zip(control_before)
-        .map(|(a, b)| a - b)
-        .collect();
-    let test = t_test_welch(&t_delta, &c_delta, Alternative::TwoSided)?;
-    let treatment_delta = mean_of(&t_delta)?;
-    let control_delta = mean_of(&c_delta)?;
-    Ok(DiffInDiff {
-        treatment_delta,
-        control_delta,
-        effect: treatment_delta - control_delta,
         test,
     })
 }
@@ -171,53 +108,5 @@ mod tests {
             treatment_effect(&baseline, &treated),
             Err(StatsError::InvalidParameter(_))
         ));
-    }
-
-    #[test]
-    fn did_removes_shared_drift() {
-        // Both groups drift +5; treatment additionally gains +3. A small
-        // identical per-unit jitter keeps the delta variances non-zero
-        // without shifting the group means relative to each other (we use
-        // n divisible by 3 so the jitter averages out exactly).
-        let n = 51;
-        let jitter = |i: usize| (i % 3) as f64 * 0.1;
-        let t_before: Vec<f64> = (0..n).map(|i| 100.0 + (i % 7) as f64).collect();
-        let t_after: Vec<f64> = t_before
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v + 5.0 + 3.0 + jitter(i))
-            .collect();
-        let c_before: Vec<f64> = (0..n).map(|i| 90.0 + (i % 5) as f64).collect();
-        let c_after: Vec<f64> = c_before
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v + 5.0 + jitter(i))
-            .collect();
-        let did = diff_in_diff(&t_before, &t_after, &c_before, &c_after).unwrap();
-        assert!((did.effect - 3.0).abs() < 1e-9);
-        assert!((did.control_delta - (5.0 + 0.1)).abs() < 1e-9);
-        assert!(did.test.significant_at(0.01));
-    }
-
-    #[test]
-    fn did_rejects_mismatched_pairs() {
-        assert!(matches!(
-            diff_in_diff(&[1.0, 2.0], &[1.0], &[1.0, 2.0], &[1.0, 2.0]),
-            Err(StatsError::InvalidParameter(_))
-        ));
-    }
-
-    #[test]
-    fn did_with_no_effect() {
-        let n = 40;
-        let before: Vec<f64> = (0..n).map(|i| 10.0 + (i % 11) as f64 * 0.3).collect();
-        let after: Vec<f64> = before
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v + 2.0 + ((i * 7) % 5) as f64 * 0.01)
-            .collect();
-        let did = diff_in_diff(&before, &after, &before, &after).unwrap();
-        assert!(did.effect.abs() < 1e-12);
-        assert!(!did.test.significant_at(0.05));
     }
 }

@@ -1,11 +1,10 @@
-//! Student's t-tests.
+//! Welch's two-sample t-test.
 //!
 //! KEA validates every flighting round and production roll-out with t-tests
 //! (§5.2.2 reports t = 4.45 and 7.13 for the YARN roll-out; Table 4 reports
-//! t = 40.4 and 27.1 for SC1 vs SC2). We implement the one-sample test, the
-//! classical pooled two-sample test, and Welch's unequal-variance test; the
-//! Experiment Module defaults to Welch because machine groups with different
-//! SKUs rarely share a variance.
+//! t = 40.4 and 27.1 for SC1 vs SC2). Every comparison in the pipeline is
+//! two-sample, and machine groups with different SKUs rarely share a
+//! variance, so the one test here is Welch's unequal-variance test.
 
 use crate::describe::Welford;
 use crate::dist::StudentsT;
@@ -16,7 +15,7 @@ use crate::error::{check_finite, StatsError};
 pub enum Alternative {
     /// H1: the means differ (default in the paper's analyses).
     TwoSided,
-    /// H1: mean of the first sample (or the sample vs μ0) is greater.
+    /// H1: mean of the first sample is greater.
     Greater,
     /// H1: mean of the first sample is less.
     Less,
@@ -27,11 +26,11 @@ pub enum Alternative {
 pub struct TTestResult {
     /// The t statistic.
     pub t: f64,
-    /// Degrees of freedom (possibly fractional for Welch).
+    /// Welch–Satterthwaite degrees of freedom (fractional in general).
     pub df: f64,
     /// p-value under the chosen [`Alternative`].
     pub p_value: f64,
-    /// Difference in means: `mean(a) − mean(b)` (or `mean − μ0`).
+    /// Difference in means: `mean(a) − mean(b)`.
     pub mean_diff: f64,
     /// Standard error of the mean difference.
     pub std_err: f64,
@@ -43,56 +42,6 @@ impl TTestResult {
     /// Convenience: is the result significant at level `alpha`?
     pub fn significant_at(&self, alpha: f64) -> bool {
         self.p_value < alpha
-    }
-
-    /// Confidence interval for the mean difference at level `1 − alpha`
-    /// (two-sided, regardless of the test's alternative).
-    ///
-    /// # Errors
-    /// `alpha` must be in `(0, 1)`.
-    pub fn confidence_interval(&self, alpha: f64) -> Result<(f64, f64), StatsError> {
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return Err(StatsError::InvalidParameter("alpha must be in (0, 1)"));
-        }
-        let dist = StudentsT::new(self.df)?;
-        // Invert the CDF by bisection: accurate enough for reporting and
-        // avoids implementing an inverse incomplete beta.
-        let target = 1.0 - alpha / 2.0;
-        let (mut lo, mut hi) = (0.0, 1e6);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if dist.cdf(mid) < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let crit = 0.5 * (lo + hi);
-        Ok((
-            self.mean_diff - crit * self.std_err,
-            self.mean_diff + crit * self.std_err,
-        ))
-    }
-}
-
-fn finish(t: f64, df: f64, mean_diff: f64, std_err: f64, alt: Alternative) -> TTestResult {
-    // df > 0 is validated by every caller; an invalid df degrades to a
-    // NaN p-value (treated as "no evidence") instead of aborting.
-    let p_value = match StudentsT::new(df) {
-        Ok(dist) => match alt {
-            Alternative::TwoSided => dist.p_two_sided(t),
-            Alternative::Greater => dist.sf(t),
-            Alternative::Less => dist.cdf(t),
-        },
-        Err(_) => f64::NAN,
-    };
-    TTestResult {
-        t,
-        df,
-        p_value,
-        mean_diff,
-        std_err,
-        alternative: alt,
     }
 }
 
@@ -109,42 +58,6 @@ fn moments(data: &[f64]) -> Result<(f64, f64, f64), StatsError> {
         acc.push(v);
     }
     Ok((acc.mean(), acc.sample_variance(), data.len() as f64))
-}
-
-/// One-sample t-test of `H0: mean(data) == mu0`.
-///
-/// # Errors
-/// Needs at least two finite observations with non-zero variance.
-pub fn t_test_one_sample(
-    data: &[f64],
-    mu0: f64,
-    alt: Alternative,
-) -> Result<TTestResult, StatsError> {
-    let (m, var, n) = moments(data)?;
-    if var == 0.0 {
-        return Err(StatsError::ZeroVariance);
-    }
-    let std_err = (var / n).sqrt();
-    let t = (m - mu0) / std_err;
-    Ok(finish(t, n - 1.0, m - mu0, std_err, alt))
-}
-
-/// Classical pooled two-sample t-test (assumes equal variances).
-///
-/// # Errors
-/// Each sample needs at least two finite observations, and the pooled
-/// variance must be non-zero.
-pub fn t_test_pooled(a: &[f64], b: &[f64], alt: Alternative) -> Result<TTestResult, StatsError> {
-    let (ma, va, na) = moments(a)?;
-    let (mb, vb, nb) = moments(b)?;
-    let df = na + nb - 2.0;
-    let pooled = ((na - 1.0) * va + (nb - 1.0) * vb) / df;
-    if pooled == 0.0 {
-        return Err(StatsError::ZeroVariance);
-    }
-    let std_err = (pooled * (1.0 / na + 1.0 / nb)).sqrt();
-    let t = (ma - mb) / std_err;
-    Ok(finish(t, df, ma - mb, std_err, alt))
 }
 
 /// Welch's unequal-variance two-sample t-test with the
@@ -166,7 +79,24 @@ pub fn t_test_welch(a: &[f64], b: &[f64], alt: Alternative) -> Result<TTestResul
     let std_err = se2.sqrt();
     let t = (ma - mb) / std_err;
     let df = se2 * se2 / (se2a * se2a / (na - 1.0) + se2b * se2b / (nb - 1.0));
-    Ok(finish(t, df, ma - mb, std_err, alt))
+    // df > 0 here (both samples have n ≥ 2 and se2 > 0); an invalid df
+    // would degrade to a NaN p-value ("no evidence") instead of aborting.
+    let p_value = match StudentsT::new(df) {
+        Ok(dist) => match alt {
+            Alternative::TwoSided => dist.p_two_sided(t),
+            Alternative::Greater => dist.sf(t),
+            Alternative::Less => dist.cdf(t),
+        },
+        Err(_) => f64::NAN,
+    };
+    Ok(TTestResult {
+        t,
+        df,
+        p_value,
+        mean_diff: ma - mb,
+        std_err,
+        alternative: alt,
+    })
 }
 
 #[cfg(test)]
@@ -185,25 +115,6 @@ mod tests {
         assert!((res.df - 15.023).abs() < 0.01, "df = {}", res.df);
         assert!((res.p_value - 0.005866).abs() < 1e-5, "p = {}", res.p_value);
         assert!(res.significant_at(0.05));
-    }
-
-    #[test]
-    fn pooled_matches_reference() {
-        // Equal sample sizes make the pooled t equal to the Welch t;
-        // df = 18, p = 0.0048836.
-        let res = t_test_pooled(&A, &B, Alternative::TwoSided).unwrap();
-        assert!((res.t - 3.20729).abs() < 1e-4);
-        assert_eq!(res.df, 18.0);
-        assert!((res.p_value - 0.0048836).abs() < 1e-5);
-    }
-
-    #[test]
-    fn one_sample_reference() {
-        // t = 1.32638, df = 9, p = 0.217384.
-        let res = t_test_one_sample(&A, 30.0, Alternative::TwoSided).unwrap();
-        assert!((res.t - 1.32638).abs() < 1e-4, "t = {}", res.t);
-        assert!((res.p_value - 0.217384).abs() < 1e-5);
-        assert_eq!(res.df, 9.0);
     }
 
     #[test]
@@ -239,10 +150,6 @@ mod tests {
             t_test_welch(&flat, &flat, Alternative::TwoSided),
             Err(StatsError::ZeroVariance)
         );
-        assert_eq!(
-            t_test_one_sample(&flat, 5.0, Alternative::TwoSided),
-            Err(StatsError::ZeroVariance)
-        );
     }
 
     #[test]
@@ -251,22 +158,6 @@ mod tests {
             t_test_welch(&[1.0], &[1.0, 2.0], Alternative::TwoSided),
             Err(StatsError::InsufficientData { .. })
         ));
-    }
-
-    #[test]
-    fn confidence_interval_contains_mean_diff() {
-        let res = t_test_welch(&A, &B, Alternative::TwoSided).unwrap();
-        let (lo, hi) = res.confidence_interval(0.05).unwrap();
-        assert!(lo < res.mean_diff && res.mean_diff < hi);
-        // Significant at 5% ⟺ CI excludes zero.
-        assert!(lo > 0.0);
-    }
-
-    #[test]
-    fn confidence_interval_invalid_alpha() {
-        let res = t_test_welch(&A, &B, Alternative::TwoSided).unwrap();
-        assert!(res.confidence_interval(0.0).is_err());
-        assert!(res.confidence_interval(1.0).is_err());
     }
 
     #[test]

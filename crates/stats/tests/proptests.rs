@@ -1,12 +1,9 @@
 //! Property-based tests for the statistics toolkit: invariants that must
 //! hold for *any* finite input, not just the unit-test fixtures.
 
-use kea_stats::{
-    bootstrap_ci, mean, percentile, t_test_welch, variance, Alternative, Summary, Welford,
-};
+use kea_stats::describe::percentile_of_sorted;
+use kea_stats::{mean, t_test_welch, variance, Alternative, Summary, Welford};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn finite_vec(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0e6..1.0e6f64, min_len..60)
@@ -16,8 +13,10 @@ proptest! {
     #[test]
     fn percentile_is_monotone_and_bounded(data in finite_vec(1), p1 in 0.0..100.0f64, p2 in 0.0..100.0f64) {
         let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-        let a = percentile(&data, lo).unwrap();
-        let b = percentile(&data, hi).unwrap();
+        let mut sorted = data.clone();
+        sorted.sort_by(f64::total_cmp);
+        let a = percentile_of_sorted(&sorted, lo);
+        let b = percentile_of_sorted(&sorted, hi);
         prop_assert!(a <= b + 1e-9);
         let min = data.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -34,19 +33,6 @@ proptest! {
         let v = variance(&data).unwrap();
         prop_assert!((acc.mean() - m).abs() <= 1e-6 * m.abs().max(1.0));
         prop_assert!((acc.sample_variance() - v).abs() <= 1e-6 * v.abs().max(1.0));
-    }
-
-    #[test]
-    fn welford_merge_is_associative_enough(a in finite_vec(1), b in finite_vec(1)) {
-        let mut left = Welford::new();
-        for &v in &a { left.push(v); }
-        let mut right = Welford::new();
-        for &v in &b { right.push(v); }
-        left.merge(&right);
-        let mut whole = Welford::new();
-        for &v in a.iter().chain(&b) { whole.push(v); }
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() <= 1e-6 * whole.mean().abs().max(1.0));
     }
 
     #[test]
@@ -73,18 +59,5 @@ proptest! {
         prop_assert!(s.p75 <= s.p99 + 1e-9);
         prop_assert!(s.p99 <= s.max + 1e-9);
         prop_assert!(s.mean >= s.min - 1e-9 && s.mean <= s.max + 1e-9);
-    }
-
-    #[test]
-    fn bootstrap_ci_brackets_the_estimate(data in finite_vec(3), seed in 0u64..1000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ci = bootstrap_ci(&data, |d| d.iter().sum::<f64>() / d.len() as f64, 200, 0.95, &mut rng).unwrap();
-        // Percentile bootstrap of the mean: the interval must cover the
-        // resample distribution's span, which includes values near the
-        // estimate. Allow tiny tolerance for degenerate spreads.
-        prop_assert!(ci.lower <= ci.upper);
-        let min = data.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(ci.lower >= min - 1e-9 && ci.upper <= max + 1e-9);
     }
 }

@@ -74,9 +74,9 @@ pub enum CsvError {
     /// A metric field parsed as a float but was NaN or infinite. Typed
     /// separately from [`CsvError::BadRow`] so ingestion pipelines can
     /// distinguish "malformed file" from "well-formed file carrying
-    /// poisoned measurements" — the store itself only guards against
-    /// non-finite values with a `debug_assert`, so this check is the
-    /// release-build gate.
+    /// poisoned measurements" — the store itself drops non-finite
+    /// records without saying where they came from, so this check is
+    /// what names the line and the column.
     NonFinite {
         /// Line number in the file.
         line: usize,
@@ -334,9 +334,8 @@ mod tests {
             write_csv(&sample_store(), &mut buf).unwrap();
             String::from_utf8(buf).unwrap()
         };
-        // "NaN" and "inf" both parse as f64 — a release build with only
-        // the store's debug_assert would ingest them silently. The typed
-        // error names the line and the column.
+        // "NaN" and "inf" both parse as f64 — the store alone would drop
+        // them silently. The typed error names the line and the column.
         let nan_row = good.replacen("61.25", "NaN", 1);
         match read_csv(nan_row.as_bytes()) {
             Err(CsvError::NonFinite { line, column }) => {

@@ -934,44 +934,25 @@ impl TelemetryStore {
     }
 
     /// Appends one record into the delta buffer. The sealed runs are
-    /// left untouched; only the delta mini-index is invalidated.
-    /// Non-finite metric blocks are rejected by debug assertion — the
-    /// simulator must never emit them (CSV ingest checks them with a
-    /// typed error instead, see [`crate::csv`]). Seals when the delta
-    /// outgrows its threshold.
-    pub fn push(&mut self, record: MachineHourRecord) {
-        debug_assert!(record.metrics.is_finite(), "non-finite telemetry emitted");
-        self.delta.take();
-        self.tail.push(record);
-        self.maybe_compact();
+    /// left untouched; only the delta mini-index is invalidated. Seals
+    /// when the delta outgrows its threshold. A record carrying a NaN or
+    /// infinite metric is dropped, as in [`extend`](TelemetryStore::extend);
+    /// returns whether the record was kept.
+    pub fn push(&mut self, record: MachineHourRecord) -> bool {
+        self.extend(std::iter::once(record)) == 0
     }
 
     /// Appends many records as one batch: the seal threshold is checked
     /// once per call, so a bulk load seals at most once.
-    pub fn extend(&mut self, records: impl IntoIterator<Item = MachineHourRecord>) {
-        self.delta.take();
-        for record in records {
-            debug_assert!(record.metrics.is_finite(), "non-finite telemetry emitted");
-            self.tail.push(record);
-        }
-        self.maybe_compact();
-    }
-
-    /// Appends a batch like [`extend`](TelemetryStore::extend), but with
-    /// the non-finite validation CSV ingest applies enforced in *every*
-    /// build profile: records carrying a NaN or infinite metric are
-    /// dropped and counted instead of debug-asserted. Returns the number
-    /// of records rejected (zero for any healthy producer).
     ///
-    /// This is the ingest path for machine-generated record streams — the
-    /// simulator flushes through it — where a debug-only assertion would
-    /// let a poisoned metric (e.g. a lognormal sampler overflowing to
-    /// `inf` under a degenerate calibration) slip into release-mode
-    /// stores and surface later as NaN aggregates.
-    pub fn extend_validated(
-        &mut self,
-        records: impl IntoIterator<Item = MachineHourRecord>,
-    ) -> usize {
+    /// Every ingest path (`push`, `extend`, `merge`) applies the
+    /// non-finite validation CSV ingest applies (see [`crate::csv`]), in
+    /// every build profile: records carrying a NaN or infinite metric are
+    /// dropped and counted, so a poisoned producer (e.g. a lognormal
+    /// sampler overflowing to `inf` under a degenerate calibration) can
+    /// never surface later as NaN aggregates. Returns the number of
+    /// records dropped (zero for any healthy producer).
+    pub fn extend(&mut self, records: impl IntoIterator<Item = MachineHourRecord>) -> usize {
         self.delta.take();
         let mut dropped = 0usize;
         for record in records {
@@ -985,12 +966,23 @@ impl TelemetryStore {
         dropped
     }
 
+    /// Alias of [`extend`](TelemetryStore::extend), kept because keabench
+    /// calls it by this name.
+    pub fn extend_validated(
+        &mut self,
+        records: impl IntoIterator<Item = MachineHourRecord>,
+    ) -> usize {
+        self.extend(records)
+    }
+
     /// Merges another store into this one (e.g. combining experiment and
     /// control windows collected separately). Routed through the same
     /// batch append — and therefore the same non-finite validation — as
-    /// [`extend`](TelemetryStore::extend).
-    pub fn merge(&mut self, other: TelemetryStore) {
+    /// [`extend`](TelemetryStore::extend); returns the number of records
+    /// dropped.
+    pub fn merge(&mut self, other: TelemetryStore) -> usize {
         let TelemetryStore { runs, tail, .. } = other;
+        let mut dropped = 0;
         for run in &runs {
             // Detach the other store's sealed rows back into record
             // form; its runs are resident or reloadable via its own
@@ -999,10 +991,10 @@ impl TelemetryStore {
             // durable store, whose records were sealed after passing
             // validation on their way in.
             if let Some(index) = run.index.get() {
-                self.extend(index.sorted.iter().copied());
+                dropped += self.extend(index.sorted.iter().copied());
             }
         }
-        self.extend(tail);
+        dropped + self.extend(tail)
     }
 
     /// Reserves capacity for at least `additional` more records, so a
@@ -1587,8 +1579,8 @@ mod tests {
     #[test]
     fn extend_validated_rejects_non_finite_in_all_profiles() {
         let mut store = TelemetryStore::new();
-        // Plain `extend` only debug-asserts; `extend_validated` must
-        // reject these even in release builds.
+        // Every ingest path drops and counts non-finite records, in
+        // every build profile.
         let dropped = store.extend_validated(vec![
             rec(1, 0, 0, 10.0),
             rec(1, 0, 1, f64::NAN),
@@ -1597,10 +1589,25 @@ mod tests {
         ]);
         assert_eq!(dropped, 2);
         assert_eq!(store.len(), 2);
-        assert!(store.iter().all(|r| r.metrics.is_finite()));
         // Clean batches pass through untouched.
         assert_eq!(store.extend_validated(vec![rec(3, 0, 0, 5.0)]), 0);
         assert_eq!(store.len(), 3);
+
+        assert!(!store.push(rec(4, 0, 0, f64::NAN)));
+        assert!(store.push(rec(4, 0, 1, 1.0)));
+        assert_eq!(store.len(), 4);
+        assert_eq!(
+            store.extend(vec![rec(5, 0, 0, f64::NEG_INFINITY), rec(5, 0, 1, 2.0)]),
+            1
+        );
+        assert_eq!(store.len(), 5);
+        let other = TelemetryStore {
+            tail: vec![rec(6, 0, 0, f64::INFINITY), rec(6, 0, 1, 3.0)],
+            ..TelemetryStore::default()
+        };
+        assert_eq!(store.merge(other), 1);
+        assert_eq!(store.len(), 6);
+        assert!(store.iter().all(|r| r.metrics.is_finite()));
     }
 
     #[test]
@@ -1662,10 +1669,8 @@ mod tests {
     /// bypassing the non-finite guard that `push` enforces, so a store
     /// assembled from per-window merges could smuggle NaN metrics into
     /// the kernels). `merge` now routes through the same validated batch
-    /// append as `extend`.
+    /// append as `extend`, in every build profile.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "non-finite telemetry emitted")]
     fn merge_rejects_non_finite_records() {
         // Build the offending store around the validated entry points,
         // the way a corrupted window would arrive from outside.
@@ -1675,7 +1680,9 @@ mod tests {
         };
         let mut store = TelemetryStore::new();
         store.push(rec(2, 0, 0, 1.0));
-        store.merge(bad);
+        assert_eq!(store.merge(bad), 1);
+        assert_eq!(store.len(), 1);
+        assert!(store.iter().all(|r| r.metrics.is_finite()));
     }
 
     #[test]
