@@ -3,11 +3,11 @@
 //! simulation engine itself. These are throughput benches (how fast is
 //! the machinery), not reproduction benches (see `--bin repro`).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use kea_ml::LinearModel1D;
 use kea_opt::{LpProblem, Relation};
 use kea_sim::{run, ClusterSpec, SimConfig};
-use kea_stats::{t_test_welch, Alternative, Summary};
+use kea_stats::{t_test_welch, Alternative};
 use kea_telemetry::daily_group_aggregates;
 use std::hint::black_box;
 
@@ -59,13 +59,6 @@ fn bench_statistics(c: &mut Criterion) {
     let b2: Vec<f64> = (0..5000).map(|i| 101.0 + ((i * 13) % 23) as f64).collect();
     c.bench_function("welch_t_5000x5000", |b| {
         b.iter(|| t_test_welch(black_box(&a), black_box(&b2), Alternative::TwoSided).unwrap())
-    });
-    c.bench_function("summary_5000", |b| {
-        b.iter_batched(
-            || a.clone(),
-            |data| Summary::of(black_box(&data)).unwrap(),
-            BatchSize::SmallInput,
-        )
     });
 }
 

@@ -5,8 +5,8 @@
 //!
 //! * `telemetry_scan`: a Performance-Monitor-shaped window — 8 groups ×
 //!   32 machines/group × 14 days of hourly records (86,016 rows) — timed
-//!   through `daily_group_aggregates`, `group_utilization`,
-//!   `hourly_fleet_series`, and `group_summary`, columnar vs reference.
+//!   through `daily_group_aggregates`, `group_utilization`, and
+//!   `hourly_fleet_series`, columnar vs reference.
 //! * `telemetry_scan_64k`: a wide-fleet case (65,536 machines × 6 hours,
 //!   393,216 rows) where hour-window reads are a binary search plus a
 //!   contiguous run for the columnar store and a full predicate scan for
@@ -21,8 +21,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use kea_telemetry::store::reference::TelemetryStore as RefStore;
 use kea_telemetry::{
-    aggregate, daily_group_aggregates, group_summary, group_utilization, hourly_fleet_series,
-    GroupKey, MachineHourRecord, MachineId, Metric, MetricValues, ScId, SkuId, TelemetryStore,
+    aggregate, daily_group_aggregates, group_utilization, hourly_fleet_series, GroupKey,
+    MachineHourRecord, MachineId, Metric, MetricValues, ScId, SkuId, TelemetryStore,
 };
 use std::hint::black_box;
 
@@ -131,15 +131,6 @@ fn bench_monitor_window(c: &mut Criterion) {
     group.bench_function("hourly_fleet_series_reference", |b| {
         b.iter(|| {
             aggregate::reference::hourly_fleet_series(black_box(&reference), Metric::CpuUtilization)
-        })
-    });
-    let probe = GroupKey::new(SkuId(3), ScId(1));
-    group.bench_function("group_summary_columnar", |b| {
-        b.iter(|| group_summary(black_box(&columnar), probe, Metric::CpuUtilization))
-    });
-    group.bench_function("group_summary_reference", |b| {
-        b.iter(|| {
-            aggregate::reference::group_summary(black_box(&reference), probe, Metric::CpuUtilization)
         })
     });
     group.finish();

@@ -9,7 +9,6 @@
 //! (Figure 9).
 
 use crate::error::KeaError;
-use kea_stats::Summary;
 use kea_telemetry::{
     daily_group_aggregates, scatter, DailyAggregate, GroupKey, Metric, ScatterPoint,
     TelemetryStore,
@@ -75,22 +74,6 @@ impl<'a> PerformanceMonitor<'a> {
     /// Daily per-machine aggregates — the training rows of §5.2.1.
     pub fn daily_aggregates(&self) -> Vec<DailyAggregate> {
         daily_group_aggregates(self.store)
-    }
-
-    /// Distribution summary of a metric for one group.
-    ///
-    /// # Errors
-    /// The group must have observations.
-    pub fn group_metric_summary(
-        &self,
-        group: GroupKey,
-        metric: Metric,
-    ) -> Result<Summary, KeaError> {
-        kea_telemetry::group_summary(self.store, group, metric).ok_or_else(|| {
-            KeaError::NoObservations {
-                what: format!("group {group:?} metric {metric}"),
-            }
-        })
     }
 
     /// Cluster-wide mean of a metric over `[start_hour, end_hour)`,
@@ -198,12 +181,5 @@ mod tests {
         assert_eq!(pts.len(), 20);
         let daily = mon.daily_aggregates();
         assert_eq!(daily.len(), 4, "4 machines × 1 day");
-        let summary = mon
-            .group_metric_summary(GroupKey::new(SkuId(0), ScId(1)), Metric::CpuUtilization)
-            .unwrap();
-        assert_eq!(summary.count, 20);
-        assert!(mon
-            .group_metric_summary(GroupKey::new(SkuId(7), ScId(1)), Metric::CpuUtilization)
-            .is_err());
     }
 }

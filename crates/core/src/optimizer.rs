@@ -24,12 +24,12 @@
 //! `W̄` is a ratio of sums with exactly one additive term per group, and
 //! every evaluation the optimizer needs after the operating point —
 //! gradient components, rounding-repair probes — perturbs a *single*
-//! group. [`ClusterLatencyCache`] therefore caches each group's
+//! group. A per-cluster latency cache therefore caches each group's
 //! `(l_k·n_k, w_k·l_k·n_k)` contribution once and answers "what is W̄ if
 //! only group k moves?" in O(1), making the whole gradient O(G) and each
 //! repair step O(1) instead of O(G). The previous full-recompute
-//! implementation is preserved in [`reference`] so tests can assert
-//! numerical equivalence and benches can measure the speedup.
+//! implementation is preserved in [`reference`](mod@reference) so tests
+//! can assert numerical equivalence and benches can measure the speedup.
 
 // kea-lint: allow-file(index-in-library) — parallel per-group vectors all have identical length G, established in optimization_inputs
 
@@ -288,8 +288,8 @@ fn capacity_gain(total_delta: f64, total_current: f64) -> f64 {
 /// roll-out bound `δ` (the paper used 1 for the first round, 2 for the
 /// next).
 ///
-/// Gradient evaluation and rounding repair run in O(G) total via
-/// [`ClusterLatencyCache`]; see [`reference::optimize_max_containers`]
+/// Gradient evaluation and rounding repair run in O(G) total via a
+/// per-cluster latency cache; see [`reference::optimize_max_containers`]
 /// for the O(G²) full-recompute baseline they are verified against.
 ///
 /// # Errors

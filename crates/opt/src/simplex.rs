@@ -19,10 +19,10 @@
 //!   [`Basis`] of a previous solve and re-solves a *re-costed* instance
 //!   (same shape, perturbed coefficients) starting from that basis,
 //!   which is how the optimizer sweeps operating points cheaply.
-//! * [`reference`] preserves the original row-materialising solver as an
-//!   executable specification: property tests pin the two to 1e-9
-//!   agreement on randomized LPs, and `kea-bench`'s `optimizer_scale`
-//!   measures the gap at fleet-scale `G`.
+//! * [`reference`](mod@reference) preserves the original
+//!   row-materialising solver as an executable specification: property
+//!   tests pin the two to 1e-9 agreement on randomized LPs, and
+//!   `kea-bench`'s `optimizer_scale` measures the gap at fleet-scale `G`.
 //!
 //! Supported form (both implementations):
 //!

@@ -2,17 +2,17 @@
 //!
 //! Two implementations share one output contract:
 //!
-//! * [`reference`] — the original heap-driven engine: one global
-//!   `BinaryHeap` event queue, `ConfigPlan::effective` on every lookup,
-//!   telemetry materialized whole at the end of the run. Simple, and the
-//!   semantic oracle for everything below.
+//! * [`reference`](mod@reference) — the original heap-driven engine:
+//!   one global `BinaryHeap` event queue, `ConfigPlan::effective` on
+//!   every lookup, telemetry materialized whole at the end of the run.
+//!   Simple, and the semantic oracle for everything below.
 //! * **This module's fleet-scale engine** — what [`run`] and
 //!   [`run_with_exec`] execute:
 //!
 //!   1. a hierarchical **calendar queue** ([`crate::calendar`]) replaces
 //!      the binary heap, making event push/pop O(1) for the clustered
 //!      near-future times a simulation produces;
-//!   2. **model tables** ([`ModelTables`]) precompute every
+//!   2. **model tables** (`ModelTables`) precompute every
 //!      utilization / throttle / interference / power / resource value
 //!      per (configuration × SKU × running-count), collapsing the
 //!      per-event hot path (BTreeMap lookups, `powf`, flight scans in

@@ -7,8 +7,7 @@
 //! treatment-effect analysis, and sizes its experiments for significance.
 //! This crate implements that machinery from scratch:
 //!
-//! * [`describe`] — means, variances, percentiles and the five-number-plus
-//!   [`Summary`] of KEA's daily machine-group aggregation.
+//! * [`describe`] — means and variances (Welford).
 //! * [`dist`] — special functions (log-gamma, regularized incomplete beta),
 //!   the Student-t distribution built on them, and the standard normal
 //!   quantile.
@@ -28,7 +27,7 @@ pub mod power;
 pub mod treatment;
 pub mod ttest;
 
-pub use describe::{mean, stddev, variance, Summary, Welford};
+pub use describe::{mean, stddev, variance, Welford};
 pub use dist::{Normal, StudentsT};
 pub use error::StatsError;
 pub use power::required_n_two_sample;

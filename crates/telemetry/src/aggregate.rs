@@ -27,8 +27,8 @@
 //! the skew case a contiguous count-based partition serializes. Results
 //! land in per-group slots, so output order is identical to a serial loop
 //! for any worker count and any interleaving. The pre-columnar
-//! implementations survive in [`reference`] as the executable
-//! specification and benchmark baseline.
+//! implementations survive in [`reference`](mod@reference) as the
+//! executable specification and benchmark baseline.
 
 // kea-lint: allow-file(index-in-library) — dense aggregation kernels: rows
 // come from the store's own CSR offset tables and every bucket index is a
@@ -38,7 +38,6 @@
 use crate::metric::Metric;
 use crate::record::{GroupKey, MachineHourRecord, MachineId};
 use crate::store::{merge_dedup, remap_into, ColumnIndex, TelemetryStore};
-use kea_stats::Summary;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -341,31 +340,6 @@ fn drain_day(
     scratch.touched.clear();
 }
 
-/// Distribution summary of one metric over all machine-hours of one group
-/// — each side contributes one contiguous metric column slice, and the
-/// slices are concatenated before the summary ([`Summary::of`] sorts a
-/// copy either way).
-///
-/// Returns `None` when the group has no records.
-pub fn group_summary(store: &TelemetryStore, group: GroupKey, metric: Metric) -> Option<Summary> {
-    let sides = store.sides();
-    let slices: Vec<&[f64]> = sides
-        .iter()
-        .map(|s| s.group_column(group, metric))
-        .collect();
-    match slices.as_slice() {
-        [] => None,
-        [one] => Summary::of(one).ok(),
-        many => {
-            let mut values = Vec::with_capacity(many.iter().map(|s| s.len()).sum());
-            for s in many {
-                values.extend_from_slice(s);
-            }
-            Summary::of(&values).ok()
-        }
-    }
-}
-
 /// Fleet-wide mean of `metric` per hour — the Figure 1 series, with one
 /// `(hour, mean)` point for every hour of the store's span (0.0 for hours
 /// no machine reported). Empty when the store is empty.
@@ -561,7 +535,6 @@ pub mod reference {
     use crate::metric::Metric;
     use crate::record::{GroupKey, MachineId};
     use crate::store::reference::TelemetryStore;
-    use kea_stats::Summary;
     use std::collections::BTreeMap;
 
     /// Per-machine, per-day aggregates via a `(group, machine, day)` →
@@ -607,20 +580,6 @@ pub mod reference {
                 }
             })
             .collect()
-    }
-
-    /// Distribution summary of one metric for one group via a full
-    /// predicate scan and a collected value vector.
-    pub fn group_summary(
-        store: &TelemetryStore,
-        group: GroupKey,
-        metric: Metric,
-    ) -> Option<Summary> {
-        let values: Vec<f64> = store
-            .by_group(group)
-            .map(|r| metric.value(&r.metrics))
-            .collect();
-        Summary::of(&values).ok()
     }
 
     /// Fleet-wide hourly mean series via an hour-keyed `BTreeMap` with
@@ -840,20 +799,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn group_summary_reports_distribution() {
-        let store = store_with_two_days();
-        let group = GroupKey::new(SkuId(1), ScId(0));
-        let s = group_summary(&store, group, Metric::CpuUtilization).unwrap();
-        assert_eq!(s.count, 48);
-        assert!((s.mean - 60.0).abs() < 1e-12);
-        assert_eq!(s.min, 50.0);
-        assert_eq!(s.max, 70.0);
-        // Missing group yields None.
-        assert!(group_summary(&store, GroupKey::new(SkuId(9), ScId(0)), Metric::CpuUtilization)
-            .is_none());
     }
 
     #[test]

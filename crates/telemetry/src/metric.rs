@@ -6,22 +6,6 @@
 
 use crate::record::MetricValues;
 
-/// Which system property a metric speaks to — the "Affected System
-/// Metrics" column of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MetricCategory {
-    /// Throughput rate (data read, task completion).
-    Throughput,
-    /// CPU processing efficiency.
-    CpuProcessing,
-    /// Utilization level of the machine.
-    UtilizationLevel,
-    /// Latency experienced by tasks or queued containers.
-    Latency,
-    /// Physical resource consumption (power, SSD, RAM, cores).
-    ResourceUsage,
-}
-
 /// A machine-group-level performance metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
@@ -139,27 +123,6 @@ impl Metric {
         }
     }
 
-    /// The system property this metric affects (Table 2, third column).
-    pub fn category(&self) -> MetricCategory {
-        match self {
-            Metric::TotalDataRead | Metric::NumberOfTasks | Metric::BytesPerSecond => {
-                MetricCategory::Throughput
-            }
-            Metric::BytesPerCpuTime => MetricCategory::CpuProcessing,
-            Metric::CpuUtilization | Metric::AverageRunningContainers => {
-                MetricCategory::UtilizationLevel
-            }
-            Metric::AverageTaskLatency | Metric::QueuedContainers | Metric::QueueLatencyP99 => {
-                MetricCategory::Latency
-            }
-            Metric::PowerDraw
-            | Metric::SsdUsed
-            | Metric::RamUsed
-            | Metric::CoresUsed
-            | Metric::NetworkUsed => MetricCategory::ResourceUsage,
-        }
-    }
-
     /// Human-readable name as used in the paper's tables and figures.
     pub fn name(&self) -> &'static str {
         match self {
@@ -236,27 +199,6 @@ mod tests {
         }
         assert_eq!(Metric::CpuUtilization.value(&m), 5.0);
         assert_eq!(Metric::NumberOfTasks.value(&m), 2.0);
-    }
-
-    #[test]
-    fn table2_categories() {
-        assert_eq!(
-            Metric::TotalDataRead.category(),
-            MetricCategory::Throughput
-        );
-        assert_eq!(
-            Metric::BytesPerCpuTime.category(),
-            MetricCategory::CpuProcessing
-        );
-        assert_eq!(
-            Metric::CpuUtilization.category(),
-            MetricCategory::UtilizationLevel
-        );
-        assert_eq!(
-            Metric::AverageRunningContainers.category(),
-            MetricCategory::UtilizationLevel
-        );
-        assert_eq!(Metric::PowerDraw.category(), MetricCategory::ResourceUsage);
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! The manifest: the single source of truth for which files are live.
 //!
 //! A store directory's `MANIFEST` names the live segment set (in run
-//! order, oldest first) and the live WAL. It is tiny and human-readable.
-//! The current format is **v2**, which records each segment's inclusive
-//! hour bounds so windowed queries can prune segments without opening
-//! them:
+//! order, oldest first) and the live WAL. It is tiny and human-readable,
+//! and records each segment's row count and inclusive hour bounds so
+//! windowed queries can prune segments without opening them:
 //!
 //! ```text
-//! kea-telemetry-manifest v2
+//! kea-telemetry-manifest v3
 //! segment seg-000001.kseg rows 86016 hours 0 335
 //! segment seg-000003.kseg rows 6144 hours 336 359
 //! wal wal-000004.wal
 //! ```
 //!
-//! **v1** manifests (written before hour bounds existed) parse under the
-//! same reader; their segment entries come back with `bounds: None`, the
-//! loader derives the bounds by reading the segment eagerly, and the
-//! next manifest flip rewrites the file as v2. Writes always emit v2.
+//! The header line names the on-disk format of the whole directory:
+//! **v3** is the three-section segment format (see `segment`). The
+//! reader accepts exactly that header, so a directory written by an
+//! older build (v1 or v2) is refused as corrupt at its first line,
+//! before any segment is opened, quarantined, or swept.
 //!
 //! Every update writes `MANIFEST.tmp`, fsyncs it, renames over
 //! `MANIFEST`, and fsyncs the directory — so the manifest flips
@@ -32,26 +32,21 @@ use super::{fsync_dir, io_err, test_hooks, PersistError};
 /// File name of the manifest inside a store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
 
-/// First line of every manifest this build writes.
-const MANIFEST_HEADER_V2: &str = "kea-telemetry-manifest v2";
-
-/// First line of manifests written before per-segment hour bounds;
-/// still accepted by the reader.
-const MANIFEST_HEADER_V1: &str = "kea-telemetry-manifest v1";
+/// First line of every manifest this build writes, and the only one it
+/// reads.
+const MANIFEST_HEADER: &str = "kea-telemetry-manifest v3";
 
 /// One live segment: file name, the row count the loader must find, and
-/// (for v2 entries) the inclusive `[min_hour, max_hour]` the segment
-/// covers.
+/// the inclusive `[min_hour, max_hour]` the segment covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentEntry {
     /// Segment file name (no directory components).
     pub name: String,
     /// Rows recorded at write time; cross-checked against the header.
     pub rows: u64,
-    /// Inclusive hour bounds recorded at write time; `None` only for
-    /// entries parsed from a v1 manifest, which are loaded eagerly to
-    /// derive them.
-    pub bounds: Option<(u64, u64)>,
+    /// Inclusive hour bounds recorded at write time; cross-checked
+    /// against the decoded body.
+    pub bounds: (u64, u64),
 }
 
 /// Parsed manifest contents.
@@ -75,20 +70,13 @@ fn valid_name(name: &str) -> bool {
 }
 
 impl Manifest {
-    /// Serializes to the on-disk text form (always v2). Entries that
-    /// still lack bounds (possible only if a v1 entry was somehow never
-    /// upgraded) are rendered without an `hours` clause, which the v2
-    /// parser also accepts.
+    /// Serializes to the on-disk text form.
     fn render(&self) -> String {
-        let mut out = String::from(MANIFEST_HEADER_V2);
+        let mut out = String::from(MANIFEST_HEADER);
         out.push('\n');
         for s in &self.segments {
-            match s.bounds {
-                Some((lo, hi)) => {
-                    out.push_str(&format!("segment {} rows {} hours {lo} {hi}\n", s.name, s.rows))
-                }
-                None => out.push_str(&format!("segment {} rows {}\n", s.name, s.rows)),
-            }
+            let (lo, hi) = s.bounds;
+            out.push_str(&format!("segment {} rows {} hours {lo} {hi}\n", s.name, s.rows));
         }
         out.push_str(&format!("wal {}\n", self.wal));
         out
@@ -98,9 +86,11 @@ impl Manifest {
     fn parse(text: &str, path: &Path) -> Result<Manifest, PersistError> {
         let corrupt = |reason: String| PersistError::Corrupt { path: path.to_path_buf(), reason };
         let mut lines = text.lines();
-        match lines.next() {
-            Some(MANIFEST_HEADER_V1) | Some(MANIFEST_HEADER_V2) => {}
-            _ => return Err(corrupt("missing or unsupported manifest header line".to_string())),
+        let header = lines.next().unwrap_or_default();
+        if header != MANIFEST_HEADER {
+            return Err(corrupt(format!(
+                "unsupported format {header:?}: this build reads only {MANIFEST_HEADER:?} directories"
+            )));
         }
         let mut segments = Vec::new();
         let mut wal = None;
@@ -110,15 +100,6 @@ impl Manifest {
             }
             let fields: Vec<&str> = line.split(' ').collect();
             match fields.as_slice() {
-                ["segment", name, "rows", rows] => {
-                    if !valid_name(name) {
-                        return Err(corrupt(format!("bad segment name on line {}", no + 2)));
-                    }
-                    let rows: u64 = rows
-                        .parse()
-                        .map_err(|_| corrupt(format!("bad row count on line {}", no + 2)))?;
-                    segments.push(SegmentEntry { name: name.to_string(), rows, bounds: None });
-                }
                 ["segment", name, "rows", rows, "hours", lo, hi] => {
                     if !valid_name(name) {
                         return Err(corrupt(format!("bad segment name on line {}", no + 2)));
@@ -135,11 +116,7 @@ impl Manifest {
                     if lo > hi {
                         return Err(corrupt(format!("inverted hour bounds on line {}", no + 2)));
                     }
-                    segments.push(SegmentEntry {
-                        name: name.to_string(),
-                        rows,
-                        bounds: Some((lo, hi)),
-                    });
+                    segments.push(SegmentEntry { name: name.to_string(), rows, bounds: (lo, hi) });
                 }
                 ["wal", name] => {
                     if !valid_name(name) {
@@ -217,30 +194,16 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let m = Manifest {
             segments: vec![
-                SegmentEntry { name: "seg-000001.kseg".into(), rows: 86_016, bounds: Some((0, 335)) },
-                SegmentEntry { name: "seg-000002.kseg".into(), rows: 12, bounds: Some((336, 340)) },
+                SegmentEntry { name: "seg-000001.kseg".into(), rows: 86_016, bounds: (0, 335) },
+                SegmentEntry { name: "seg-000002.kseg".into(), rows: 12, bounds: (336, 340) },
             ],
             wal: "wal-000003.wal".into(),
         };
         write_manifest(&dir, &m).unwrap();
+        let text = std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap();
+        assert!(text.starts_with("kea-telemetry-manifest v3\n"), "{text}");
         assert_eq!(read_manifest(&dir).unwrap(), m);
         assert!(!dir.join("MANIFEST.tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_manifest_parses_with_unknown_bounds() {
-        let dir = tmpdir("v1");
-        std::fs::write(
-            dir.join(MANIFEST_NAME),
-            "kea-telemetry-manifest v1\nsegment seg-000001.kseg rows 77\nwal wal-000002.wal\n",
-        )
-        .unwrap();
-        let m = read_manifest(&dir).unwrap();
-        assert_eq!(m.segments.len(), 1);
-        assert_eq!(m.segments[0].rows, 77);
-        assert_eq!(m.segments[0].bounds, None);
-        assert_eq!(m.wal, "wal-000002.wal");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -260,22 +223,42 @@ mod tests {
         let cases = [
             "",
             "wrong header\nwal a.wal\n",
-            "kea-telemetry-manifest v1\n",                       // no wal
-            "kea-telemetry-manifest v2\n",                       // no wal
-            "kea-telemetry-manifest v1\nwal a\nwal b\n",        // two wals
-            "kea-telemetry-manifest v1\nsegment x rows z\nwal a\n",
-            "kea-telemetry-manifest v1\nsegment ../x rows 3\nwal a\n",
-            "kea-telemetry-manifest v2\nsegment ../x rows 3 hours 0 4\nwal a\n",
-            "kea-telemetry-manifest v2\nsegment x rows 3 hours z 4\nwal a\n",
-            "kea-telemetry-manifest v2\nsegment x rows 3 hours 9 4\nwal a\n", // inverted
-            "kea-telemetry-manifest v2\nsegment x rows 3 hours 1\nwal a\n",   // truncated
-            "kea-telemetry-manifest v1\nwal ../../etc/passwd\n",
-            "kea-telemetry-manifest v1\nmystery line\nwal a\n",
+            "kea-telemetry-manifest v3\n",                       // no wal
+            "kea-telemetry-manifest v3\nwal a\nwal b\n",        // two wals
+            "kea-telemetry-manifest v3\nsegment x rows z hours 0 4\nwal a\n",
+            "kea-telemetry-manifest v3\nsegment x rows 3\nwal a\n", // no bounds
+            "kea-telemetry-manifest v3\nsegment ../x rows 3 hours 0 4\nwal a\n",
+            "kea-telemetry-manifest v3\nsegment x rows 3 hours z 4\nwal a\n",
+            "kea-telemetry-manifest v3\nsegment x rows 3 hours 9 4\nwal a\n", // inverted
+            "kea-telemetry-manifest v3\nsegment x rows 3 hours 1\nwal a\n",   // truncated
+            "kea-telemetry-manifest v3\nwal ../../etc/passwd\n",
+            "kea-telemetry-manifest v3\nmystery line\nwal a\n",
         ];
         for (i, text) in cases.iter().enumerate() {
             std::fs::write(dir.join(MANIFEST_NAME), text).unwrap();
             let err = read_manifest(&dir).unwrap_err();
             assert!(matches!(err, PersistError::Corrupt { .. }), "case {i}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Older formats are refused by their header line alone, even when
+    /// every other line is well formed for their version.
+    #[test]
+    fn older_format_headers_are_corrupt() {
+        let dir = tmpdir("older");
+        for text in [
+            "kea-telemetry-manifest v2\nsegment x rows 3 hours 0 4\nwal a\n",
+            "kea-telemetry-manifest v1\nsegment x rows 3\nwal a\n",
+        ] {
+            std::fs::write(dir.join(MANIFEST_NAME), text).unwrap();
+            match read_manifest(&dir).unwrap_err() {
+                PersistError::Corrupt { path, reason } => {
+                    assert_eq!(path, dir.join(MANIFEST_NAME));
+                    assert!(reason.contains("unsupported format"), "{reason}");
+                }
+                other => panic!("expected Corrupt, got {other}"),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,11 +1,13 @@
 //! Durable storage for [`TelemetryStore`]: WAL + segment spill + manifest.
 //!
 //! The on-disk layout mirrors the in-memory LSM shape. Each sealed run
-//! lives in its own immutable *segment* file ([`segment`]); the
-//! insertion-order delta tail lives in a *write-ahead log* ([`wal`]); a
-//! tiny *manifest* ([`manifest`]) names the live file set — in run
-//! order, with per-segment row counts and hour bounds — and is the only
-//! file ever updated in place (atomically, via temp-file + rename).
+//! lives in its own immutable *segment* file (`segment.rs`: records,
+//! machine table and hour permutation, each checksummed, ~131
+//! bytes/row); the insertion-order delta tail lives in a *write-ahead
+//! log* (`wal.rs`); a tiny *manifest* (`manifest.rs`) names the live
+//! file set — in run order, with per-segment row counts and hour bounds
+//! — and is the only file ever updated in place (atomically, via
+//! temp-file + rename).
 //!
 //! ## Durability contract
 //!
@@ -30,14 +32,19 @@
 //! segment's *header* (magic, version, checksum, row/size accounting)
 //! without decoding bodies — segment bodies load lazily on first query,
 //! so opening a month of history costs one small read per segment.
-//! Manifests from the v1 era (no hour bounds) still open: their
-//! segments are loaded eagerly to derive bounds and the next sync
-//! rewrites the manifest as v2. The WAL is replayed into the delta tail
-//! (truncating a torn tail from a mid-write crash), and orphan files
-//! left by an interrupted rotation are swept. Every crash point
-//! therefore lands in one of two states: the old file set or the new
-//! one, both complete. Corruption quarantines the file and fails typed,
-//! never panics.
+//! The WAL is replayed into the delta tail (truncating a torn tail from
+//! a mid-write crash), and orphan files left by an interrupted rotation
+//! are swept. Every crash point therefore lands in one of two states:
+//! the old file set or the new one, both complete. Corruption
+//! quarantines the file and fails typed, never panics.
+//!
+//! ## Format policy
+//!
+//! This build reads only the format it writes: manifest header
+//! `kea-telemetry-manifest v3` over version-2 segments. A directory
+//! written by an older build is refused with [`PersistError::Corrupt`]
+//! at its manifest's first line, before any segment is quarantined or
+//! any file swept, so its bytes stay exactly as they were.
 //!
 //! [`TelemetryStore`]: crate::TelemetryStore
 //! [`TelemetryStore::sync`]: crate::TelemetryStore::sync
@@ -180,20 +187,16 @@ pub(crate) enum RunRef<'a> {
     },
 }
 
-/// One sealed run recovered at open: its manifest identity plus, for
-/// v1-era entries that had to be read eagerly to learn their bounds,
-/// the decoded index.
+/// One sealed run recovered at open: its manifest identity. The body
+/// loads lazily on first query.
 #[derive(Debug)]
 pub(crate) struct RecoveredRun {
     /// Segment file name.
     pub name: String,
     /// Row count from the manifest (header-verified).
     pub rows: usize,
-    /// Inclusive hour bounds (from the manifest, or derived from an
-    /// eagerly-loaded v1 segment).
+    /// Inclusive hour bounds from the manifest.
     pub bounds: (u64, u64),
-    /// Decoded index, present only when the segment was loaded eagerly.
-    pub index: Option<ColumnIndex>,
 }
 
 /// Result of opening a store directory: the backing plus the recovered
@@ -228,9 +231,6 @@ pub(crate) struct Backing {
     wal_synced: usize,
     /// Next generation number for naming new segment/WAL files.
     next_gen: u64,
-    /// Set when the manifest parsed as v1; the next sync rotates even
-    /// if nothing changed, upgrading the directory to v2.
-    needs_upgrade: bool,
 }
 
 /// Parses the generation number out of `seg-NNNNNN.kseg` /
@@ -252,11 +252,8 @@ fn sweepable(name: &str) -> bool {
 pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
     std::fs::create_dir_all(dir).map_err(io_err("create store dir", dir))?;
 
-    let (live, needs_upgrade_hdr) = match manifest::read_manifest(dir) {
-        Ok(m) => {
-            let v1 = m.segments.iter().any(|s| s.bounds.is_none());
-            (m, v1)
-        }
+    let live = match manifest::read_manifest(dir) {
+        Ok(m) => m,
         Err(PersistError::MissingManifest { .. }) => {
             // Fresh directory — but refuse to silently reinitialize on
             // top of evidence of a real store whose manifest went
@@ -279,39 +276,24 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
             fsync_dir(dir)?;
             let m = Manifest { segments: Vec::new(), wal: wal_name };
             manifest::write_manifest(dir, &m)?;
-            (m, false)
+            m
         }
+        // Includes a manifest written by an older build: refused here,
+        // before any segment is opened or any file swept.
         Err(e) => return Err(e),
     };
 
-    // Validate the live segments, oldest first. v2 entries carry their
-    // hour bounds in the manifest, so only the header is checked here
-    // and the body loads lazily on first query; v1 entries are loaded
-    // in full to derive bounds.
+    // Validate the live segments' headers, oldest first; bodies load
+    // lazily on first query.
     let mut runs = Vec::with_capacity(live.segments.len());
     for seg in &live.segments {
-        match seg.bounds {
-            Some(bounds) => {
-                segment::read_header(dir, &seg.name, seg.rows)?;
-                let rows = usize::try_from(seg.rows).map_err(|_| PersistError::Corrupt {
-                    path: dir.join(&seg.name),
-                    reason: "row count overflows usize".to_string(),
-                })?;
-                if rows > 0 {
-                    runs.push(RecoveredRun { name: seg.name.clone(), rows, bounds, index: None });
-                }
-            }
-            None => {
-                let index = segment::load_segment(dir, &seg.name, seg.rows, None)?;
-                if let (Some(&lo), Some(&hi)) = (index.hours.first(), index.hours.last()) {
-                    runs.push(RecoveredRun {
-                        name: seg.name.clone(),
-                        rows: index.sorted.len(),
-                        bounds: (lo, hi),
-                        index: Some(index),
-                    });
-                }
-            }
+        segment::read_header(dir, &seg.name, seg.rows)?;
+        let rows = usize::try_from(seg.rows).map_err(|_| PersistError::Corrupt {
+            path: dir.join(&seg.name),
+            reason: "row count overflows usize".to_string(),
+        })?;
+        if rows > 0 {
+            runs.push(RecoveredRun { name: seg.name.clone(), rows, bounds: seg.bounds });
         }
     }
 
@@ -353,7 +335,6 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
         wal_written: tail_len,
         wal_synced: tail_len,
         next_gen,
-        needs_upgrade: needs_upgrade_hdr,
     };
     Ok(Recovered { backing, runs, delta })
 }
@@ -380,7 +361,7 @@ impl Backing {
                 RunRef::Clean { name, .. } => *name == s.name,
                 RunRef::Dirty { .. } => false,
             });
-        if clean_matches && !self.needs_upgrade {
+        if clean_matches {
             let stats = self.append_tail(tail)?;
             Ok((stats, vec![None; runs.len()]))
         } else {
@@ -411,8 +392,8 @@ impl Backing {
         Ok(stats)
     }
 
-    /// Rotation: the run set changed (seal, compaction, or a v1
-    /// upgrade), so spill each dirty run as a segment, start a fresh
+    /// Rotation: the run set changed (seal or compaction), so spill
+    /// each dirty run as a segment, start a fresh
     /// WAL holding only the current delta tail, flip the manifest, and
     /// drop the superseded files. Clean runs are carried over by name —
     /// unchanged history is never rewritten.
@@ -436,7 +417,7 @@ impl Backing {
                 RunRef::Clean { name, rows, bounds } => segments.push(SegmentEntry {
                     name: (*name).to_string(),
                     rows: *rows,
-                    bounds: Some(*bounds),
+                    bounds: *bounds,
                 }),
                 RunRef::Dirty { index } => {
                     let (Some(&lo), Some(&hi)) = (index.hours.first(), index.hours.last())
@@ -450,7 +431,7 @@ impl Backing {
                     segments.push(SegmentEntry {
                         name: name.clone(),
                         rows: u64::try_from(index.sorted.len()).unwrap_or(u64::MAX),
-                        bounds: Some((lo, hi)),
+                        bounds: (lo, hi),
                     });
                     *slot = Some(name);
                 }
@@ -484,7 +465,6 @@ impl Backing {
         self.wal_written = tail.len();
         self.wal_synced = tail.len();
         self.next_gen = next_gen;
-        self.needs_upgrade = false;
         Ok((stats, assigned))
     }
 }

@@ -1,7 +1,7 @@
 //! Segment files: sealed [`ColumnIndex`] runs spilled to disk.
 //!
-//! A segment persists only the four core tables — the sorted records,
-//! the interned machine list, and the two secondary-order permutations —
+//! A segment persists only the three core tables — the sorted records,
+//! the interned machine list, and the `(hour, machine)` permutation —
 //! because everything else in the index (CSR offsets, dense ids, metric
 //! columns) is an O(n) derivation. Writing is therefore a near-straight
 //! dump; loading re-derives and *validates*, so a segment that passes
@@ -12,19 +12,20 @@
 //!
 //! ```text
 //! magic      8B   "KEASEG1\n"
-//! version    u32  1
+//! version    u32  2
 //! rows       u64  n
 //! machines   u64  m
-//! sections   4 × [len: u64][crc32: u32]   records, machines,
-//!                                         hour_order, machine_order
+//! sections   3 × [len: u64][crc32: u32]   records, machines, hour_order
 //! header_crc u32  over everything above
-//! body            the four sections, concatenated in table order
+//! body            the three sections, concatenated in table order
 //! ```
 //!
 //! Permutation entries are `u32`; every row position is converted with
 //! a checked narrowing at write time (`u32::try_from`) so a run past
 //! `u32::MAX` rows surfaces a typed [`PersistError`] instead of
-//! corrupting silently. A segment is ~135 bytes/row.
+//! corrupting silently. A segment is ~131 bytes/row: 127 of record, 4
+//! of permutation, plus 4 per distinct machine. This build reads only
+//! version 2; a segment of any other version is refused.
 //!
 //! [`read_header`] validates just the fixed header (magic, version,
 //! header CRC, row/section accounting against the file length) without
@@ -50,11 +51,14 @@ use crate::store::ColumnIndex;
 pub const SEG_MAGIC: &[u8; 8] = b"KEASEG1\n";
 
 /// On-disk format version this build reads and writes.
-const SEG_VERSION: u32 = 1;
+const SEG_VERSION: u32 = 2;
 
-/// Fixed header size: magic + version + rows + machines + 4 section
+/// Number of body sections: records, machines, hour order.
+const SECTIONS: usize = 3;
+
+/// Fixed header size: magic + version + rows + machines + section
 /// descriptors + header CRC.
-const HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 4 * 12 + 4;
+const HEADER_BYTES: usize = 8 + 4 + 8 + 8 + SECTIONS * 12 + 4;
 
 /// Encodes a row permutation as little-endian `u32`s with a checked
 /// narrowing per entry; `None` if any row position exceeds `u32::MAX`
@@ -95,9 +99,7 @@ pub fn write_segment(dir: &Path, name: &str, index: &ColumnIndex) -> Result<u64,
     }
     let hour_order =
         encode_order(&index.hour_order).ok_or_else(|| too_big("hour permutation row"))?;
-    let machine_order =
-        encode_order(&index.machine_order).ok_or_else(|| too_big("machine permutation row"))?;
-    let sections = [&records, &machines, &hour_order, &machine_order];
+    let sections = [&records, &machines, &hour_order];
 
     let mut header = Vec::with_capacity(HEADER_BYTES);
     header.extend_from_slice(SEG_MAGIC);
@@ -132,8 +134,8 @@ struct HeaderInfo {
     n: usize,
     /// Machine count.
     m: usize,
-    /// The four section lengths in table order.
-    lens: [usize; 4],
+    /// The section lengths in table order.
+    lens: [usize; SECTIONS],
     /// Total file size the header implies (header + sections).
     total: usize,
 }
@@ -162,7 +164,7 @@ fn parse_header(bytes: &[u8], expect_rows: u64) -> Result<HeaderInfo, String> {
     let n = usize::try_from(n64).map_err(|_| "row count overflows usize")?;
     let m = usize::try_from(m64).map_err(|_| "machine count overflows usize")?;
 
-    let mut lens = [0usize; 4];
+    let mut lens = [0usize; SECTIONS];
     for (i, len) in lens.iter_mut().enumerate() {
         let at = 28 + i * 12;
         *len = usize::try_from(codec::u64_at(bytes, at).ok_or("truncated header")?)
@@ -175,7 +177,6 @@ fn parse_header(bytes: &[u8], expect_rows: u64) -> Result<HeaderInfo, String> {
     let expect_lens = [
         n.checked_mul(RECORD_BYTES).ok_or("row count overflows")?,
         m.checked_mul(4).ok_or("machine count overflows")?,
-        n.checked_mul(4).ok_or("row count overflows")?,
         n.checked_mul(4).ok_or("row count overflows")?,
     ];
     if lens != expect_lens {
@@ -227,35 +228,28 @@ pub fn read_header(dir: &Path, name: &str, expect_rows: u64) -> Result<(), Persi
 }
 
 /// Loads segment `name` from `dir`, verifying every checksum and the
-/// structural invariants, and expecting exactly `expect_rows` rows (the
-/// count recorded in the manifest) and, when given, the inclusive
-/// `expect_bounds` hour range recorded there too. Corruption quarantines
-/// the file and returns a typed error; it never panics.
+/// structural invariants, and expecting exactly `expect_rows` rows and
+/// the inclusive `expect_bounds` hour range (both recorded in the
+/// manifest). Corruption quarantines the file and returns a typed
+/// error; it never panics.
 pub fn load_segment(
     dir: &Path,
     name: &str,
     expect_rows: u64,
-    expect_bounds: Option<(u64, u64)>,
+    expect_bounds: (u64, u64),
 ) -> Result<ColumnIndex, PersistError> {
     let path = dir.join(name);
     let bytes = std::fs::read(&path).map_err(io_err("read segment", &path))?;
-    match parse_segment(&bytes, expect_rows) {
-        Ok(index) => {
-            if let Some((lo, hi)) = expect_bounds {
-                let got = index.hours.first().copied().zip(index.hours.last().copied());
-                if got != Some((lo, hi)) {
-                    return Err(quarantine(
-                        dir,
-                        name,
-                        &path,
-                        format!("manifest says hours [{lo}, {hi}], segment covers {got:?}"),
-                    ));
-                }
-            }
+    let checked = parse_segment(&bytes, expect_rows).and_then(|index| {
+        let got = index.hours.first().copied().zip(index.hours.last().copied());
+        if got == Some(expect_bounds) {
             Ok(index)
+        } else {
+            let (lo, hi) = expect_bounds;
+            Err(format!("manifest says hours [{lo}, {hi}], segment covers {got:?}"))
         }
-        Err(reason) => Err(quarantine(dir, name, &path, reason)),
-    }
+    });
+    checked.map_err(|reason| quarantine(dir, name, &path, reason))
 }
 
 /// Parses and validates a whole segment image. `Err` carries the
@@ -266,11 +260,11 @@ fn parse_segment(bytes: &[u8], expect_rows: u64) -> Result<ColumnIndex, String> 
         return Err(format!("file is {} bytes, sections describe {total}", bytes.len()));
     }
     // Section CRCs from the (already-validated) descriptors.
-    let mut crcs = [0u32; 4];
+    let mut crcs = [0u32; SECTIONS];
     for (i, crc) in crcs.iter_mut().enumerate() {
         *crc = codec::u32_at(bytes, 28 + i * 12 + 8).ok_or("truncated header")?;
     }
-    let mut sections = [&[] as &[u8]; 4];
+    let mut sections = [&[] as &[u8]; SECTIONS];
     let mut at = HEADER_BYTES;
     for ((sec, &len), (i, &crc)) in
         sections.iter_mut().zip(&lens).zip(crcs.iter().enumerate())
@@ -282,7 +276,7 @@ fn parse_segment(bytes: &[u8], expect_rows: u64) -> Result<ColumnIndex, String> 
         *sec = s;
         at += len;
     }
-    let [records_b, machines_b, hour_b, machine_b] = sections;
+    let [records_b, machines_b, hour_b] = sections;
 
     let sorted = codec::decode_records(records_b, n).ok_or("record section malformed")?;
     let machines: Vec<MachineId> = machines_b
@@ -292,15 +286,12 @@ fn parse_segment(bytes: &[u8], expect_rows: u64) -> Result<ColumnIndex, String> 
     if machines.len() != m {
         return Err("machine section malformed".to_string());
     }
-    let decode_order = |b: &[u8]| -> Vec<usize> {
-        b.chunks_exact(4)
-            .filter_map(|c| codec::u32_at(c, 0).map(|v| v as usize))
-            .collect()
-    };
-    let hour_order = decode_order(hour_b);
-    let machine_order = decode_order(machine_b);
+    let hour_order: Vec<usize> = hour_b
+        .chunks_exact(4)
+        .filter_map(|c| codec::u32_at(c, 0).map(|v| v as usize))
+        .collect();
 
-    ColumnIndex::from_persisted(sorted, machines, hour_order, machine_order)
+    ColumnIndex::from_persisted(sorted, machines, hour_order)
         .ok_or_else(|| "index invariants violated (unsorted rows or bad permutation)".to_string())
 }
 
@@ -352,15 +343,14 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let index = ColumnIndex::build(&records(500));
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
-        let back = load_segment(&dir, "seg-000001.kseg", 500, None).unwrap();
+        let back = load_segment(&dir, "seg-000001.kseg", 500, (0, 71)).unwrap();
         assert_eq!(back.sorted, index.sorted);
         assert_eq!(back.machines, index.machines);
+        assert_eq!(back.machine_dense, index.machine_dense);
         assert_eq!(back.hour_order, index.hour_order);
-        assert_eq!(back.machine_order, index.machine_order);
         assert_eq!(back.columns, index.columns);
         assert_eq!(back.group_offsets, index.group_offsets);
         assert_eq!(back.hour_offsets, index.hour_offsets);
-        assert_eq!(back.machine_offsets, index.machine_offsets);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -371,9 +361,9 @@ mod tests {
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         read_header(&dir, "seg-000001.kseg", 210).unwrap();
         // Matching bounds load cleanly.
-        load_segment(&dir, "seg-000001.kseg", 210, Some((0, 29))).unwrap();
+        load_segment(&dir, "seg-000001.kseg", 210, (0, 29)).unwrap();
         // Mismatched manifest bounds are corruption, not silence.
-        let err = load_segment(&dir, "seg-000001.kseg", 210, Some((0, 99))).unwrap_err();
+        let err = load_segment(&dir, "seg-000001.kseg", 210, (0, 99)).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt { .. }));
         assert!(dir.join("seg-000001.kseg.quarantine").exists());
         std::fs::remove_dir_all(&dir).ok();
@@ -422,13 +412,39 @@ mod tests {
         assert_eq!(&ok[8..], &u32::MAX.to_le_bytes());
     }
 
+    /// The store never spills an empty run (it has no hour bounds for
+    /// the manifest), but the format itself round-trips one.
     #[test]
     fn empty_run_roundtrips() {
         let dir = tmpdir("empty");
         let index = ColumnIndex::build(&[]);
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
-        let back = load_segment(&dir, "seg-000001.kseg", 0, None).unwrap();
+        read_header(&dir, "seg-000001.kseg", 0).unwrap();
+        let bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
+        let back = parse_segment(&bytes, 0).unwrap();
         assert!(back.sorted.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A segment from before the format change (version 1, which also
+    /// persisted a per-machine permutation) is refused at its version
+    /// field even when its header checksum is valid.
+    #[test]
+    fn version_1_header_is_refused() {
+        let dir = tmpdir("v1");
+        let index = ColumnIndex::build(&records(64));
+        write_segment(&dir, "seg-000001.kseg", &index).unwrap();
+        let mut bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&bytes[..HEADER_BYTES - 4]);
+        bytes[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(dir.join("old.kseg"), &bytes).unwrap();
+        match read_header(&dir, "old.kseg", 64).unwrap_err() {
+            PersistError::Corrupt { reason, .. } => {
+                assert!(reason.contains("unsupported segment version 1"), "{reason}")
+            }
+            other => panic!("expected Corrupt, got {other}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -445,7 +461,7 @@ mod tests {
             let mut bytes = std::fs::read(&path).unwrap();
             bytes[at] ^= 0x40;
             std::fs::write(dir.join(&name), &bytes).unwrap();
-            let err = load_segment(&dir, &name, 300, None).unwrap_err();
+            let err = load_segment(&dir, &name, 300, (0, 42)).unwrap_err();
             assert!(matches!(err, PersistError::Corrupt { .. }), "at byte {at}: {err}");
             assert!(dir.join(format!("{name}.quarantine")).exists(), "at byte {at}");
             assert!(!dir.join(&name).exists());
@@ -458,7 +474,7 @@ mod tests {
         let dir = tmpdir("rows");
         let index = ColumnIndex::build(&records(64));
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
-        let err = load_segment(&dir, "seg-000001.kseg", 65, None).unwrap_err();
+        let err = load_segment(&dir, "seg-000001.kseg", 65, (0, 9)).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt { .. }));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -471,7 +487,7 @@ mod tests {
         let bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
         for cut in [0usize, 7, HEADER_BYTES - 2, HEADER_BYTES + 100, bytes.len() - 1] {
             std::fs::write(dir.join("cut.kseg"), &bytes[..cut]).unwrap();
-            let err = load_segment(&dir, "cut.kseg", 200, None).unwrap_err();
+            let err = load_segment(&dir, "cut.kseg", 200, (0, 28)).unwrap_err();
             assert!(matches!(err, PersistError::Corrupt { .. }), "cut at {cut}");
         }
         std::fs::remove_dir_all(&dir).ok();

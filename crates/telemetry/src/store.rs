@@ -13,12 +13,13 @@
 //!
 //! The store is an LSM-shaped structure:
 //!
-//! * The **sealed runs** are immutable [`ColumnIndex`]es, oldest first:
+//! * The **sealed runs** are immutable `ColumnIndex`es, oldest first:
 //!   each is a compacted slice of history, sorted by `(group, hour,
-//!   machine)` with interned dense ids, CSR offset-range indexes over
-//!   groups/hours/machines, and struct-of-arrays metric columns. Every
-//!   run carries its inclusive `[min_hour, max_hour]` bounds, so
-//!   hour-windowed queries skip runs that cannot contain the window.
+//!   machine)` with interned dense machine ids, CSR offset-range indexes
+//!   over groups and hours, one secondary `(hour, machine)` permutation,
+//!   and struct-of-arrays metric columns. Every run carries its
+//!   inclusive `[min_hour, max_hour]` bounds, so hour-windowed queries
+//!   skip runs that cannot contain the window.
 //! * The **delta** is the tail of the record log appended since the last
 //!   seal. On first query it is sealed into a *mini* `ColumnIndex` of
 //!   its own (cost `O(d log d)` for `d` delta rows — small by
@@ -34,9 +35,7 @@
 //! while each is no larger than its elder neighbour — the classic
 //! binary-counter schedule, so every record is re-merged `O(log n)`
 //! times total and big old runs are left untouched by small fresh ones.
-//! [`compact_segments`](TelemetryStore::compact_segments) additionally
-//! k-way-merges adjacent runs whose hour bounds overlap (restoring
-//! pruning precision) or that are undersized.
+//! Every merge is a linear two-way merge of an adjacent pair.
 //!
 //! # Durability
 //!
@@ -45,8 +44,7 @@
 //! [`crate::persist`]. Segment-backed runs load **lazily**: opening a
 //! directory validates headers only, a run's body is decoded on the
 //! first query that touches it, and [`sync`](TelemetryStore::sync)
-//! evicts the coldest decoded runs past a small LRU budget
-//! ([`set_segment_cache_limit`](TelemetryStore::set_segment_cache_limit)).
+//! evicts the coldest decoded runs past a fixed LRU budget of eight.
 //! A run whose segment fails validation at load time is quarantined and
 //! served as empty; the store remembers the failure ("degraded"),
 //! [`verify`](TelemetryStore::verify) and `sync` surface it, and `sync`
@@ -78,9 +76,8 @@ const MIN_COMPACT_DELTA: usize = 1024;
 /// merging two of them is cheap by definition.
 const MIN_SEGMENT_ROWS: usize = 4096;
 
-/// Default cap on decoded segment-backed runs kept resident between
-/// syncs.
-const DEFAULT_SEGMENT_CACHE: usize = 8;
+/// Cap on decoded segment-backed runs kept resident between syncs.
+const SEGMENT_CACHE: usize = 8;
 
 /// One sealed, immutable run of the store.
 ///
@@ -104,13 +101,14 @@ struct SealedRun {
 }
 
 impl SealedRun {
-    /// A run born in memory from `index`, with `bounds` already
-    /// extracted by the caller (who also guarantees non-emptiness).
-    fn dirty(index: ColumnIndex, bounds: (u64, u64)) -> SealedRun {
+    /// A run born in memory from `index`; `None` when `index` is empty
+    /// (empty runs are never created).
+    fn dirty(index: ColumnIndex) -> Option<SealedRun> {
+        let bounds = index.hours.first().copied().zip(index.hours.last().copied())?;
         let rows = index.sorted.len();
         let cell = OnceLock::new();
         let _ = cell.set(index);
-        SealedRun { rows, bounds, seg: None, index: cell, touch: AtomicU64::new(0) }
+        Some(SealedRun { rows, bounds, seg: None, index: cell, touch: AtomicU64::new(0) })
     }
 }
 
@@ -135,8 +133,6 @@ pub struct TelemetryStore {
     /// serves the run as empty, and [`TelemetryStore::verify`] /
     /// [`TelemetryStore::sync`] surface it.
     degraded: Mutex<Option<(PathBuf, String)>>,
-    /// Max decoded segment-backed runs kept resident across syncs.
-    cache_limit: usize,
     /// Monotonic clock behind the per-run LRU touch stamps.
     touch_clock: AtomicU64,
 }
@@ -149,7 +145,6 @@ impl Default for TelemetryStore {
             delta: OnceLock::new(),
             backing: None,
             degraded: Mutex::new(None),
-            cache_limit: DEFAULT_SEGMENT_CACHE,
             touch_clock: AtomicU64::new(0),
         }
     }
@@ -167,11 +162,7 @@ impl Clone for TelemetryStore {
         let runs = self
             .runs
             .iter()
-            .filter_map(|r| {
-                let index = self.run_side(r).clone();
-                let bounds = index.hours.first().copied().zip(index.hours.last().copied())?;
-                Some(SealedRun::dirty(index, bounds))
-            })
+            .filter_map(|r| SealedRun::dirty(self.run_side(r).clone()))
             .collect();
         TelemetryStore {
             runs,
@@ -179,14 +170,13 @@ impl Clone for TelemetryStore {
             delta: self.delta.clone(),
             backing: None,
             degraded: Mutex::new(None),
-            cache_limit: self.cache_limit,
             touch_clock: AtomicU64::new(0),
         }
     }
 }
 
 /// The sealed columnar layout. Built by [`ColumnIndex::build`] (sort) or
-/// [`ColumnIndex::merge_many`] (linear compaction of sorted runs);
+/// [`ColumnIndex::merge`] (linear compaction of two sorted runs);
 /// immutable afterwards. All `Vec<usize>` offset tables follow the CSR
 /// convention: `offsets.len() == keys.len() + 1` and key `i` owns rows
 /// `offsets[i]..offsets[i + 1]`.
@@ -213,10 +203,6 @@ pub(crate) struct ColumnIndex {
     pub(crate) hour_order: Vec<usize>,
     /// CSR offsets into `hour_order` per distinct hour.
     pub(crate) hour_offsets: Vec<usize>,
-    /// Row positions of `sorted`, re-ordered by `(machine, hour)`.
-    pub(crate) machine_order: Vec<usize>,
-    /// CSR offsets into `machine_order` per dense machine id.
-    pub(crate) machine_offsets: Vec<usize>,
     /// Struct-of-arrays metric columns in `sorted` row order:
     /// `columns[m.index()][row] == m.value(&sorted[row].metrics)`.
     pub(crate) columns: Vec<Vec<f64>>,
@@ -259,16 +245,12 @@ impl ColumnIndex {
             })
             .collect();
 
-        // Secondary orderings: by (hour, machine) and by (machine, hour).
-        // Both are permutations of row positions into `sorted`, so the
-        // heavy record payload is stored exactly once.
+        // Secondary ordering by (hour, machine): a permutation of row
+        // positions into `sorted`, so the heavy record payload is stored
+        // exactly once.
         let mut hour_order: Vec<usize> = (0..n).collect();
         hour_order.sort_unstable_by_key(|&row| (sorted[row].hour, sorted[row].machine));
         let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
-
-        let mut machine_order: Vec<usize> = (0..n).collect();
-        machine_order.sort_unstable_by_key(|&row| (machine_dense[row], sorted[row].hour));
-        let machine_offsets = machine_offsets_of(&machine_dense, &machine_order, machines.len());
 
         // Struct-of-arrays metric columns, derived ratios included.
         let mut columns = vec![Vec::with_capacity(n); Metric::ALL.len()];
@@ -288,20 +270,18 @@ impl ColumnIndex {
             hours,
             hour_order,
             hour_offsets,
-            machine_order,
-            machine_offsets,
             columns,
         }
     }
 
-    /// Rebuilds an index from the four core tables a segment file
+    /// Rebuilds an index from the three core tables a segment file
     /// persists, re-deriving every other table and validating the
     /// structural invariants the query paths rely on. Returns `None` on
     /// any violation — a segment that decodes byte-exactly but encodes
     /// an inconsistent index (hand-edited, or written by a buggy
     /// future version) must be rejected, not queried.
     ///
-    /// Persisting only `sorted`, `machines`, and the two permutations
+    /// Persisting only `sorted`, `machines`, and the hour permutation
     /// keeps segments near-dump-speed to write while the O(n) rebuild
     /// here stays far cheaper than the O(n log n) sorts that dominate
     /// [`ColumnIndex::build`].
@@ -309,7 +289,6 @@ impl ColumnIndex {
         sorted: Vec<MachineHourRecord>,
         machines: Vec<MachineId>,
         hour_order: Vec<usize>,
-        machine_order: Vec<usize>,
     ) -> Option<Self> {
         let n = sorted.len();
         let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
@@ -340,23 +319,17 @@ impl ColumnIndex {
             return None;
         }
 
-        // Each secondary ordering must be a true permutation of row
-        // positions, sorted by its secondary key.
-        let is_permutation = |order: &[usize]| {
-            if order.len() != n {
-                return false;
-            }
-            let mut seen = vec![false; n];
-            for &row in order {
-                match seen.get_mut(row) {
-                    Some(slot) if !*slot => *slot = true,
-                    _ => return false,
-                }
-            }
-            true
-        };
-        if !is_permutation(&hour_order) || !is_permutation(&machine_order) {
+        // The hour ordering must be a true permutation of row positions,
+        // sorted by `(hour, machine)`.
+        if hour_order.len() != n {
             return None;
+        }
+        let mut seen = vec![false; n];
+        for &row in &hour_order {
+            match seen.get_mut(row) {
+                Some(slot) if !*slot => *slot = true,
+                _ => return None,
+            }
         }
         if !hour_order
             .windows(2)
@@ -364,17 +337,10 @@ impl ColumnIndex {
         {
             return None;
         }
-        if !machine_order
-            .windows(2)
-            .all(|w| (machine_dense[w[0]], sorted[w[0]].hour) <= (machine_dense[w[1]], sorted[w[1]].hour))
-        {
-            return None;
-        }
 
         // Past validation the derivations mirror `from_sorted`.
         let (groups, group_offsets) = group_runs(&sorted);
         let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
-        let machine_offsets = machine_offsets_of(&machine_dense, &machine_order, machines.len());
         let mut columns = vec![Vec::with_capacity(n); Metric::ALL.len()];
         for r in &sorted {
             let row = Metric::row_of(&r.metrics);
@@ -392,8 +358,6 @@ impl ColumnIndex {
             hours,
             hour_order,
             hour_offsets,
-            machine_order,
-            machine_offsets,
             columns,
         })
     }
@@ -414,8 +378,8 @@ impl ColumnIndex {
         let n = an + bn;
 
         // Primary merge by (group, hour, machine): records, plus the
-        // source of every output row so columns and permutations can be
-        // gathered without re-comparing.
+        // source of every output row so columns and the permutation can
+        // be gathered without re-comparing.
         let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
         let mut sorted = Vec::with_capacity(n);
         // from_b[out] says which side output row `out` came from;
@@ -474,20 +438,11 @@ impl ColumnIndex {
             columns.push(col);
         }
 
-        // Secondary orderings: each side's permutation is already sorted
-        // by the secondary key, so the merged permutation is a two-way
+        // Secondary ordering: each side's permutation is already sorted
+        // by `(hour, machine)`, so the merged permutation is a two-way
         // merge mapped through the row position maps.
-        let hour_order = merge_permutation(
-            a, b, &a.hour_order, &b.hour_order, &a_to_out, &b_to_out,
-            |idx, row| (idx.sorted[row].hour, idx.sorted[row].machine),
-        );
+        let hour_order = merge_hour_order(a, b, &a_to_out, &b_to_out);
         let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
-
-        let machine_order = merge_permutation(
-            a, b, &a.machine_order, &b.machine_order, &a_to_out, &b_to_out,
-            |idx, row| (idx.sorted[row].machine.0 as u64, idx.sorted[row].hour),
-        );
-        let machine_offsets = machine_offsets_of(&machine_dense, &machine_order, machines.len());
 
         ColumnIndex {
             sorted,
@@ -498,32 +453,8 @@ impl ColumnIndex {
             hours,
             hour_order,
             hour_offsets,
-            machine_order,
-            machine_offsets,
             columns,
         }
-    }
-
-    /// Compacts any number of sealed indexes, oldest first, into one.
-    /// Earlier sides win ties throughout, so duplicate keys keep arrival
-    /// order across the whole ladder. Implemented as a left fold of the
-    /// stable two-way [`ColumnIndex::merge`]: with `k` sides of `n`
-    /// total rows both the fold and a cursor-scan k-way merge cost
-    /// `O(n·k)` comparisons, and the fold reuses the one merge kernel
-    /// the invariants are proven on.
-    pub(crate) fn merge_many(sides: &[&ColumnIndex]) -> ColumnIndex {
-        let mut nonempty = sides.iter().filter(|s| !s.sorted.is_empty());
-        let Some(&first) = nonempty.next() else {
-            return empty_index().clone();
-        };
-        let mut acc: Option<ColumnIndex> = None;
-        for &s in nonempty {
-            acc = Some(match &acc {
-                None => ColumnIndex::merge(first, s),
-                Some(a) => ColumnIndex::merge(a, s),
-            });
-        }
-        acc.unwrap_or_else(|| first.clone())
     }
 
     /// Row range of one group in `sorted`, empty when absent.
@@ -549,28 +480,9 @@ impl ColumnIndex {
         (self.machines.get(mi) == Some(&machine)).then_some(mi)
     }
 
-    /// One contiguous metric column slice for a group.
-    pub(crate) fn group_column(&self, group: GroupKey, metric: Metric) -> &[f64] {
-        &self.columns[metric.index()][self.group_range(group)]
-    }
-
     /// One group's records, sorted by `(hour, machine)`.
     pub(crate) fn group_rows(&self, group: GroupKey) -> std::slice::Iter<'_, MachineHourRecord> {
         self.sorted[self.group_range(group)].iter()
-    }
-
-    /// One machine's records, sorted by hour.
-    pub(crate) fn machine_rows(
-        &self,
-        machine: MachineId,
-    ) -> impl Iterator<Item = &MachineHourRecord> {
-        let range = match self.dense_machine(machine) {
-            Some(dense) => self.machine_offsets[dense]..self.machine_offsets[dense + 1],
-            None => 0..0,
-        };
-        self.machine_order[range]
-            .iter()
-            .map(move |&row| &self.sorted[row])
     }
 
     /// Records within `[start, end)` hours, sorted by `(hour, machine)`.
@@ -641,19 +553,6 @@ fn hour_runs(sorted: &[MachineHourRecord], hour_order: &[usize]) -> (Vec<u64>, V
     (hours, offsets)
 }
 
-/// CSR offsets per dense machine id of a `(machine, hour)`-ordered
-/// permutation (counting pass, no comparison).
-fn machine_offsets_of(machine_dense: &[u32], machine_order: &[usize], n_machines: usize) -> Vec<usize> {
-    let mut offsets = vec![0; n_machines + 1];
-    for &row in machine_order {
-        offsets[machine_dense[row] as usize + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    offsets
-}
-
 /// Merge two sorted, deduplicated key lists into one.
 pub(crate) fn merge_dedup<T: Copy + Ord>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -701,18 +600,17 @@ pub(crate) fn remap_into(sub: &[MachineId], all: &[MachineId]) -> Vec<u32> {
     out
 }
 
-/// Merge two secondary-key-ordered row permutations into one over the
-/// merged row space: compare by `key` on each side's own index, map
+/// Merge the two sides' `(hour, machine)` permutations into one over
+/// the merged row space: compare on each side's own records, map
 /// through the row position maps. `a` wins ties (older before newer).
-fn merge_permutation<K: Ord>(
+fn merge_hour_order(
     a: &ColumnIndex,
     b: &ColumnIndex,
-    a_order: &[usize],
-    b_order: &[usize],
     a_to_out: &[usize],
     b_to_out: &[usize],
-    key: impl Fn(&ColumnIndex, usize) -> K,
 ) -> Vec<usize> {
+    let key = |idx: &ColumnIndex, row: usize| (idx.sorted[row].hour, idx.sorted[row].machine);
+    let (a_order, b_order) = (&a.hour_order, &b.hour_order);
     let mut out = Vec::with_capacity(a_order.len() + b_order.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a_order.len() || j < b_order.len() {
@@ -790,9 +688,9 @@ impl TelemetryStore {
     /// names the live segments with their row counts and hour bounds,
     /// each segment's header is validated (bodies decode lazily on
     /// first query), and the write-ahead log is replayed into the delta
-    /// tail, truncating any torn tail a crash left behind. Manifests
-    /// from before hour bounds existed (v1) open too — their segments
-    /// load eagerly and the next sync upgrades the directory.
+    /// tail, truncating any torn tail a crash left behind. This build
+    /// reads only the format it writes: a directory whose manifest
+    /// carries an older header is refused before any file is touched.
     /// Corruption surfaces as a typed [`persist::PersistError`] —
     /// recovery never panics.
     ///
@@ -806,18 +704,12 @@ impl TelemetryStore {
         let runs = recovered
             .runs
             .into_iter()
-            .map(|r| {
-                let cell = OnceLock::new();
-                if let Some(index) = r.index {
-                    let _ = cell.set(index);
-                }
-                SealedRun {
-                    rows: r.rows,
-                    bounds: r.bounds,
-                    seg: Some(r.name),
-                    index: cell,
-                    touch: AtomicU64::new(0),
-                }
+            .map(|r| SealedRun {
+                rows: r.rows,
+                bounds: r.bounds,
+                seg: Some(r.name),
+                index: OnceLock::new(),
+                touch: AtomicU64::new(0),
             })
             .collect();
         Ok(TelemetryStore {
@@ -835,7 +727,7 @@ impl TelemetryStore {
     /// compaction) it spills each *dirty* run as a fresh segment —
     /// unchanged segments are never rewritten — starts a fresh WAL
     /// holding only the delta tail, and atomically flips the manifest.
-    /// Runs below [`MIN_SEGMENT_ROWS`] are first folded into their
+    /// Runs below `MIN_SEGMENT_ROWS` are first folded into their
     /// neighbours (the sync-time compaction policy), and decoded
     /// segment runs beyond the cache budget are evicted after.
     ///
@@ -924,15 +816,6 @@ impl TelemetryStore {
         self.runs.iter().filter(|r| r.index.get().is_some()).count()
     }
 
-    /// Caps how many decoded segment-backed runs stay resident across
-    /// [`sync`](TelemetryStore::sync) calls (minimum 1), evicting the
-    /// coldest immediately if over. Dirty (not-yet-persisted) runs are
-    /// never evicted — disk holds nothing to reload them from.
-    pub fn set_segment_cache_limit(&mut self, limit: usize) {
-        self.cache_limit = limit.max(1);
-        self.evict_cold();
-    }
-
     /// Appends one record into the delta buffer. The sealed runs are
     /// left untouched; only the delta mini-index is invalidated. Seals
     /// when the delta outgrows its threshold. A record carrying a NaN or
@@ -979,22 +862,19 @@ impl TelemetryStore {
     /// control windows collected separately). Routed through the same
     /// batch append — and therefore the same non-finite validation — as
     /// [`extend`](TelemetryStore::extend); returns the number of records
-    /// dropped.
+    /// dropped. A durable `other`'s sealed runs are loaded from its
+    /// segments the way queries load them; if that degrades `other`,
+    /// this store inherits the diagnosis, so
+    /// [`verify`](TelemetryStore::verify) reports it.
     pub fn merge(&mut self, other: TelemetryStore) -> usize {
-        let TelemetryStore { runs, tail, .. } = other;
         let mut dropped = 0;
-        for run in &runs {
-            // Detach the other store's sealed rows back into record
-            // form; its runs are resident or reloadable via its own
-            // backing, which `runs` still references nothing of — a
-            // run without a resident index here can only come from a
-            // durable store, whose records were sealed after passing
-            // validation on their way in.
-            if let Some(index) = run.index.get() {
-                dropped += self.extend(index.sorted.iter().copied());
-            }
+        for run in &other.runs {
+            dropped += self.extend(other.run_side(run).sorted.iter().copied());
         }
-        dropped + self.extend(tail)
+        if let Some(err) = other.degraded_error() {
+            self.note_degraded(&err);
+        }
+        dropped + self.extend(other.tail)
     }
 
     /// Reserves capacity for at least `additional` more records, so a
@@ -1036,40 +916,6 @@ impl TelemetryStore {
         self.tail.len()
     }
 
-    /// Merges every run (and the delta) into a single sealed run, then
-    /// re-splits nothing: the explicit full-compaction entry point.
-    /// More usefully, between the extremes it k-way merges *adjacent
-    /// clusters* of runs whose hour bounds overlap — overlap defeats
-    /// window pruning — or that are undersized. Crash-safe: the merge
-    /// is in-memory and the next [`sync`](TelemetryStore::sync) commits
-    /// it under the manifest-flip protocol, so a crash at any point
-    /// leaves the previous on-disk state intact.
-    pub fn compact_segments(&mut self) {
-        self.seal();
-        let mut i = 0;
-        while i + 1 < self.runs.len() {
-            // Extend a cluster while the next run overlaps the running
-            // bounds union or sits below the size floor.
-            let mut bounds = self.runs[i].bounds;
-            let mut end = i + 1;
-            while end < self.runs.len() {
-                let nb = self.runs[end].bounds;
-                let overlap = nb.0 <= bounds.1 && bounds.0 <= nb.1;
-                let undersized = self.runs[end].rows < MIN_SEGMENT_ROWS
-                    || self.runs[end - 1].rows < MIN_SEGMENT_ROWS;
-                if !overlap && !undersized {
-                    break;
-                }
-                bounds = (bounds.0.min(nb.0), bounds.1.max(nb.1));
-                end += 1;
-            }
-            if end - i >= 2 {
-                self.merge_at(i, end - i);
-            }
-            i += 1;
-        }
-    }
-
     /// Seals when the delta exceeds its floor — large enough that the
     /// `O(d log d)` index build amortizes, small enough that query-time
     /// merges stay narrow. Sealing is in-memory only; the ladder bounds
@@ -1088,11 +934,10 @@ impl TelemetryStore {
             .take()
             .unwrap_or_else(|| ColumnIndex::build(&self.tail));
         self.tail.clear();
-        let Some(bounds) = delta.hours.first().copied().zip(delta.hours.last().copied())
-        else {
+        let Some(run) = SealedRun::dirty(delta) else {
             return; // Empty delta: nothing to seal.
         };
-        self.runs.push(SealedRun::dirty(delta, bounds));
+        self.runs.push(run);
         self.ladder_compact();
     }
 
@@ -1107,7 +952,7 @@ impl TelemetryStore {
             if self.runs[at].rows > self.runs[at + 1].rows {
                 break;
             }
-            self.merge_at(at, 2);
+            self.merge_pair(at);
         }
     }
 
@@ -1116,46 +961,38 @@ impl TelemetryStore {
     /// *both* runs are below the floor merge here — rewriting a large
     /// clean segment to absorb a small one would break the bounded
     /// write-amplification guarantee (that rewrite is what the ladder
-    /// schedules logarithmically, and what
-    /// [`TelemetryStore::compact_segments`] offers explicitly).
+    /// schedules logarithmically).
     fn policy_compact(&mut self) {
         loop {
             let pair = (0..self.runs.len().saturating_sub(1)).find(|&i| {
                 self.runs[i].rows < MIN_SEGMENT_ROWS && self.runs[i + 1].rows < MIN_SEGMENT_ROWS
             });
             match pair {
-                Some(at) => self.merge_at(at, 2),
+                Some(at) => self.merge_pair(at),
                 None => break,
             }
         }
     }
 
-    /// Replaces `runs[at..at + count]` with their k-way merge (a dirty
-    /// run), preserving order. Rebuilds the vector without
-    /// panic-capable splicing.
-    fn merge_at(&mut self, at: usize, count: usize) {
+    /// Replaces the adjacent runs `at` and `at + 1` with their two-way
+    /// merge (a dirty run), preserving order; a no-op unless both exist.
+    /// Rebuilds the vector without panic-capable splicing.
+    fn merge_pair(&mut self, at: usize) {
+        let merged = match (self.runs.get(at), self.runs.get(at + 1)) {
+            (Some(elder), Some(newer)) => {
+                ColumnIndex::merge(self.run_side(elder), self.run_side(newer))
+            }
+            _ => return,
+        };
+        let mut merged = SealedRun::dirty(merged);
         let old = std::mem::take(&mut self.runs);
-        let mut head = Vec::with_capacity(old.len());
-        let mut cluster = Vec::with_capacity(count);
-        let mut rest = Vec::new();
         for (i, run) in old.into_iter().enumerate() {
-            if i < at {
-                head.push(run);
-            } else if i < at + count {
-                cluster.push(run);
-            } else {
-                rest.push(run);
+            if i == at {
+                self.runs.extend(merged.take());
+            } else if i != at + 1 {
+                self.runs.push(run);
             }
         }
-        let merged = {
-            let sides: Vec<&ColumnIndex> = cluster.iter().map(|r| self.run_side(r)).collect();
-            ColumnIndex::merge_many(&sides)
-        };
-        self.runs = head;
-        if let Some(bounds) = merged.hours.first().copied().zip(merged.hours.last().copied()) {
-            self.runs.push(SealedRun::dirty(merged, bounds));
-        }
-        self.runs.append(&mut rest);
     }
 
     /// The decoded index of one run, loading it from its segment on
@@ -1174,7 +1011,7 @@ impl TelemetryStore {
                         backing.dir(),
                         name,
                         run.rows as u64,
-                        Some(run.bounds),
+                        run.bounds,
                     ) {
                         Ok(index) => Some(index),
                         Err(err) => {
@@ -1233,11 +1070,11 @@ impl TelemetryStore {
             .filter(|(_, r)| r.seg.is_some() && r.index.get().is_some())
             .map(|(i, r)| (r.touch.load(Ordering::Relaxed), i))
             .collect();
-        if resident.len() <= self.cache_limit {
+        if resident.len() <= SEGMENT_CACHE {
             return;
         }
         resident.sort_unstable();
-        let over = resident.len() - self.cache_limit;
+        let over = resident.len() - SEGMENT_CACHE;
         for &(_, i) in resident.iter().take(over) {
             if let Some(run) = self.runs.get_mut(i) {
                 run.index.take();
@@ -1301,13 +1138,6 @@ impl TelemetryStore {
     pub fn by_group(&self, group: GroupKey) -> impl Iterator<Item = &MachineHourRecord> {
         merge_k_by_hour_machine(
             self.sides().into_iter().map(|s| s.group_rows(group)).collect(),
-        )
-    }
-
-    /// Records for one machine, sorted by hour.
-    pub fn by_machine(&self, machine: MachineId) -> impl Iterator<Item = &MachineHourRecord> {
-        merge_k_by_hour_machine(
-            self.sides().into_iter().map(|s| s.machine_rows(machine)).collect(),
         )
     }
 
@@ -1450,11 +1280,6 @@ pub mod reference {
             self.records.iter().filter(move |r| r.group == group)
         }
 
-        /// Records for one machine (predicate scan).
-        pub fn by_machine(&self, machine: MachineId) -> impl Iterator<Item = &MachineHourRecord> {
-            self.records.iter().filter(move |r| r.machine == machine)
-        }
-
         /// Records within `[start_hour, end_hour)` (predicate scan).
         pub fn by_hours(
             &self,
@@ -1567,7 +1392,6 @@ mod tests {
         store.push(rec(1, 0, 1, 20.0));
         store.push(rec(2, 1, 0, 30.0));
         assert_eq!(store.len(), 3);
-        assert_eq!(store.by_machine(MachineId(1)).count(), 2);
         assert_eq!(
             store.by_group(GroupKey::new(SkuId(1), ScId(0))).count(),
             1
@@ -1747,9 +1571,6 @@ mod tests {
             .map(|r| (r.hour, r.machine.0))
             .collect();
         assert_eq!(hours, vec![(0, 1), (1, 2), (2, 1), (2, 1), (3, 1), (4, 1)]);
-        // by_machine merges the machine-1 sides by hour.
-        let m1: Vec<u64> = store.by_machine(MachineId(1)).map(|r| r.hour).collect();
-        assert_eq!(m1, vec![0, 2, 2, 3, 4]);
         // Duplicate (machine, hour) keys: run rows come first.
         let dup: Vec<f64> = store
             .by_hours(2, 3)
@@ -1825,17 +1646,17 @@ mod tests {
     }
 
     #[test]
-    fn compact_segments_restores_single_run() {
-        // Overlapping-bound runs defeat pruning; compact_segments folds
-        // them back into one and the result is structurally identical to
-        // an index built from scratch. Keys are unique per record
+    fn ladder_merge_equals_fresh_build() {
+        // Four equal batches sealed one by one collapse through the
+        // ladder's pairwise merges into one run, structurally identical
+        // to an index built from scratch. Keys are unique per record
         // (disjoint machine ranges per batch): with duplicate keys the
         // unstable build sort and the stable merge may legally order the
         // duplicates' payloads differently — that case is covered as a
         // multiset by the agreement suite.
         let mut merged = TelemetryStore::new();
         let mut rebuilt = TelemetryStore::new();
-        let batches: Vec<Vec<MachineHourRecord>> = (0..5u64)
+        let batches: Vec<Vec<MachineHourRecord>> = (0..4u64)
             .map(|b| {
                 (0..40u64)
                     .map(|i| rec((b * 100 + i % 10) as u32, (b % 3) as u16, (i * 3 + b) % 50, (b + i) as f64))
@@ -1844,10 +1665,9 @@ mod tests {
             .collect();
         for batch in &batches {
             merged.extend(batch.iter().copied());
-            merged.seal(); // a run per batch (modulo ladder merges)
+            merged.seal(); // 40 → 80 → 80+40 → 160: one run
             rebuilt.extend(batch.iter().copied());
         }
-        merged.compact_segments(); // all bounds overlap → one run
         rebuilt.seal();
         let (a, b) = (single_run(&merged), single_run(&rebuilt));
         assert_eq!(a.sorted, b.sorted);
@@ -1857,15 +1677,13 @@ mod tests {
         assert_eq!(a.machine_dense, b.machine_dense);
         assert_eq!(a.hours, b.hours);
         assert_eq!(a.hour_offsets, b.hour_offsets);
-        assert_eq!(a.machine_offsets, b.machine_offsets);
         assert_eq!(a.columns, b.columns);
-        // Secondary permutations may order duplicate keys differently;
-        // they must agree after mapping to records.
-        let gather = |idx: &ColumnIndex, order: &[usize]| -> Vec<MachineHourRecord> {
-            order.iter().map(|&row| idx.sorted[row]).collect()
+        // The hour permutations may order duplicate (hour, machine) keys
+        // differently; they must agree after mapping to records.
+        let gather = |idx: &ColumnIndex| -> Vec<MachineHourRecord> {
+            idx.hour_order.iter().map(|&row| idx.sorted[row]).collect()
         };
-        assert_eq!(gather(a, &a.hour_order), gather(b, &b.hour_order));
-        assert_eq!(gather(a, &a.machine_order), gather(b, &b.machine_order));
+        assert_eq!(gather(a), gather(b));
     }
 
     #[test]
@@ -1880,13 +1698,10 @@ mod tests {
         let idx = single_run(&store);
         assert_eq!(idx.group_offsets.len(), idx.groups.len() + 1);
         assert_eq!(idx.hour_offsets.len(), idx.hours.len() + 1);
-        assert_eq!(idx.machine_offsets.len(), idx.machines.len() + 1);
         assert_eq!(*idx.group_offsets.last().unwrap(), store.len());
         assert_eq!(*idx.hour_offsets.last().unwrap(), store.len());
-        assert_eq!(*idx.machine_offsets.last().unwrap(), store.len());
         assert!(idx.group_offsets.windows(2).all(|w| w[0] <= w[1]));
         assert!(idx.hour_offsets.windows(2).all(|w| w[0] <= w[1]));
-        assert!(idx.machine_offsets.windows(2).all(|w| w[0] <= w[1]));
         // Columns are per-metric and full-length.
         assert_eq!(idx.columns.len(), Metric::ALL.len());
         assert!(idx.columns.iter().all(|c| c.len() == store.len()));
@@ -1917,10 +1732,8 @@ mod tests {
         let idx = single_run(&store);
         assert_eq!(idx.group_offsets.len(), idx.groups.len() + 1);
         assert_eq!(idx.hour_offsets.len(), idx.hours.len() + 1);
-        assert_eq!(idx.machine_offsets.len(), idx.machines.len() + 1);
         assert_eq!(*idx.group_offsets.last().unwrap(), store.len());
         assert_eq!(*idx.hour_offsets.last().unwrap(), store.len());
-        assert_eq!(*idx.machine_offsets.last().unwrap(), store.len());
         assert!(idx.sorted.windows(2).all(|w| {
             (w[0].group, w[0].hour, w[0].machine) <= (w[1].group, w[1].hour, w[1].machine)
         }));
@@ -1935,32 +1748,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_many_handles_edge_shapes() {
+    fn merge_handles_empty_sides() {
         let batch: Vec<MachineHourRecord> =
             (0..8u64).map(|i| rec(i as u32, 0, i, i as f64)).collect();
         let idx = ColumnIndex::build(&batch);
         let empty = ColumnIndex::build(&[]);
-        // No sides / all-empty sides → the empty index.
-        assert!(ColumnIndex::merge_many(&[]).sorted.is_empty());
-        assert!(ColumnIndex::merge_many(&[&empty, &empty]).sorted.is_empty());
-        // One non-empty side → that side, empties ignored.
-        let one = ColumnIndex::merge_many(&[&empty, &idx, &empty]);
-        assert_eq!(one.sorted, idx.sorted);
-        assert_eq!(one.hour_order, idx.hour_order);
-        // Three-way fold equals a from-scratch build on unique keys.
-        let batch2: Vec<MachineHourRecord> =
-            (0..8u64).map(|i| rec(100 + i as u32, 1, i + 3, i as f64)).collect();
-        let batch3: Vec<MachineHourRecord> =
-            (0..8u64).map(|i| rec(200 + i as u32, 2, i + 6, i as f64)).collect();
-        let (i2, i3) = (ColumnIndex::build(&batch2), ColumnIndex::build(&batch3));
-        let folded = ColumnIndex::merge_many(&[&idx, &i2, &i3]);
-        let mut all = batch.clone();
-        all.extend_from_slice(&batch2);
-        all.extend_from_slice(&batch3);
-        let built = ColumnIndex::build(&all);
-        assert_eq!(folded.sorted, built.sorted);
-        assert_eq!(folded.machine_dense, built.machine_dense);
-        assert_eq!(folded.columns, built.columns);
+        // Two empty sides → the empty index.
+        assert!(ColumnIndex::merge(&empty, &empty).sorted.is_empty());
+        // One empty side → the other side, on either hand.
+        for one in [ColumnIndex::merge(&empty, &idx), ColumnIndex::merge(&idx, &empty)] {
+            assert_eq!(one.sorted, idx.sorted);
+            assert_eq!(one.hour_order, idx.hour_order);
+        }
     }
 
     #[test]
@@ -1971,7 +1770,6 @@ mod tests {
         assert!(store.machines().is_empty());
         assert_eq!(store.hour_span(), None);
         assert_eq!(store.by_hours(0, 10).count(), 0);
-        assert_eq!(store.by_machine(MachineId(0)).count(), 0);
         assert_eq!(store.run_count(), 0);
     }
 

@@ -12,8 +12,8 @@
 use kea_telemetry::aggregate::reference as ref_agg;
 use kea_telemetry::store::reference::TelemetryStore as RefStore;
 use kea_telemetry::{
-    daily_group_aggregates, group_summary, group_utilization, hourly_fleet_series, GroupKey,
-    MachineHourRecord, MachineId, Metric, MetricValues, ScId, SkuId, TelemetryStore,
+    daily_group_aggregates, group_utilization, hourly_fleet_series, GroupKey, MachineHourRecord,
+    MachineId, Metric, MetricValues, ScId, SkuId, TelemetryStore,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -118,9 +118,6 @@ proptest! {
         for g in reference.groups() {
             prop_assert_eq!(sorted_keys(reference.by_group(g)), sorted_keys(columnar.by_group(g)));
         }
-        for m in reference.machines() {
-            prop_assert_eq!(sorted_keys(reference.by_machine(m)), sorted_keys(columnar.by_machine(m)));
-        }
         // Hour windows: the full span, a sub-window, and an empty window.
         let (lo, hi) = reference.hour_span().unwrap_or((0, 0));
         for (a, b) in [(lo, hi), (lo + 1, lo + 30), (hi + 10, hi + 20)] {
@@ -161,25 +158,6 @@ proptest! {
                     close(r.mean(m), c.mean(m)),
                     "daily mean of {} drifted: {} vs {}", m, r.mean(m), c.mean(m)
                 );
-            }
-        }
-
-        for g in reference.groups() {
-            for m in METRICS {
-                let r = ref_agg::group_summary(&reference, g, m);
-                let c = group_summary(&columnar, g, m);
-                match (r, c) {
-                    (Some(r), Some(c)) => {
-                        prop_assert_eq!(r.count, c.count);
-                        prop_assert!(close(r.mean, c.mean));
-                        prop_assert!(close(r.stddev, c.stddev));
-                        prop_assert!(close(r.min, c.min));
-                        prop_assert!(close(r.max, c.max));
-                        prop_assert!(close(r.median, c.median));
-                    }
-                    (None, None) => {}
-                    (r, c) => prop_assert!(false, "summary presence drifted: {:?} vs {:?}", r, c),
-                }
             }
         }
 
@@ -287,9 +265,6 @@ fn assert_agrees(reference: &RefStore, columnar: &TelemetryStore) {
     for g in reference.groups() {
         prop_assert_eq!(sorted_keys(reference.by_group(g)), sorted_keys(columnar.by_group(g)));
     }
-    for m in reference.machines() {
-        prop_assert_eq!(sorted_keys(reference.by_machine(m)), sorted_keys(columnar.by_machine(m)));
-    }
     let (lo, hi) = reference.hour_span().unwrap_or((0, 0));
     prop_assert_eq!(
         sorted_keys(reference.by_hours(lo, hi)),
@@ -332,20 +307,6 @@ fn assert_agrees(reference: &RefStore, columnar: &TelemetryStore) {
         prop_assert_eq!((r.group, r.machines), (c.group, c.machines));
         prop_assert!(close(r.mean_cpu_utilization, c.mean_cpu_utilization));
         prop_assert!(close(r.mean_running_containers, c.mean_running_containers));
-    }
-    for g in reference.groups() {
-        match (
-            ref_agg::group_summary(reference, g, Metric::NumberOfTasks),
-            group_summary(columnar, g, Metric::NumberOfTasks),
-        ) {
-            (Some(r), Some(c)) => {
-                prop_assert_eq!(r.count, c.count);
-                prop_assert!(close(r.mean, c.mean));
-                prop_assert!(close(r.median, c.median));
-            }
-            (None, None) => {}
-            (r, c) => prop_assert!(false, "summary presence drifted: {:?} vs {:?}", r, c),
-        }
     }
 }
 
@@ -417,8 +378,4 @@ fn empty_store_agrees_with_reference() {
     assert!(hourly_fleet_series(&columnar, Metric::CpuUtilization).is_empty());
     assert!(ref_agg::group_utilization(&reference).is_empty());
     assert!(group_utilization(&columnar).is_empty());
-    assert!(
-        group_summary(&columnar, GroupKey::new(SkuId(0), ScId(0)), Metric::CpuUtilization)
-            .is_none()
-    );
 }

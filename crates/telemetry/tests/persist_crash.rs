@@ -128,9 +128,6 @@ fn assert_agrees(reference: &RefStore, columnar: &TelemetryStore) {
     for g in reference.groups() {
         assert_eq!(sorted_keys(reference.by_group(g)), sorted_keys(columnar.by_group(g)));
     }
-    for m in reference.machines() {
-        assert_eq!(sorted_keys(reference.by_machine(m)), sorted_keys(columnar.by_machine(m)));
-    }
     let (lo, hi) = reference.hour_span().unwrap_or((0, 0));
     assert_eq!(
         sorted_keys(reference.by_hours(lo, hi)),
@@ -208,6 +205,20 @@ fn live_wal(dir: &Path) -> PathBuf {
     panic!("no wal line in manifest: {text:?}");
 }
 
+/// Every file in `dir` with its bytes, sorted by name.
+fn snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let bytes = std::fs::read(e.path()).expect("read file");
+            (e.file_name().to_string_lossy().into_owned(), bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 /// Reads the live segment file names out of `dir/MANIFEST`.
 fn live_segments(dir: &Path) -> Vec<PathBuf> {
     let text = std::fs::read_to_string(dir.join("MANIFEST")).expect("manifest readable");
@@ -222,14 +233,12 @@ fn live_segments(dir: &Path) -> Vec<PathBuf> {
 
 /// One mutation step against the durable store. `Sync` is the
 /// durability point; `Seal` cuts a new run so the next sync rotates WAL
-/// contents into a segment; `Compact` k-way merges overlapping or
-/// undersized adjacent runs.
+/// contents into a segment.
 #[derive(Debug, Clone)]
 enum Op {
     PushBatch(Vec<MachineHourRecord>),
     Seal,
     Sync,
-    Compact,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -237,7 +246,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => proptest::collection::vec(arb_record(), 1..60).prop_map(Op::PushBatch),
         1 => Just(Op::Seal),
         2 => Just(Op::Sync),
-        1 => Just(Op::Compact),
     ]
 }
 
@@ -267,7 +275,6 @@ proptest! {
                 Op::Sync => {
                     store.sync().expect("sync");
                 }
-                Op::Compact => store.compact_segments(),
             }
         }
         store.sync().expect("final sync");
@@ -513,7 +520,7 @@ fn manifest_path_traversal_is_rejected() {
     std::fs::create_dir_all(scratch.path()).expect("mkdir");
     std::fs::write(
         scratch.path().join("MANIFEST"),
-        "kea-telemetry-manifest v1\nsegment ../../escape.kseg rows 5\nwal w.wal\n",
+        "kea-telemetry-manifest v3\nsegment ../../escape.kseg rows 5 hours 0 1\nwal w.wal\n",
     )
     .expect("write");
     assert!(matches!(
@@ -726,70 +733,65 @@ fn quarantine_only_directory_is_missing_manifest_not_fresh() {
     assert!(scratch.path().join("seg-000001.kseg.quarantine").exists());
 }
 
-// ---- v1 manifest compatibility -----------------------------------------
+// ---- format policy ------------------------------------------------------
 
-/// A manifest written before per-segment hour bounds existed (v1: bare
-/// `segment <name> rows <n>` lines) must open under the v2 reader —
-/// segments load eagerly, bounds are derived — and the next sync must
-/// upgrade the directory to v2 without rewriting the segment files.
+/// This build reads only the format it writes. A directory whose
+/// MANIFEST carries an older header — v2, what the build before the
+/// three-section segment format wrote, or v1 — is refused as corrupt at
+/// that file, and nothing in the directory changes: no segment is
+/// quarantined and no orphan swept.
 #[test]
-fn v1_manifest_opens_and_upgrades_without_segment_rewrite() {
-    let scratch = Scratch::new();
-    let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..200u64).map(|i| rec_at(i, i / 4)));
-    store.seal();
-    store.sync().expect("sync");
-    drop(store);
+fn older_format_directories_are_refused_untouched() {
+    for (header, with_bounds) in
+        [("kea-telemetry-manifest v2", true), ("kea-telemetry-manifest v1", false)]
+    {
+        let scratch = Scratch::new();
+        let mut store = TelemetryStore::open(scratch.path()).expect("open");
+        store.extend((0..200u64).map(|i| rec_at(i, i / 4)));
+        store.seal();
+        store.extend((200..210u64).map(|i| rec_at(i, 60)));
+        store.sync().expect("sync");
+        drop(store);
 
-    // Rewrite the manifest to the v1 form PR 8 shipped: v1 header, no
-    // hours clause. Segment files are format-identical across versions.
-    let manifest_path = scratch.path().join("MANIFEST");
-    let text = std::fs::read_to_string(&manifest_path).expect("read manifest");
-    assert!(text.contains(" hours "), "v2 manifest must record bounds");
-    let v1: String = text
-        .lines()
-        .map(|line| {
-            if line.starts_with("kea-telemetry-manifest") {
-                "kea-telemetry-manifest v1".to_string()
-            } else if line.starts_with("segment ") {
-                line.split(' ').take(4).collect::<Vec<_>>().join(" ")
-            } else {
-                line.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n";
-    std::fs::write(&manifest_path, v1).expect("write v1 manifest");
-    let seg_bytes_before =
-        std::fs::read(&live_segments(scratch.path())[0]).expect("read segment");
+        // Rewrite the manifest in the older form (v1 had no hours
+        // clause) and leave debris that an accepted open would sweep.
+        let manifest = scratch.path().join("MANIFEST");
+        let text = std::fs::read_to_string(&manifest).expect("read manifest");
+        let older: String = text
+            .lines()
+            .map(|line| {
+                if line.starts_with("kea-telemetry-manifest ") {
+                    header.to_string()
+                } else if line.starts_with("segment ") && !with_bounds {
+                    line.split(' ').take(4).collect::<Vec<_>>().join(" ")
+                } else {
+                    line.to_string()
+                }
+            })
+            .map(|line| line + "\n")
+            .collect();
+        std::fs::write(&manifest, older).expect("write older manifest");
+        std::fs::write(scratch.path().join("seg-000099.kseg"), b"debris").expect("write debris");
+        let before = snapshot(scratch.path());
 
-    let mut reopened = TelemetryStore::open(scratch.path()).expect("v1 manifest must open");
-    let mut reference = RefStore::new();
-    reference.extend((0..200u64).map(|i| rec_at(i, i / 4)));
-    assert_agrees(&reference, &reopened);
-
-    // The upgrade sync rewrites manifest + WAL, not the segment.
-    let stats = reopened.sync().expect("upgrade sync");
-    assert_eq!(stats.segments_written, 0, "upgrade must not rewrite segments");
-    let upgraded = std::fs::read_to_string(&manifest_path).expect("read upgraded manifest");
-    assert!(upgraded.starts_with("kea-telemetry-manifest v2"));
-    assert!(upgraded.contains(" hours "), "upgrade must record bounds");
-    let seg_bytes_after =
-        std::fs::read(&live_segments(scratch.path())[0]).expect("read segment");
-    assert_eq!(seg_bytes_before, seg_bytes_after, "segment bytes must be untouched");
-
-    // And the upgraded directory round-trips.
-    drop(reopened);
-    let again = TelemetryStore::open(scratch.path()).expect("reopen upgraded");
-    assert_agrees(&reference, &again);
+        match TelemetryStore::open(scratch.path()) {
+            Err(PersistError::Corrupt { path, reason }) => assert_eq!(path, manifest, "{reason}"),
+            Err(other) => panic!("{header}: expected Corrupt naming MANIFEST, got {other}"),
+            Ok(_) => panic!("{header}: an older-format directory must not open"),
+        }
+        assert_eq!(
+            snapshot(scratch.path()),
+            before,
+            "{header}: a refused directory must be left exactly as it was"
+        );
+    }
 }
 
 // ---- multi-segment retention: pruning, laziness, write amplification ---
 
 /// Two disjoint-hour segments: opening validates headers only; an
 /// hour-windowed query decodes just the segment whose bounds intersect
-/// the window; the LRU cap bounds residency; `verify` forces everything.
+/// the window; `verify` forces everything.
 #[test]
 fn windowed_queries_load_only_intersecting_segments() {
     let scratch = Scratch::new();
@@ -806,7 +808,7 @@ fn windowed_queries_load_only_intersecting_segments() {
     assert_eq!(live_segments(scratch.path()).len(), 2);
     drop(store);
 
-    let mut reopened = TelemetryStore::open(scratch.path()).expect("reopen");
+    let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
     assert_eq!(reopened.run_count(), 2);
     assert_eq!(reopened.resident_runs(), 0, "open must not decode segment bodies");
     // Span comes from the manifest bounds — still nothing decoded.
@@ -824,13 +826,40 @@ fn windowed_queries_load_only_intersecting_segments() {
     assert_eq!(reopened.by_hours(0, 1100).count(), 8700);
     assert_eq!(reopened.resident_runs(), 2);
     reopened.verify().expect("both segments intact");
+}
 
-    // Tightening the cache cap evicts down to the budget; the evicted
-    // segment reloads transparently on the next touch.
-    reopened.set_segment_cache_limit(1);
-    assert_eq!(reopened.resident_runs(), 1);
-    assert_eq!(reopened.by_hours(0, 100).count(), 4500);
-    assert_eq!(reopened.by_hours(1000, 1100).count(), 4200);
+/// The decoded-segment cache holds at most eight runs across a sync:
+/// with nine disjoint-hour segments decoded, `sync()` evicts the least
+/// recently used one, and the next query that touches it reloads it
+/// from disk.
+#[test]
+fn sync_evicts_decoded_segments_past_the_cache_budget() {
+    let scratch = Scratch::new();
+    let mut store = TelemetryStore::open(scratch.path()).expect("open");
+    // Nine runs at or above the sync policy's 4096-row floor, each
+    // strictly smaller than its elder so the ladder keeps them apart.
+    let rows = |k: u64| 4200 - 10 * k;
+    for k in 0..9u64 {
+        store.extend((0..rows(k)).map(|i| rec_at(i, 1000 * k + i % 100)));
+        store.seal();
+    }
+    store.sync().expect("sync");
+    assert_eq!(live_segments(scratch.path()).len(), 9);
+    drop(store);
+
+    let mut reopened = TelemetryStore::open(scratch.path()).expect("reopen");
+    assert_eq!(reopened.resident_runs(), 0);
+    // Touch every segment, oldest first; queries alone never evict.
+    for k in 0..9u64 {
+        assert_eq!(reopened.by_hours(1000 * k, 1000 * k + 100).count() as u64, rows(k));
+    }
+    assert_eq!(reopened.resident_runs(), 9);
+    reopened.sync().expect("sync");
+    assert_eq!(reopened.resident_runs(), 8, "sync evicts down to the budget");
+    // The least recently touched run was the one evicted: it reloads.
+    assert_eq!(reopened.by_hours(0, 100).count() as u64, rows(0));
+    assert_eq!(reopened.resident_runs(), 9);
+    reopened.verify().expect("reloaded segment intact");
 }
 
 /// Bounded write amplification: once a large segment is on disk, later
@@ -884,30 +913,94 @@ fn sync_never_rewrites_unchanged_segments() {
     assert_eq!(reopened.len(), 8710);
 }
 
-/// Explicit segment compaction across a reopen: overlapping-bound runs
-/// fold into one, the next sync commits the merged segment, and the
-/// result still agrees with the reference.
+/// The sync-time policy across a reopen: undersized runs synced
+/// separately fold into one segment at the sync that finds two of them
+/// side by side, and the merged segment reopens into a store that
+/// agrees with the reference.
 #[test]
-fn compact_segments_roundtrips_through_disk() {
+fn policy_merge_roundtrips_through_disk() {
     let scratch = Scratch::new();
     let mut reference = RefStore::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    // Three overlapping-hour batches, sealed + synced separately so the
-    // directory accumulates small segments.
+    // Three overlapping-hour batches, each sealed + synced. The ladder
+    // folds the first two (300 ≤ 300); the 600-row run then outweighs
+    // the third, so only the sync policy can merge that pair.
     for b in 0..3u64 {
         let batch: Vec<_> = (0..300u64).map(|i| rec_at(b * 1000 + i, i % 50)).collect();
         reference.extend(batch.iter().copied());
         store.extend(batch);
         store.seal();
+        if b == 2 {
+            assert_eq!(store.run_count(), 2, "the ladder leaves 600 + 300");
+        }
         store.sync().expect("sync batch");
     }
-    store.compact_segments();
-    assert_eq!(store.run_count(), 1, "overlapping runs must fold into one");
-    store.sync().expect("commit compaction");
+    assert_eq!(store.run_count(), 1, "the sync policy folds undersized pairs");
     assert_eq!(live_segments(scratch.path()).len(), 1);
     drop(store);
 
     let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
     assert_eq!(reopened.run_count(), 1);
     assert_agrees(&reference, &reopened);
+}
+
+// ---- merging a durable store --------------------------------------------
+
+/// Regression (previously: `merge` read only the other store's sealed
+/// runs whose index was already decoded, so a reopened durable store —
+/// every run still on disk — contributed none of its sealed rows while
+/// `merge` reported 0 dropped). Sealed runs now load through the same
+/// lazy path queries use.
+#[test]
+fn merge_of_reopened_store_carries_its_sealed_rows() {
+    let scratch = Scratch::new();
+    let records: Vec<_> = (0..5000u64).map(|i| rec_at(i, i / 50)).collect();
+    let mut store = TelemetryStore::open(scratch.path()).expect("open");
+    store.extend(records.iter().copied());
+    store.seal();
+    store.sync().expect("sync");
+    drop(store);
+
+    let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
+    assert_eq!(reopened.resident_runs(), 0, "nothing decoded before the merge");
+    let mut merged = TelemetryStore::new();
+    assert_eq!(merged.merge(reopened), 0);
+
+    let mut reference = RefStore::new();
+    reference.extend(records.iter().copied());
+    assert_eq!(merged.len(), reference.len());
+    for g in reference.groups() {
+        assert_eq!(sorted_keys(reference.by_group(g)), sorted_keys(merged.by_group(g)));
+    }
+    merged.verify().expect("nothing degraded");
+}
+
+/// Merging a store whose segment fails to load carries the failure
+/// along: the result holds the surviving rows and `verify()` reports
+/// the original diagnosis.
+#[test]
+fn merge_of_degraded_store_carries_its_diagnosis() {
+    let scratch = Scratch::new();
+    let mut store = TelemetryStore::open(scratch.path()).expect("open");
+    store.extend((0..40).map(rec));
+    store.seal();
+    store.extend((40..50).map(rec));
+    store.sync().expect("sync");
+    drop(store);
+
+    let segments = live_segments(scratch.path());
+    let seg = &segments[0];
+    let mut bytes = std::fs::read(seg).expect("read");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xA5;
+    std::fs::write(seg, &bytes).expect("write");
+
+    let reopened = TelemetryStore::open(scratch.path()).expect("open validates headers only");
+    let mut merged = TelemetryStore::new();
+    merged.merge(reopened);
+    assert_eq!(merged.len(), 10, "only the WAL tail survives");
+    match merged.verify() {
+        Err(PersistError::Corrupt { path, .. }) => assert_eq!(&path, seg),
+        other => panic!("expected the segment's diagnosis, got {other:?}"),
+    }
 }

@@ -6,6 +6,7 @@ use kea_telemetry::{
     SkuId, TelemetryStore,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arb_record() -> impl Strategy<Value = MachineHourRecord> {
     (
@@ -56,11 +57,15 @@ proptest! {
         // Group filters partition the store.
         let by_groups: usize = store.groups().iter().map(|g| store.by_group(*g).count()).sum();
         prop_assert_eq!(by_groups, store.len());
-        // Machine filters partition the store.
-        let by_machines: usize = store.machines().iter().map(|m| store.by_machine(*m).count()).sum();
+        // Single-machine filters over the whole span partition the store.
+        let (lo, hi) = store.hour_span().unwrap();
+        let by_machines: usize = store
+            .machines()
+            .into_iter()
+            .map(|m| store.by_machines_and_hours(&BTreeSet::from([m]), lo, hi).count())
+            .sum();
         prop_assert_eq!(by_machines, store.len());
         // Hour-span covers everything.
-        let (lo, hi) = store.hour_span().unwrap();
         prop_assert_eq!(store.by_hours(lo, hi).count(), store.len());
     }
 }
