@@ -1,11 +1,10 @@
 //! Criterion micro-benchmarks for KEA's computational components: the
-//! estimators, the LP solver, telemetry aggregation, statistics, and the
-//! simulation engine itself. These are throughput benches (how fast is
-//! the machinery), not reproduction benches (see `--bin repro`).
+//! estimators, telemetry aggregation, statistics, and the simulation
+//! engine itself. These are throughput benches (how fast is the
+//! machinery), not reproduction benches (see `--bin repro`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kea_ml::LinearModel1D;
-use kea_opt::{LpProblem, Relation};
 use kea_sim::{run, ClusterSpec, SimConfig};
 use kea_stats::{t_test_welch, Alternative};
 use kea_telemetry::daily_group_aggregates;
@@ -36,24 +35,6 @@ fn bench_estimators(c: &mut Criterion) {
     });
 }
 
-fn bench_simplex(c: &mut Criterion) {
-    // The YARN LP shape: K variables (one per group), one latency
-    // constraint, box bounds.
-    for k in [6usize, 20, 50] {
-        c.bench_function(&format!("simplex_yarn_lp_k{k}"), |b| {
-            b.iter(|| {
-                let mut lp = LpProblem::maximize((0..k).map(|i| 10.0 + i as f64).collect())
-                    .constraint((0..k).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect(), Relation::Le, 0.0)
-                    .unwrap();
-                for i in 0..k {
-                    lp = lp.bounds(i, -1.0, Some(1.0)).unwrap();
-                }
-                black_box(lp.solve().unwrap())
-            })
-        });
-    }
-}
-
 fn bench_statistics(c: &mut Criterion) {
     let a: Vec<f64> = (0..5000).map(|i| 100.0 + ((i * 17) % 23) as f64).collect();
     let b2: Vec<f64> = (0..5000).map(|i| 101.0 + ((i * 13) % 23) as f64).collect();
@@ -81,7 +62,6 @@ fn bench_engine(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_estimators,
-    bench_simplex,
     bench_statistics,
     bench_telemetry,
     bench_engine

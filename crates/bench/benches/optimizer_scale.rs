@@ -5,11 +5,10 @@
 //!   through both the incremental O(G) implementation and the preserved
 //!   O(G²) full-recompute reference, so the speedup is measured in the
 //!   same process on the same engine.
-//! * `lp_simplex`: the solver itself at fleet scale — a 256-group
+//! * `lp_simplex`: the LP solve itself at fleet scale — a 256-group
 //!   YARN-shaped LP (one latency row, per-group `[−δ, δ]` step boxes)
-//!   solved by the row-materialising `simplex::reference`, the
-//!   bounded-variable solver cold, and a warm-started 8-point
-//!   operating-point sweep vs the same sweep solved cold.
+//!   solved by the row-materialising `simplex::reference` and by the
+//!   closed-form `knapsack::solve` the optimizer calls.
 //!
 //! Methodology and current numbers are recorded in the repository README
 //! ("Performance") and `BENCH_simplex.json` (written when
@@ -18,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
 use kea_core::{optimize_max_containers, OperatingPoint, PerformanceMonitor};
-use kea_opt::{simplex, LpProblem, Relation};
+use kea_opt::{knapsack, simplex, LpProblem, Relation};
 use kea_telemetry::{
     GroupKey, MachineHourRecord, MachineId, MetricValues, ScId, SkuId, TelemetryStore,
 };
@@ -149,8 +148,8 @@ fn lp_machine_counts() -> Vec<f64> {
 }
 
 /// The §5.2 LP in the step variables at fleet scale: maximize
-/// `Σ n_k d_k` s.t. `∇W̄·d ≤ 0`, `−δ ≤ d_k ≤ δ`. One tableau row for the
-/// bounded solver; `1 + 2·256` effective rows for the reference.
+/// `Σ n_k d_k` s.t. `∇W̄·d ≤ 0`, `−δ ≤ d_k ≤ δ`, as the reference
+/// simplex sees it (`1 + 2·256` effective rows).
 fn yarn_lp(point: usize) -> LpProblem {
     let n_machines = lp_machine_counts();
     let mut lp = LpProblem::maximize(n_machines)
@@ -163,23 +162,16 @@ fn yarn_lp(point: usize) -> LpProblem {
 }
 
 fn bench_simplex(c: &mut Criterion) {
-    // Sanity before timing: all three paths must agree at every sweep
-    // point (reference vs bounded-cold vs warm-started).
-    let mut warm = None;
+    // Sanity before timing: both solvers must reach the same objective
+    // at every sweep point.
+    let n_machines = lp_machine_counts();
     for point in 0..SWEEP_POINTS {
-        let lp = yarn_lp(point);
-        let refsol = simplex::reference::solve(&lp).expect("reference solves");
-        let cold = lp.solve().expect("bounded solves");
-        let (warm_sol, basis) = lp.solve_warm(warm.as_ref()).expect("warm solves");
-        warm = Some(basis);
-        let tol = 1e-9 * (1.0 + refsol.objective.abs());
+        let refsol = simplex::reference::solve(&yarn_lp(point)).expect("reference solves");
+        let d = knapsack::solve(&n_machines, &lp_gradients(point), 1.0).expect("knapsack solves");
+        let objective: f64 = n_machines.iter().zip(&d).map(|(n, x)| n * x).sum();
         assert!(
-            (refsol.objective - cold.objective).abs() <= tol,
-            "reference vs bounded diverged at point {point}"
-        );
-        assert!(
-            (refsol.objective - warm_sol.objective).abs() <= tol,
-            "reference vs warm diverged at point {point}"
+            (refsol.objective - objective).abs() <= 1e-9 * (1.0 + refsol.objective.abs()),
+            "reference vs knapsack diverged at point {point}"
         );
     }
 
@@ -189,34 +181,11 @@ fn bench_simplex(c: &mut Criterion) {
         let lp = yarn_lp(0);
         b.iter(|| simplex::reference::solve(black_box(&lp)).expect("reference solves"))
     });
-    group.bench_function("bounded_cold_256_groups", |b| {
-        let lp = yarn_lp(0);
-        b.iter(|| black_box(&lp).solve().expect("bounded solves"))
-    });
-    // The sweep benches re-cost the LP per point (fresh problem build
-    // each iteration for both, so the only difference on the clock is
-    // cold start vs warm start).
-    group.bench_function("cold_sweep_8_points_256_groups", |b| {
+    group.bench_function("knapsack_256_groups", |b| {
+        let gradients = lp_gradients(0);
         b.iter(|| {
-            let mut last = None;
-            for point in 0..SWEEP_POINTS {
-                last = Some(yarn_lp(point).solve().expect("bounded solves"));
-            }
-            last
-        })
-    });
-    group.bench_function("warm_sweep_8_points_256_groups", |b| {
-        b.iter(|| {
-            let mut warm = None;
-            let mut last = None;
-            for point in 0..SWEEP_POINTS {
-                let (sol, basis) = yarn_lp(point)
-                    .solve_warm(warm.as_ref())
-                    .expect("warm solves");
-                warm = Some(basis);
-                last = Some(sol);
-            }
-            last
+            knapsack::solve(black_box(&n_machines), black_box(&gradients), 1.0)
+                .expect("knapsack solves")
         })
     });
     group.finish();

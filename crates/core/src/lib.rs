@@ -12,7 +12,7 @@
 //! * [`whatif`] — the **Modeling Module**'s What-if Engine: per-group
 //!   Huber regressions `g_k`, `h_k`, `f_k` (Equations 1–6).
 //! * [`optimizer`] — the **Optimizer**: the container-rebalancing LP
-//!   (Equations 7–10) solved with a from-scratch simplex.
+//!   (Equations 7–10), linearized into one row and solved in closed form.
 //! * [`experiment`] — the **Experiment Module**: ideal / time-slicing /
 //!   hybrid designs and treatment-effect analysis (§7).
 //! * [`flighting`] — the **Flighting Tool** and **Deployment Module**:
@@ -81,8 +81,5 @@ pub use experiment::{
 };
 pub use flighting::{evaluate_deployment, DeploymentReport, FlightingTool, Guardrail};
 pub use monitor::PerformanceMonitor;
-pub use optimizer::{
-    optimize_max_containers, optimize_max_containers_warm, optimize_sweep, OperatingPoint,
-    YarnOptimization,
-};
+pub use optimizer::{optimize_max_containers, optimize_sweep, OperatingPoint, YarnOptimization};
 pub use whatif::{FitMethod, GroupModels, WhatIfEngine};

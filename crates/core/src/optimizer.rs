@@ -18,6 +18,9 @@
 //! ```
 //!
 //! and verify the *nonlinear* W̄ at the rounded solution before reporting.
+//! One row plus a box per variable is a continuous knapsack, which
+//! [`kea_opt::knapsack::solve`] solves exactly with one sort; at most one
+//! group's continuous step is fractional.
 //!
 //! ## Scaling to fleet-sized group counts
 //!
@@ -35,7 +38,7 @@
 
 use crate::error::KeaError;
 use crate::whatif::WhatIfEngine;
-use kea_opt::{LpProblem, Relation};
+use kea_opt::{knapsack, OptError};
 use kea_telemetry::GroupKey;
 use std::collections::BTreeMap;
 
@@ -282,6 +285,21 @@ fn capacity_gain(total_delta: f64, total_current: f64) -> f64 {
     }
 }
 
+/// Checks the roll-out bound `δ`: finite, positive, and small enough
+/// that every rounded step fits the plan's `i32`.
+fn check_max_step(max_step: f64) -> Result<(), KeaError> {
+    let invalid = |what| Err(KeaError::Opt(OptError::InvalidParameter(what)));
+    if !max_step.is_finite() {
+        Err(KeaError::Opt(OptError::NonFiniteInput))
+    } else if max_step <= 0.0 {
+        invalid("max_step must be positive")
+    } else if max_step > f64::from(i32::MAX) {
+        invalid("max_step must not exceed i32::MAX")
+    } else {
+        Ok(())
+    }
+}
+
 /// Solves the YARN `max_running_containers` tuning problem.
 ///
 /// `machine_counts` gives `n_k` per group; `max_step` is the conservative
@@ -289,46 +307,21 @@ fn capacity_gain(total_delta: f64, total_current: f64) -> f64 {
 /// next).
 ///
 /// Gradient evaluation and rounding repair run in O(G) total via a
-/// per-cluster latency cache; see [`reference::optimize_max_containers`]
-/// for the O(G²) full-recompute baseline they are verified against.
+/// per-cluster latency cache, and [`kea_opt::knapsack::solve`] solves the
+/// LP in closed form. [`reference::optimize_max_containers`] is the
+/// O(G²) full-recompute baseline they are verified against; it solves
+/// the same LP with the general simplex.
 ///
 /// # Errors
 /// Needs at least two calibrated groups (with one group there is nothing
-/// to re-balance), a positive step, and a solvable LP.
+/// to re-balance) and a finite step in `(0, i32::MAX]`.
 pub fn optimize_max_containers(
     engine: &WhatIfEngine,
     machine_counts: &BTreeMap<GroupKey, usize>,
     max_step: f64,
     at: OperatingPoint,
 ) -> Result<YarnOptimization, KeaError> {
-    optimize_max_containers_warm(engine, machine_counts, max_step, at, &mut None)
-}
-
-/// [`optimize_max_containers`] with an explicit LP warm-start slot.
-///
-/// `warm` carries the optimal [`Basis`](kea_opt::Basis) between calls:
-/// pass the slot left by a previous solve over the *same groups* (a
-/// different operating point or sensitivity percentile only re-costs the
-/// LP — same shape) and the simplex restarts from that basis instead of
-/// from scratch. On success the slot is updated with this solve's
-/// optimal basis. A stale or mismatched basis is detected by the solver
-/// and falls back to a cold start, so the result is always identical to
-/// [`optimize_max_containers`].
-///
-/// # Errors
-/// Same conditions as [`optimize_max_containers`].
-pub fn optimize_max_containers_warm(
-    engine: &WhatIfEngine,
-    machine_counts: &BTreeMap<GroupKey, usize>,
-    max_step: f64,
-    at: OperatingPoint,
-    warm: &mut Option<kea_opt::Basis>,
-) -> Result<YarnOptimization, KeaError> {
-    if max_step <= 0.0 {
-        return Err(KeaError::Opt(kea_opt::OptError::InvalidParameter(
-            "max_step must be positive",
-        )));
-    }
+    check_max_step(max_step)?;
     let (groups, n_machines, current) = optimization_inputs(engine, machine_counts, at)?;
 
     // Cache each group's contribution at the operating point m'.
@@ -349,23 +342,13 @@ pub fn optimize_max_containers_warm(
     }
 
     // LP in the step variables.
-    let mut lp = LpProblem::maximize(n_machines.clone()).constraint(
-        gradients.clone(),
-        Relation::Le,
-        0.0,
-    )?;
-    for i in 0..groups.len() {
-        lp = lp.bounds(i, -max_step, Some(max_step))?;
-    }
-    let (sol, basis) = lp.solve_warm(warm.as_ref())?;
-    *warm = Some(basis);
+    let continuous = knapsack::solve(&n_machines, &gradients, max_step)?;
 
     // Conservative integer rounding, re-checked against the latency
     // budget: shrink positive steps until the nonlinear W̄ clears the
     // baseline (rounding error can otherwise leak latency). The cache is
     // advanced to the rounded proposal so each withdrawal is O(1).
-    let mut steps: Vec<i32> = sol
-        .x
+    let mut steps: Vec<i32> = continuous
         .iter()
         .map(|&d| d.round().clamp(-max_step, max_step) as i32)
         .collect();
@@ -452,7 +435,7 @@ pub fn optimize_max_containers_warm(
             group: g,
             n_machines: machine_counts[&g],
             current_containers: current[i],
-            delta_continuous: sol.x[i],
+            delta_continuous: continuous[i],
             delta_step: steps[i],
             latency_gradient: gradients[i],
         })
@@ -467,15 +450,8 @@ pub fn optimize_max_containers_warm(
 }
 
 /// Solves the YARN tuning problem at a sequence of operating points —
-/// the `Median` plan plus its sensitivity percentiles — warm-starting
-/// each LP from the previous point's optimal basis.
-///
-/// Moving the operating point re-costs the LP (new latency gradients)
-/// but keeps its shape — same groups, same `[−δ, δ]` step box, one
-/// latency row — and nearby operating points rarely change which groups
-/// sit at the box edges, so the previous basis is usually optimal or a
-/// pivot or two away. Results are identical to calling
-/// [`optimize_max_containers`] once per point.
+/// the `Median` plan plus its sensitivity percentiles — one
+/// [`optimize_max_containers`] call per point.
 ///
 /// # Errors
 /// Propagates the first failing point's error (same conditions as
@@ -487,14 +463,13 @@ pub fn optimize_sweep(
     points: &[OperatingPoint],
 ) -> Result<Vec<YarnOptimization>, KeaError> {
     if points.is_empty() {
-        return Err(KeaError::Opt(kea_opt::OptError::InvalidParameter(
+        return Err(KeaError::Opt(OptError::InvalidParameter(
             "sweep needs at least one operating point",
         )));
     }
-    let mut warm = None;
     points
         .iter()
-        .map(|&at| optimize_max_containers_warm(engine, machine_counts, max_step, at, &mut warm))
+        .map(|&at| optimize_max_containers(engine, machine_counts, max_step, at))
         .collect()
 }
 
@@ -503,11 +478,15 @@ pub mod reference {
     //! specification: every `cluster_latency` evaluation recomputes all G
     //! group contributions (with two full `BTreeMap` clones per gradient
     //! component), so gradients cost 2G·O(G) and every rounding-repair
-    //! probe another O(G). `crates/core/tests/proptest_optimizer.rs`
+    //! probe another O(G). It solves the LP with the general simplex
+    //! [`kea_opt::simplex::reference::solve`], not the closed form, so
+    //! agreement with it also checks the closed form against an
+    //! independent solver. `crates/core/tests/proptest_optimizer.rs`
     //! asserts the incremental path matches this one, and the
     //! `optimizer_scale` bench measures the gap. Not for production use.
 
     use super::*;
+    use kea_opt::{simplex, LpProblem, Relation};
 
     /// Full-recompute central-difference latency gradients at the
     /// operating point (the quantity the incremental cache must match).
@@ -542,7 +521,7 @@ pub mod reference {
     /// The original `optimize_max_containers`: identical contract and
     /// (up to floating-point noise well below any decision threshold)
     /// identical output, but every latency evaluation is a full O(G)
-    /// recompute.
+    /// recompute and the LP goes through the dense simplex.
     ///
     /// # Errors
     /// Same conditions as [`super::optimize_max_containers`].
@@ -552,11 +531,7 @@ pub mod reference {
         max_step: f64,
         at: OperatingPoint,
     ) -> Result<YarnOptimization, KeaError> {
-        if max_step <= 0.0 {
-            return Err(KeaError::Opt(kea_opt::OptError::InvalidParameter(
-                "max_step must be positive",
-            )));
-        }
+        check_max_step(max_step)?;
         let (groups, n_machines, current_vec) =
             optimization_inputs(engine, machine_counts, at)?;
         let current: BTreeMap<GroupKey, f64> = groups
@@ -575,7 +550,7 @@ pub mod reference {
         for i in 0..groups.len() {
             lp = lp.bounds(i, -max_step, Some(max_step))?;
         }
-        let sol = lp.solve()?;
+        let sol = simplex::reference::solve(&lp)?;
 
         let mut steps: Vec<i32> = sol
             .x
@@ -785,9 +760,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_sweep_matches_individual_solves() {
-        // The warm-started sweep must be a pure performance optimization:
-        // every per-point plan identical to a cold solve at that point.
+    fn sweep_matches_individual_solves() {
         let store = two_group_store();
         let (_mon, eng) = engine(&store);
         let points = [
@@ -799,27 +772,9 @@ mod tests {
         ];
         let swept = optimize_sweep(&eng, &counts(), 1.0, &points).unwrap();
         assert_eq!(swept.len(), points.len());
-        for (at, warm) in points.iter().zip(&swept) {
-            let cold = optimize_max_containers(&eng, &counts(), 1.0, *at).unwrap();
-            assert_eq!(
-                warm.suggestions.len(),
-                cold.suggestions.len(),
-                "at {at:?}"
-            );
-            for (w, c) in warm.suggestions.iter().zip(&cold.suggestions) {
-                assert_eq!(w.group, c.group);
-                assert_eq!(w.delta_step, c.delta_step, "at {at:?}");
-                assert!(
-                    (w.delta_continuous - c.delta_continuous).abs() < 1e-9,
-                    "continuous optima diverge at {at:?}: {} vs {}",
-                    w.delta_continuous,
-                    c.delta_continuous
-                );
-            }
-            assert!((warm.predicted_latency - cold.predicted_latency).abs() < 1e-9);
-            assert!(
-                (warm.predicted_capacity_gain - cold.predicted_capacity_gain).abs() < 1e-12
-            );
+        for (at, plan) in points.iter().zip(&swept) {
+            let single = optimize_max_containers(&eng, &counts(), 1.0, *at).unwrap();
+            assert_eq!(plan, &single, "at {at:?}");
         }
     }
 
@@ -847,7 +802,29 @@ mod tests {
     fn rejects_degenerate_inputs() {
         let store = two_group_store();
         let (_mon, eng) = engine(&store);
-        assert!(optimize_max_containers(&eng, &counts(), 0.0, OperatingPoint::Median).is_err());
+        let step_error = |max_step: f64| {
+            let fast = optimize_max_containers(&eng, &counts(), max_step, OperatingPoint::Median);
+            let slow = reference::optimize_max_containers(
+                &eng,
+                &counts(),
+                max_step,
+                OperatingPoint::Median,
+            );
+            assert_eq!(fast.as_ref().err(), slow.as_ref().err(), "δ = {max_step}");
+            fast.err()
+        };
+        assert!(matches!(
+            step_error(0.0),
+            Some(KeaError::Opt(OptError::InvalidParameter(_)))
+        ));
+        // A δ past i32::MAX would saturate every rounded step.
+        assert!(matches!(
+            step_error(1e12),
+            Some(KeaError::Opt(OptError::InvalidParameter(_)))
+        ));
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_eq!(step_error(bad), Some(KeaError::Opt(OptError::NonFiniteInput)));
+        }
         // Single group: nothing to rebalance.
         let single: BTreeMap<_, _> = counts().into_iter().take(1).collect();
         assert!(matches!(

@@ -1,54 +1,29 @@
-//! Property-based tests for the optimizers: the simplex must always
-//! return *feasible* and *optimal-or-better-than-sampled* solutions, and
-//! the bounded-variable solver must agree with `simplex::reference`
-//! (status and objective) on randomized LPs of every flavour.
+//! Property-based tests for the optimizers: the reference simplex must
+//! always return *feasible* and *optimal-or-better-than-sampled*
+//! solutions, and the closed-form knapsack must reach the simplex's
+//! objective on randomized one-row YARN-shaped LPs.
 
-use kea_opt::{simplex, LpProblem, OptError, Relation};
+use kea_opt::{knapsack, simplex, LpProblem, Relation};
 use proptest::prelude::*;
 
-/// Splitmix-style generator over an exactly-representable grid
-/// (multiples of 0.25) so both solvers see bit-identical inputs and
-/// rounding differences stay far below the agreement tolerance.
-fn grid_rng(seed: u64) -> impl FnMut(f64, f64) -> f64 {
+/// Draws finite numbers in [−3, 3] of both signs. On a 0.5 grid
+/// (`grid`) exact zeros and exact `|v/w|` ratio ties are common;
+/// otherwise draws are continuous, with one in eight forced to zero.
+fn sampler(seed: u64, grid: bool) -> impl FnMut() -> f64 {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-    move |lo: f64, hi: f64| {
+    move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let u = (state >> 33) as f64 / u32::MAX as f64;
-        let steps = ((hi - lo) / 0.25).round();
-        lo + 0.25 * (u * steps).round()
-    }
-}
-
-/// Builds a random LP mixing Le/Ge/Eq rows, negative rhs, and random
-/// finite/infinite bounds. Feasible, infeasible, and unbounded instances
-/// all occur (the 500-seed sweep covers all three statuses).
-fn random_mixed_lp(n: usize, seed: u64) -> LpProblem {
-    let mut next = grid_rng(seed);
-    let c: Vec<f64> = (0..n).map(|_| next(-3.0, 3.0)).collect();
-    let mut lp = LpProblem::maximize(c);
-    let n_cons = 1 + (seed % 3) as usize;
-    for k in 0..n_cons {
-        let a: Vec<f64> = (0..n).map(|_| next(-3.0, 3.0)).collect();
-        let rel = match (seed / 3 + k as u64) % 3 {
-            0 => Relation::Le,
-            1 => Relation::Ge,
-            _ => Relation::Eq,
-        };
-        let b = next(-10.0, 10.0);
-        lp = lp.constraint(a, rel, b).unwrap();
-    }
-    for i in 0..n {
-        let lo = next(-5.0, 0.0);
-        let hi = if next(0.0, 1.0) < 0.75 {
-            Some(lo + next(0.0, 8.0))
+        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+        if grid {
+            (u * 13.0).floor() * 0.5 - 3.0
+        } else if state >> 61 == 0 {
+            0.0
         } else {
-            None
-        };
-        lp = lp.bounds(i, lo, hi).unwrap();
+            6.0 * u - 3.0
+        }
     }
-    lp
 }
 
 proptest! {
@@ -80,7 +55,7 @@ proptest! {
             uppers.push(hi);
             lp = lp.bounds(i, 0.0, Some(hi)).unwrap();
         }
-        let sol = lp.solve().unwrap();
+        let sol = simplex::reference::solve(&lp).unwrap();
         // Feasibility.
         for (i, &x) in sol.x.iter().enumerate() {
             prop_assert!(x >= -1e-7 && x <= uppers[i] + 1e-7, "bounds violated");
@@ -111,36 +86,44 @@ proptest! {
             );
         }
     }
+}
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `max v·d` s.t. `w·d ≤ 0`, `−step ≤ d_k ≤ step`: the closed form
+    /// must match the general simplex's objective and be feasible.
     #[test]
-    fn bounded_solver_agrees_with_reference(
-        n in 1usize..6,
-        seed in 0u64..500,
+    fn knapsack_agrees_with_reference(
+        g in 1usize..40,
+        seed in 0u64..100_000,
+        step_idx in 0usize..4,
     ) {
-        let lp = random_mixed_lp(n, seed);
-        let bounded = lp.solve();
-        let refsol = simplex::reference::solve(&lp);
-        match (&bounded, &refsol) {
-            (Ok(b), Ok(r)) => {
-                let tol = 1e-9 * (1.0 + b.objective.abs().max(r.objective.abs()));
-                prop_assert!(
-                    (b.objective - r.objective).abs() <= tol,
-                    "objectives disagree: bounded {} vs reference {} (n={}, seed={})",
-                    b.objective, r.objective, n, seed
-                );
-                // The bounded solver's basis must reproduce the same
-                // optimum when handed back as a warm start.
-                let (warm, basis) = lp.solve_warm(None).unwrap();
-                let (rewarm, _) = lp.solve_warm(Some(&basis)).unwrap();
-                prop_assert!((warm.objective - rewarm.objective).abs() <= tol);
-            }
-            (Err(OptError::Infeasible), Err(OptError::Infeasible))
-            | (Err(OptError::Unbounded), Err(OptError::Unbounded)) => {}
-            _ => prop_assert!(
-                false,
-                "status disagrees: bounded {:?} vs reference {:?} (n={}, seed={})",
-                bounded, refsol, n, seed
-            ),
+        let step = [0.5, 1.0, 1.7, 2.0][step_idx];
+        let mut next = sampler(seed, seed % 2 == 0);
+        let values: Vec<f64> = (0..g).map(|_| next()).collect();
+        let weights: Vec<f64> = (0..g).map(|_| next()).collect();
+        let d = knapsack::solve(&values, &weights, step).unwrap();
+
+        let mut lp = LpProblem::maximize(values.clone())
+            .constraint(weights.clone(), Relation::Le, 0.0)
+            .unwrap();
+        for k in 0..g {
+            lp = lp.bounds(k, -step, Some(step)).unwrap();
+        }
+        let reference = simplex::reference::solve(&lp).unwrap();
+
+        let objective: f64 = values.iter().zip(&d).map(|(v, x)| v * x).sum();
+        prop_assert!(
+            (objective - reference.objective).abs() <= 1e-9 * (1.0 + objective.abs()),
+            "objectives disagree: knapsack {} vs reference {} (g={}, seed={}, step={})",
+            objective, reference.objective, g, seed, step
+        );
+        let row: f64 = weights.iter().zip(&d).map(|(w, x)| w * x).sum();
+        let row_scale: f64 = weights.iter().map(|w| w.abs() * step).sum();
+        prop_assert!(row <= 1e-12 * (1.0 + row_scale), "row violated: {} > 0", row);
+        for &x in &d {
+            prop_assert!(x.abs() <= step * (1.0 + 1e-12), "box violated: |{}| > {}", x, step);
         }
     }
 }

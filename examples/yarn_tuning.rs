@@ -40,9 +40,7 @@ fn main() {
 
     // Figure 10 sensitivity: re-linearize at progressively heavier
     // operating points and check the suggested directions still agree
-    // with the median run. The sweep warm-starts each LP from the
-    // previous percentile's optimal basis — one cold solve, then cheap
-    // re-solves.
+    // with the median run.
     let sweep = optimize_sweep(
         &outcome.engine,
         &outcome.machine_counts,
