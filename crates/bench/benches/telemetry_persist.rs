@@ -6,13 +6,12 @@
 //!   86k-row append that a cold backfill pays.
 //! * `telemetry_persist`: restart cost at the monitor-window size
 //!   (86,016 rows). `segment_load_86k` opens a directory whose sealed
-//!   run was spilled to a segment file — since segment bodies decode
-//!   lazily, this times manifest + header validation (microseconds);
-//!   the restart-to-first-answer cost lives in `telemetry_retention`
-//!   below. `csv_reingest_86k` re-parses the same records from CSV and
-//!   rebuilds the index from scratch; `recovery_with_wal_tail` adds a
-//!   256-row WAL tail on top of the segment to show replay cost is
-//!   marginal.
+//!   run was spilled to a segment file and decodes it (`open`, then
+//!   `verify()`: segment bodies decode lazily, so `open` alone would
+//!   time only manifest and header validation). `csv_reingest_86k`
+//!   re-parses the same records from CSV and rebuilds the index from
+//!   scratch; `recovery_with_wal_tail` adds a 256-row WAL tail on top
+//!   of the segment to show replay cost is marginal.
 //!
 //! * `telemetry_retention`: month-scale retention (30 days × 256
 //!   machines = 184,320 rows, ingested day by day so the ladder leaves
@@ -191,7 +190,11 @@ fn bench_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_persist");
     group.sample_size(20);
     group.bench_function("segment_load_86k", |b| {
-        b.iter(|| TelemetryStore::open(black_box(&seg_scratch.0)).expect("recover segment"))
+        b.iter(|| {
+            let store = TelemetryStore::open(black_box(&seg_scratch.0)).expect("recover segment");
+            store.verify().expect("decode segment");
+            store
+        })
     });
     group.bench_function("csv_reingest_86k", |b| {
         b.iter(|| {
@@ -200,7 +203,11 @@ fn bench_recovery(c: &mut Criterion) {
         })
     });
     group.bench_function("recovery_with_wal_tail", |b| {
-        b.iter(|| TelemetryStore::open(black_box(&tail_scratch.0)).expect("recover tail"))
+        b.iter(|| {
+            let store = TelemetryStore::open(black_box(&tail_scratch.0)).expect("recover tail");
+            store.verify().expect("decode segment");
+            store
+        })
     });
     group.finish();
 }

@@ -228,12 +228,13 @@ fn bench_seal(c: &mut Criterion) {
 /// * `append_one_hour_then_query_rebuild`: what the same arrival cost
 ///   before incremental re-seal — re-sort and re-index all 86k+256 rows
 ///   before the query can run.
-/// * `seal_4096_row_delta`: compacting a near-threshold delta via the
-///   O(n+d) two-sorted-sequence merge, against `telemetry_seal`'s
-///   from-scratch build of the same data.
+/// * `seal_4096_row_delta`: sealing a 4,096-row delta (16 hours, under
+///   the 65,536-row auto-seal floor) into a run of its own; the ladder
+///   leaves it beside the larger sealed run.
 /// * `replay_14_days_hourly`: the full ingest loop — 336 per-hour
 ///   batches, a fleet query after every batch, automatic compactions
-///   included.
+///   included. Each query re-sorts the delta, which grows to 65,536
+///   rows before it seals.
 fn bench_stream(c: &mut Criterion) {
     let records = monitor_window();
     let sealed = build_columnar(&records);
@@ -286,9 +287,8 @@ fn bench_stream(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    // 16 hours of arrivals (4,096 rows) sit just under the 5% compaction
-    // threshold at this run size, so the whole delta compacts in one
-    // explicit seal.
+    // 16 hours of arrivals (4,096 rows) stay in the delta, so the whole
+    // delta seals in one explicit call.
     group.bench_function("seal_4096_row_delta", |b| {
         b.iter_batched(
             || {

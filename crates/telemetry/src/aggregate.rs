@@ -396,7 +396,7 @@ fn hourly_core(
     start: u64,
     end_inclusive: u64,
 ) -> Vec<(u64, f64)> {
-    let columns: Vec<&[f64]> = sides.iter().map(|s| &s.columns[metric.index()][..]).collect();
+    let columns: Vec<&[f64]> = sides.iter().map(|s| s.column(metric)).collect();
     // Distinct-hour cursor per side, positioned at the span start.
     let mut cursors: Vec<usize> = sides
         .iter()
@@ -435,13 +435,10 @@ pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
     let machines = merged_machines(&sides);
     let groups = merged_groups(&sides, None);
     let n_machines = machines.ids.len();
-    let cpus: Vec<&[f64]> = sides
-        .iter()
-        .map(|s| &s.columns[Metric::CpuUtilization.index()][..])
-        .collect();
+    let cpus: Vec<&[f64]> = sides.iter().map(|s| s.column(Metric::CpuUtilization)).collect();
     let containers: Vec<&[f64]> = sides
         .iter()
-        .map(|s| &s.columns[Metric::AverageRunningContainers.index()][..])
+        .map(|s| s.column(Metric::AverageRunningContainers))
         .collect();
     // With a single side the merged machine space IS that side's, so the
     // remap is the identity — skip the indirection on the hot sealed

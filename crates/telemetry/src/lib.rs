@@ -17,16 +17,17 @@
 //!   tree: N immutable **sealed runs** (columnar, indexed layout —
 //!   sorted `(group, hour, machine)` rows, interned dense machine ids,
 //!   group and hour offset-range indexes over one `(hour, machine)`
-//!   permutation, struct-of-arrays metric columns), each
-//!   carrying its `[min_hour, max_hour]` bounds, plus a small **delta
-//!   buffer** that absorbs streaming appends. Every filtered view k-way
-//!   merges the sorted sides; hour-windowed queries consult only the
-//!   runs whose bounds intersect the window. The delta seals into a new
-//!   run past a size threshold (or on explicit `seal()`), and a
-//!   binary-counter ladder compaction bounds both the live run count
-//!   (logarithmic) and total re-merge work (`O(log n)` per record) — a
-//!   live monitor never pays an `O(n log n)` rebuild per batch. The
-//!   pre-columnar flat store survives as [`store::reference`].
+//!   permutation, struct-of-arrays metric columns built per metric on
+//!   first use), each carrying its `[min_hour, max_hour]` bounds, plus
+//!   a **delta buffer** that absorbs streaming appends. Every filtered
+//!   view k-way merges the sorted sides; hour-windowed queries consult
+//!   only the runs whose bounds intersect the window. The delta seals
+//!   into a new run past 65,536 rows (or on explicit `seal()`, e.g. at
+//!   day close), and a binary-counter ladder compaction — the only
+//!   compaction rule — bounds both the live run count (logarithmic)
+//!   and total re-merge work (`O(log n)` per record) — a live monitor
+//!   never pays an `O(n log n)` rebuild per batch. The pre-columnar flat
+//!   store survives as [`store::reference`].
 //! * [`csv`] — flat-file persistence with schema checking and typed
 //!   rejection of non-finite metric values.
 //! * [`persist`] — durable storage mirroring the LSM shape on disk: a
@@ -39,8 +40,8 @@
 //!   truncated, corrupt files quarantined, never a panic) and reads
 //!   only the format this build writes: a directory from an older build
 //!   is refused, untouched. [`TelemetryStore::sync`] makes appended
-//!   records durable with one fsync per batch and never rewrites an
-//!   unchanged segment.
+//!   records durable with one fsync per batch, never merges runs, and
+//!   never rewrites an unchanged segment.
 //! * [`aggregate`] — fused single-pass aggregation kernels k-way merged
 //!   over the sealed runs + delta (hourly→daily roll-ups, fleet series,
 //!   group utilization), work-stealing parallel across groups, plus the

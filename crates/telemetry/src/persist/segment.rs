@@ -2,11 +2,11 @@
 //!
 //! A segment persists only the three core tables — the sorted records,
 //! the interned machine list, and the `(hour, machine)` permutation —
-//! because everything else in the index (CSR offsets, dense ids, metric
-//! columns) is an O(n) derivation. Writing is therefore a near-straight
-//! dump; loading re-derives and *validates*, so a segment that passes
-//! checksums but encodes a structurally inconsistent index is still
-//! rejected.
+//! because everything else in the index (CSR offsets, dense ids) is an
+//! O(n) derivation, and metric columns are built from the records on
+//! first use. Writing is therefore a near-straight dump; loading
+//! re-derives and *validates*, so a segment that passes checksums but
+//! encodes a structurally inconsistent index is still rejected.
 //!
 //! Layout (all little-endian):
 //!
@@ -314,6 +314,7 @@ fn quarantine(dir: &Path, name: &str, path: &Path, reason: String) -> PersistErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::Metric;
     use crate::record::{GroupKey, MachineHourRecord, MetricValues, ScId, SkuId};
 
     fn records(n: u64) -> Vec<MachineHourRecord> {
@@ -341,14 +342,16 @@ mod tests {
     #[test]
     fn write_then_load_is_identical() {
         let dir = tmpdir("roundtrip");
-        let index = ColumnIndex::build(&records(500));
+        let index = ColumnIndex::build(records(500));
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         let back = load_segment(&dir, "seg-000001.kseg", 500, (0, 71)).unwrap();
         assert_eq!(back.sorted, index.sorted);
         assert_eq!(back.machines, index.machines);
         assert_eq!(back.machine_dense, index.machine_dense);
         assert_eq!(back.hour_order, index.hour_order);
-        assert_eq!(back.columns, index.columns);
+        for m in Metric::ALL {
+            assert_eq!(back.column(m), index.column(m), "{m}");
+        }
         assert_eq!(back.group_offsets, index.group_offsets);
         assert_eq!(back.hour_offsets, index.hour_offsets);
         std::fs::remove_dir_all(&dir).ok();
@@ -357,7 +360,7 @@ mod tests {
     #[test]
     fn header_validation_accepts_good_segment_and_bounds_check_works() {
         let dir = tmpdir("header");
-        let index = ColumnIndex::build(&records(210)); // hours 0..=29
+        let index = ColumnIndex::build(records(210)); // hours 0..=29
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         read_header(&dir, "seg-000001.kseg", 210).unwrap();
         // Matching bounds load cleanly.
@@ -372,7 +375,7 @@ mod tests {
     #[test]
     fn header_validation_rejects_wrong_rows_and_truncation() {
         let dir = tmpdir("header-bad");
-        let index = ColumnIndex::build(&records(64));
+        let index = ColumnIndex::build(records(64));
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         let bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
         // Wrong manifest row count.
@@ -417,7 +420,7 @@ mod tests {
     #[test]
     fn empty_run_roundtrips() {
         let dir = tmpdir("empty");
-        let index = ColumnIndex::build(&[]);
+        let index = ColumnIndex::build(Vec::new());
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         read_header(&dir, "seg-000001.kseg", 0).unwrap();
         let bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
@@ -432,7 +435,7 @@ mod tests {
     #[test]
     fn version_1_header_is_refused() {
         let dir = tmpdir("v1");
-        let index = ColumnIndex::build(&records(64));
+        let index = ColumnIndex::build(records(64));
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         let mut bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
@@ -451,7 +454,7 @@ mod tests {
     #[test]
     fn byte_flip_quarantines_not_panics() {
         let dir = tmpdir("flip");
-        let index = ColumnIndex::build(&records(300));
+        let index = ColumnIndex::build(records(300));
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         let path = dir.join("seg-000001.kseg");
         let len = std::fs::metadata(&path).unwrap().len() as usize;
@@ -472,7 +475,7 @@ mod tests {
     #[test]
     fn row_count_mismatch_with_manifest_is_corrupt() {
         let dir = tmpdir("rows");
-        let index = ColumnIndex::build(&records(64));
+        let index = ColumnIndex::build(records(64));
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         let err = load_segment(&dir, "seg-000001.kseg", 65, (0, 9)).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt { .. }));
@@ -482,7 +485,7 @@ mod tests {
     #[test]
     fn truncated_file_is_corrupt_not_panic() {
         let dir = tmpdir("trunc");
-        let index = ColumnIndex::build(&records(200));
+        let index = ColumnIndex::build(records(200));
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         let bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
         for cut in [0usize, 7, HEADER_BYTES - 2, HEADER_BYTES + 100, bytes.len() - 1] {

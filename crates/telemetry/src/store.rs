@@ -16,35 +16,41 @@
 //! * The **sealed runs** are immutable `ColumnIndex`es, oldest first:
 //!   each is a compacted slice of history, sorted by `(group, hour,
 //!   machine)` with interned dense machine ids, CSR offset-range indexes
-//!   over groups and hours, one secondary `(hour, machine)` permutation,
-//!   and struct-of-arrays metric columns. Every run carries its
-//!   inclusive `[min_hour, max_hour]` bounds, so hour-windowed queries
-//!   skip runs that cannot contain the window.
+//!   over groups and hours, and one secondary `(hour, machine)`
+//!   permutation. A run's struct-of-arrays metric columns are built per
+//!   metric on first use, so a decoded row holds its metric values once.
+//!   Every run carries its inclusive `[min_hour, max_hour]` bounds, so
+//!   hour-windowed queries skip runs that cannot contain the window.
 //! * The **delta** is the tail of the record log appended since the last
 //!   seal. On first query it is sealed into a *mini* `ColumnIndex` of
-//!   its own (cost `O(d log d)` for `d` delta rows — small by
-//!   construction), cached until the next mutation.
+//!   its own (cost `O(d log d)` for `d` delta rows, at most 65,536),
+//!   cached until the next mutation.
 //!
 //! Every view ([`by_group`](TelemetryStore::by_group),
 //! [`by_hours`](TelemetryStore::by_hours), …) and every fused kernel in
 //! [`crate::aggregate`] answers by **k-way merging** the relevant runs
 //! plus the delta — sorted sources, one key-ordered merge, no re-sort.
-//! When the delta outgrows its threshold (checked once per mutating
-//! call) or on an explicit [`seal`](TelemetryStore::seal), it becomes a
-//! new sealed run; a *ladder* compaction then merges the newest runs
-//! while each is no larger than its elder neighbour — the classic
-//! binary-counter schedule, so every record is re-merged `O(log n)`
-//! times total and big old runs are left untouched by small fresh ones.
-//! Every merge is a linear two-way merge of an adjacent pair.
+//! When the delta outgrows its 65,536-row floor (checked once per
+//! mutating call) or on an explicit [`seal`](TelemetryStore::seal), it
+//! becomes a new sealed run; a *ladder* compaction then merges the
+//! newest runs while each is no larger than its elder neighbour — the
+//! classic binary-counter schedule, so every record is re-merged
+//! `O(log n)` times total and big old runs are left untouched by small
+//! fresh ones. Every merge is a linear two-way merge of an adjacent
+//! pair. The ladder is the only compaction rule: `sync` persists the
+//! runs as they stand, so `n` equal day-sized seals leave at most
+//! `⌈log₂ n⌉ + 1` runs, in memory and on disk.
 //!
 //! # Durability
 //!
 //! A store created by [`TelemetryStore::open`] mirrors each sealed run
 //! to a segment file under the manifest-flip protocol of
-//! [`crate::persist`]. Segment-backed runs load **lazily**: opening a
-//! directory validates headers only, a run's body is decoded on the
-//! first query that touches it, and [`sync`](TelemetryStore::sync)
-//! evicts the coldest decoded runs past a fixed LRU budget of eight.
+//! [`crate::persist`]; the delta rides the write-ahead log. Segment-backed
+//! runs load **lazily**: opening a directory validates headers only, a
+//! run's body is decoded on the first query that touches it, and
+//! [`sync`](TelemetryStore::sync) evicts the coldest decoded runs past a
+//! fixed LRU budget of eight. With `O(log n)` runs that budget keeps the
+//! whole retained history decoded after the first full query.
 //! A run whose segment fails validation at load time is quarantined and
 //! served as empty; the store remembers the failure ("degraded"),
 //! [`verify`](TelemetryStore::verify) and `sync` surface it, and `sync`
@@ -66,15 +72,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Delta sizes below this never trigger automatic sealing: indexing a
-/// handful of rows per mutation would pay the sort with no read-side
-/// benefit.
-const MIN_COMPACT_DELTA: usize = 1024;
-
-/// Runs smaller than this are merge targets for the sync-time policy
-/// compaction: they cost a manifest entry and a header read each, and
-/// merging two of them is cheap by definition.
-const MIN_SEGMENT_ROWS: usize = 4096;
+/// Delta sizes up to this never trigger automatic sealing: 65,536
+/// records are an 8 MiB buffer. A sub-day batch (a small fleet's hour)
+/// therefore stays in the delta, and on a durable store in the WAL,
+/// until the caller's day-close [`seal`](TelemetryStore::seal), so each
+/// sync in between is one WAL frame and every run the ladder sees is
+/// day-sized. A larger batch (a 300k-machine hour) still seals at once.
+const MIN_COMPACT_DELTA: usize = 65_536;
 
 /// Cap on decoded segment-backed runs kept resident between syncs.
 const SEGMENT_CACHE: usize = 8;
@@ -177,9 +181,10 @@ impl Clone for TelemetryStore {
 
 /// The sealed columnar layout. Built by [`ColumnIndex::build`] (sort) or
 /// [`ColumnIndex::merge`] (linear compaction of two sorted runs);
-/// immutable afterwards. All `Vec<usize>` offset tables follow the CSR
-/// convention: `offsets.len() == keys.len() + 1` and key `i` owns rows
-/// `offsets[i]..offsets[i + 1]`.
+/// immutable afterwards, except that each metric column is filled once,
+/// on first use ([`ColumnIndex::column`]). All `Vec<usize>` offset
+/// tables follow the CSR convention: `offsets.len() == keys.len() + 1`
+/// and key `i` owns rows `offsets[i]..offsets[i + 1]`.
 //
 // kea-lint: allow-file(index-in-library) — dense index kernel: every row
 // position is produced by this module's own sort/merge/partition passes and
@@ -203,24 +208,34 @@ pub(crate) struct ColumnIndex {
     pub(crate) hour_order: Vec<usize>,
     /// CSR offsets into `hour_order` per distinct hour.
     pub(crate) hour_offsets: Vec<usize>,
-    /// Struct-of-arrays metric columns in `sorted` row order:
-    /// `columns[m.index()][row] == m.value(&sorted[row].metrics)`.
-    pub(crate) columns: Vec<Vec<f64>>,
+    /// Struct-of-arrays metric columns in `sorted` row order, one per
+    /// metric, each built on first use by [`ColumnIndex::column`].
+    columns: [OnceLock<Vec<f64>>; Metric::ALL.len()],
 }
 
 /// The empty index — the stand-in side wherever view code wants a
 /// uniform merge shape or a degraded run must serve something.
 pub(crate) fn empty_index() -> &'static ColumnIndex {
     static EMPTY: OnceLock<ColumnIndex> = OnceLock::new();
-    EMPTY.get_or_init(|| ColumnIndex::build(&[]))
+    EMPTY.get_or_init(|| ColumnIndex::build(Vec::new()))
 }
 
 impl ColumnIndex {
-    /// Sorts and interns `records` into the columnar layout.
-    pub(crate) fn build(records: &[MachineHourRecord]) -> Self {
-        let mut sorted = records.to_vec();
-        sorted.sort_unstable_by_key(|r| (r.group, r.hour, r.machine));
-        Self::from_sorted(sorted)
+    /// Sorts and interns `records` into the columnar layout, in place.
+    pub(crate) fn build(mut records: Vec<MachineHourRecord>) -> Self {
+        records.sort_unstable_by_key(|r| (r.group, r.hour, r.machine));
+        Self::from_sorted(records)
+    }
+
+    /// The values of `metric` in `sorted` row order:
+    /// `column(m)[row] == m.value(&sorted[row].metrics)`. Built from
+    /// `sorted` on the first call per metric and kept for the index's
+    /// lifetime; only the fleet-series and group-utilization kernels
+    /// ask, for at most two metrics, so the other columns never cost
+    /// memory.
+    pub(crate) fn column(&self, metric: Metric) -> &[f64] {
+        self.columns[metric.index()]
+            .get_or_init(|| self.sorted.iter().map(|r| metric.value(&r.metrics)).collect())
     }
 
     /// Builds the index structures over records already sorted by
@@ -252,15 +267,6 @@ impl ColumnIndex {
         hour_order.sort_unstable_by_key(|&row| (sorted[row].hour, sorted[row].machine));
         let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
 
-        // Struct-of-arrays metric columns, derived ratios included.
-        let mut columns = vec![Vec::with_capacity(n); Metric::ALL.len()];
-        for r in &sorted {
-            let row = Metric::row_of(&r.metrics);
-            for (col, v) in columns.iter_mut().zip(row) {
-                col.push(v);
-            }
-        }
-
         ColumnIndex {
             sorted,
             groups,
@@ -270,7 +276,7 @@ impl ColumnIndex {
             hours,
             hour_order,
             hour_offsets,
-            columns,
+            columns: Default::default(),
         }
     }
 
@@ -341,13 +347,6 @@ impl ColumnIndex {
         // Past validation the derivations mirror `from_sorted`.
         let (groups, group_offsets) = group_runs(&sorted);
         let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
-        let mut columns = vec![Vec::with_capacity(n); Metric::ALL.len()];
-        for r in &sorted {
-            let row = Metric::row_of(&r.metrics);
-            for (col, v) in columns.iter_mut().zip(row) {
-                col.push(v);
-            }
-        }
 
         Some(ColumnIndex {
             sorted,
@@ -358,7 +357,7 @@ impl ColumnIndex {
             hours,
             hour_order,
             hour_offsets,
-            columns,
+            columns: Default::default(),
         })
     }
 
@@ -378,8 +377,8 @@ impl ColumnIndex {
         let n = an + bn;
 
         // Primary merge by (group, hour, machine): records, plus the
-        // source of every output row so columns and the permutation can
-        // be gathered without re-comparing.
+        // source of every output row so dense ids and the permutation
+        // can be gathered without re-comparing.
         let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
         let mut sorted = Vec::with_capacity(n);
         // from_b[out] says which side output row `out` came from;
@@ -421,23 +420,6 @@ impl ColumnIndex {
             }
         }
 
-        // Metric columns: gather in output order, one side cursor each.
-        let mut columns = Vec::with_capacity(Metric::ALL.len());
-        for (ac, bc) in a.columns.iter().zip(&b.columns) {
-            let mut col = Vec::with_capacity(n);
-            let (mut i, mut j) = (0usize, 0usize);
-            for &fb in &from_b {
-                if fb {
-                    col.push(bc[j]);
-                    j += 1;
-                } else {
-                    col.push(ac[i]);
-                    i += 1;
-                }
-            }
-            columns.push(col);
-        }
-
         // Secondary ordering: each side's permutation is already sorted
         // by `(hour, machine)`, so the merged permutation is a two-way
         // merge mapped through the row position maps.
@@ -453,7 +435,7 @@ impl ColumnIndex {
             hours,
             hour_order,
             hour_offsets,
-            columns,
+            columns: Default::default(),
         }
     }
 
@@ -723,12 +705,12 @@ impl TelemetryStore {
 
     /// Flushes every record appended since the last `sync` to stable
     /// storage and returns what was written. On the fast path this is
-    /// one WAL frame and one fsync; when the run set changed (a seal or
-    /// compaction) it spills each *dirty* run as a fresh segment —
-    /// unchanged segments are never rewritten — starts a fresh WAL
-    /// holding only the delta tail, and atomically flips the manifest.
-    /// Runs below `MIN_SEGMENT_ROWS` are first folded into their
-    /// neighbours (the sync-time compaction policy), and decoded
+    /// one WAL frame and one fsync; when the run set changed (a seal and
+    /// the ladder merges it triggered) it spills each *dirty* run as a
+    /// fresh segment — unchanged segments are never rewritten — starts a
+    /// fresh WAL holding only the delta tail, and atomically flips the
+    /// manifest. `sync` only persists: it never merges runs, so the
+    /// ladder's shape at the last seal is the shape on disk. Decoded
     /// segment runs beyond the cache budget are evicted after.
     ///
     /// Records are durable — guaranteed to survive a crash or kill —
@@ -739,14 +721,6 @@ impl TelemetryStore {
     /// (with the original diagnosis) on a store degraded by a corrupt
     /// segment, so a partial in-memory image never overwrites history.
     pub fn sync(&mut self) -> Result<persist::SyncStats, persist::PersistError> {
-        if let Some(err) = self.degraded_error() {
-            return Err(err);
-        }
-        if self.backing.is_none() {
-            return Err(persist::PersistError::NotDurable);
-        }
-        self.policy_compact();
-        // A policy merge may itself have tripped a lazy load failure.
         if let Some(err) = self.degraded_error() {
             return Err(err);
         }
@@ -927,13 +901,11 @@ impl TelemetryStore {
     }
 
     /// Turns the delta into a new sealed run (reusing a query-built
-    /// mini-index when present) and restores the ladder invariant.
+    /// mini-index when present) and restores the ladder invariant. The
+    /// tail is taken, not cleared, so its allocation goes with it.
     fn seal_tail(&mut self) {
-        let delta = self
-            .delta
-            .take()
-            .unwrap_or_else(|| ColumnIndex::build(&self.tail));
-        self.tail.clear();
+        let tail = std::mem::take(&mut self.tail);
+        let delta = self.delta.take().unwrap_or_else(|| ColumnIndex::build(tail));
         let Some(run) = SealedRun::dirty(delta) else {
             return; // Empty delta: nothing to seal.
         };
@@ -941,11 +913,12 @@ impl TelemetryStore {
         self.ladder_compact();
     }
 
-    /// Binary-counter compaction: merge the two newest runs while the
-    /// elder of the pair is no larger than the newcomer. Each record is
-    /// re-merged `O(log n)` times over the store's lifetime, and a
-    /// large old run is only rewritten when the history behind it has
-    /// grown to its own size.
+    /// Binary-counter compaction, the store's only compaction rule:
+    /// merge the two newest runs while the elder of the pair is no
+    /// larger than the newcomer. Run sizes then strictly decrease from
+    /// oldest to newest, each record is re-merged `O(log n)` times over
+    /// the store's lifetime, and a large old run is only rewritten when
+    /// the history behind it has grown to its own size.
     fn ladder_compact(&mut self) {
         while self.runs.len() >= 2 {
             let at = self.runs.len() - 2;
@@ -953,24 +926,6 @@ impl TelemetryStore {
                 break;
             }
             self.merge_pair(at);
-        }
-    }
-
-    /// Sync-time policy: fold adjacent pairs of undersized runs so the
-    /// manifest never accumulates confetti segments. Only pairs where
-    /// *both* runs are below the floor merge here — rewriting a large
-    /// clean segment to absorb a small one would break the bounded
-    /// write-amplification guarantee (that rewrite is what the ladder
-    /// schedules logarithmically).
-    fn policy_compact(&mut self) {
-        loop {
-            let pair = (0..self.runs.len().saturating_sub(1)).find(|&i| {
-                self.runs[i].rows < MIN_SEGMENT_ROWS && self.runs[i + 1].rows < MIN_SEGMENT_ROWS
-            });
-            match pair {
-                Some(at) => self.merge_pair(at),
-                None => break,
-            }
         }
     }
 
@@ -1088,7 +1043,7 @@ impl TelemetryStore {
         if self.tail.is_empty() {
             return None;
         }
-        Some(self.delta.get_or_init(|| ColumnIndex::build(&self.tail)))
+        Some(self.delta.get_or_init(|| ColumnIndex::build(self.tail.clone())))
     }
 
     /// Every sorted side of the store, oldest run first, delta last —
@@ -1582,23 +1537,43 @@ mod tests {
     #[test]
     fn automatic_compaction_past_threshold() {
         let mut store = TelemetryStore::new();
-        // One batch bigger than the floor seals once at the end.
-        store.extend((0..1500u64).map(|i| rec((i % 7) as u32, 0, i, i as f64)));
+        // One batch bigger than the 65,536-row floor seals once at the end.
+        store.extend((0..70_000u64).map(|i| rec((i % 7) as u32, 0, i, i as f64)));
         assert!(store.is_sealed(), "bulk extend seals at call end");
+        assert_eq!(store.run_count(), 1);
         // Small pushes stay in the delta…
         for i in 0..100u64 {
-            store.push(rec(1, 0, 2000 + i, 0.0));
+            store.push(rec(1, 0, 80_000 + i, 0.0));
         }
         assert!(!store.is_sealed());
         assert_eq!(store.delta_len(), 100);
         // …until the per-call check crosses the delta floor.
-        store.extend((0..1000u64).map(|i| rec(2, 0, 3000 + i, 0.0)));
+        store.extend((0..65_500u64).map(|i| rec(2, 0, 90_000 + i, 0.0)));
         assert!(store.is_sealed(), "threshold crossing seals");
-        assert_eq!(store.len(), 2600);
-        assert_eq!(store.by_hours(0, 5000).count(), 2600);
-        // The 1100-row batch is smaller than the 1500-row elder run, so
-        // the ladder leaves them as two runs.
+        assert_eq!(store.len(), 135_600);
+        assert_eq!(store.by_hours(0, 200_000).count(), 135_600);
+        // The 65,600-row batch is smaller than the 70,000-row elder run,
+        // so the ladder leaves them as two runs.
         assert_eq!(store.run_count(), 2);
+    }
+
+    /// Regression (previously: sealing copied the delta into the new
+    /// run and then `clear`ed it, so every store kept its largest delta
+    /// buffer allocated for life). The run is now built from the owned
+    /// tail, and the allocation goes with it.
+    #[test]
+    fn seal_releases_the_delta_allocation() {
+        let mut store = TelemetryStore::new();
+        store.extend((0..5000u64).map(|i| rec((i % 7) as u32, 0, i, i as f64)));
+        assert!(store.tail.capacity() >= 5000);
+        store.seal();
+        assert_eq!(store.tail.capacity(), 0);
+        // A query-built mini-index is reused; the tail is released too.
+        store.extend((0..5000u64).map(|i| rec((i % 7) as u32, 1, i, i as f64)));
+        assert_eq!(store.by_hours(0, 5000).count(), 10_000);
+        store.seal();
+        assert_eq!(store.tail.capacity(), 0);
+        assert_eq!(store.by_hours(0, 5000).count(), 10_000);
     }
 
     #[test]
@@ -1677,7 +1652,9 @@ mod tests {
         assert_eq!(a.machine_dense, b.machine_dense);
         assert_eq!(a.hours, b.hours);
         assert_eq!(a.hour_offsets, b.hour_offsets);
-        assert_eq!(a.columns, b.columns);
+        for m in Metric::ALL {
+            assert_eq!(a.column(m), b.column(m), "{m}");
+        }
         // The hour permutations may order duplicate (hour, machine) keys
         // differently; they must agree after mapping to records.
         let gather = |idx: &ColumnIndex| -> Vec<MachineHourRecord> {
@@ -1703,8 +1680,7 @@ mod tests {
         assert!(idx.group_offsets.windows(2).all(|w| w[0] <= w[1]));
         assert!(idx.hour_offsets.windows(2).all(|w| w[0] <= w[1]));
         // Columns are per-metric and full-length.
-        assert_eq!(idx.columns.len(), Metric::ALL.len());
-        assert!(idx.columns.iter().all(|c| c.len() == store.len()));
+        assert!(Metric::ALL.iter().all(|&m| idx.column(m).len() == store.len()));
         // Dense ids round-trip.
         for (row, r) in idx.sorted.iter().enumerate() {
             assert_eq!(idx.machines[idx.machine_dense[row] as usize], r.machine);
@@ -1740,7 +1716,8 @@ mod tests {
         for (row, r) in idx.sorted.iter().enumerate() {
             assert_eq!(idx.machines[idx.machine_dense[row] as usize], r.machine);
         }
-        for (col, metric) in idx.columns.iter().zip(Metric::ALL) {
+        for metric in Metric::ALL {
+            let col = idx.column(metric);
             for (row, r) in idx.sorted.iter().enumerate() {
                 assert_eq!(col[row], metric.value(&r.metrics));
             }
@@ -1751,8 +1728,8 @@ mod tests {
     fn merge_handles_empty_sides() {
         let batch: Vec<MachineHourRecord> =
             (0..8u64).map(|i| rec(i as u32, 0, i, i as f64)).collect();
-        let idx = ColumnIndex::build(&batch);
-        let empty = ColumnIndex::build(&[]);
+        let idx = ColumnIndex::build(batch);
+        let empty = ColumnIndex::build(Vec::new());
         // Two empty sides → the empty index.
         assert!(ColumnIndex::merge(&empty, &empty).sorted.is_empty());
         // One empty side → the other side, on either hand.

@@ -470,20 +470,20 @@ fn unsynced_records_are_lost_synced_records_survive() {
 fn rotation_covers_compaction_spill_and_wal_reset() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    // Past the 1024 auto-compaction threshold: the store compacts on its
-    // own, so the next sync must rotate without an explicit seal.
-    store.extend((0..2000).map(rec));
-    store.sync().expect("sync");
+    // Past the 65,536-row auto-compaction threshold: the store compacts
+    // on its own, so the next sync must rotate without an explicit seal.
+    store.extend((0..70_000).map(rec));
+    assert!(store.sync().expect("sync").rotated, "compaction must rotate");
     assert!(!live_segments(scratch.path()).is_empty(), "compaction must spill a segment");
     // The tail past the compaction point rides in the WAL.
-    store.extend((2000..2010).map(rec));
-    store.sync().expect("tail sync");
+    store.extend((70_000..70_010).map(rec));
+    assert!(!store.sync().expect("tail sync").rotated, "a small tail is one WAL frame");
     drop(store);
 
     let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
-    assert_eq!(reopened.len(), 2010);
+    assert_eq!(reopened.len(), 70_010);
     let mut reference = RefStore::new();
-    reference.extend((0..2010).map(rec));
+    reference.extend((0..70_010).map(rec));
     assert_agrees(&reference, &reopened);
 }
 
@@ -797,7 +797,7 @@ fn windowed_queries_load_only_intersecting_segments() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
     // Elder run strictly larger than the newcomer so the ladder keeps
-    // them separate; both at/above the policy floor so sync does too.
+    // them separate.
     store.extend((0..4500u64).map(|i| rec_at(i, i % 100)));
     store.seal();
     store.extend((0..4200u64).map(|i| rec_at(i, 1000 + i % 100)));
@@ -836,8 +836,8 @@ fn windowed_queries_load_only_intersecting_segments() {
 fn sync_evicts_decoded_segments_past_the_cache_budget() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    // Nine runs at or above the sync policy's 4096-row floor, each
-    // strictly smaller than its elder so the ladder keeps them apart.
+    // Nine runs, each strictly smaller than its elder so the ladder
+    // keeps them apart.
     let rows = |k: u64| 4200 - 10 * k;
     for k in 0..9u64 {
         store.extend((0..rows(k)).map(|i| rec_at(i, 1000 * k + i % 100)));
@@ -913,34 +913,91 @@ fn sync_never_rewrites_unchanged_segments() {
     assert_eq!(reopened.len(), 8710);
 }
 
-/// The sync-time policy across a reopen: undersized runs synced
-/// separately fold into one segment at the sync that finds two of them
-/// side by side, and the merged segment reopens into a store that
-/// agrees with the reference.
+/// The ladder is the only compaction rule, across syncs and a reopen:
+/// runs it leaves apart at seal time stay apart on disk, and the
+/// segments reopen into a store that agrees with the reference.
 #[test]
-fn policy_merge_roundtrips_through_disk() {
+fn ladder_runs_roundtrip_through_disk() {
     let scratch = Scratch::new();
     let mut reference = RefStore::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
     // Three overlapping-hour batches, each sealed + synced. The ladder
     // folds the first two (300 ≤ 300); the 600-row run then outweighs
-    // the third, so only the sync policy can merge that pair.
+    // the third, so the two stay separate segments.
     for b in 0..3u64 {
         let batch: Vec<_> = (0..300u64).map(|i| rec_at(b * 1000 + i, i % 50)).collect();
         reference.extend(batch.iter().copied());
         store.extend(batch);
         store.seal();
-        if b == 2 {
-            assert_eq!(store.run_count(), 2, "the ladder leaves 600 + 300");
-        }
         store.sync().expect("sync batch");
     }
-    assert_eq!(store.run_count(), 1, "the sync policy folds undersized pairs");
-    assert_eq!(live_segments(scratch.path()).len(), 1);
+    assert_eq!(store.run_count(), 2, "the ladder leaves 600 + 300");
+    assert_eq!(live_segments(scratch.path()).len(), 2);
     drop(store);
 
     let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
-    assert_eq!(reopened.run_count(), 1);
+    assert_eq!(reopened.run_count(), 2);
+    assert_agrees(&reference, &reopened);
+}
+
+/// A service's steady state: hour batches under the auto-seal floor
+/// synced every hour, sealed at day close. A sync between seals appends
+/// one WAL frame and never rotates, and since the ladder is the only
+/// compaction rule, `d` sealed days leave at most `⌈log₂ d⌉ + 1` runs
+/// after every sync. The store reopens into one that agrees with the
+/// reference.
+#[test]
+fn hourly_syncs_ride_the_wal_and_day_seals_keep_runs_logarithmic() {
+    const DAYS: u64 = 10;
+    const MACHINES: u64 = 1500;
+    let hour_batch = |h: u64| -> Vec<MachineHourRecord> {
+        (0..MACHINES)
+            .map(|m| MachineHourRecord {
+                machine: MachineId(m as u32),
+                group: GroupKey::new(SkuId((m % 4) as u16), ScId((m % 2) as u8)),
+                hour: h,
+                metrics: MetricValues {
+                    tasks_finished: (h * MACHINES + m) as f64,
+                    cpu_utilization: (m % 97) as f64,
+                    ..MetricValues::default()
+                },
+            })
+            .collect()
+    };
+    let scratch = Scratch::new();
+    let mut reference = RefStore::new();
+    let mut store = TelemetryStore::open(scratch.path()).expect("open");
+    // Ten full days, then three hours of the eleventh left in the WAL.
+    for h in 0..DAYS * 24 + 3 {
+        let batch = hour_batch(h);
+        reference.extend(batch.iter().copied());
+        store.extend(batch);
+        let day_close = (h + 1) % 24 == 0;
+        if day_close {
+            store.seal();
+        }
+        let stats = store.sync().expect("hourly sync");
+        if !day_close {
+            assert!(!stats.rotated, "hour {h}: a sync between seals must not rotate");
+            assert_eq!(stats.segments_written, 0, "hour {h}");
+            assert_eq!(stats.wal_records, MACHINES as usize, "hour {h}");
+        }
+        let days = (h + 1) / 24;
+        let bound = match days {
+            0 => 0,
+            d => d.next_power_of_two().trailing_zeros() as usize + 1,
+        };
+        assert!(
+            store.run_count() <= bound,
+            "hour {h}: {} runs after {days} sealed days (bound {bound})",
+            store.run_count()
+        );
+    }
+    drop(store);
+
+    let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
+    assert_eq!(reopened.run_count(), DAYS.count_ones() as usize);
+    assert_eq!(reopened.delta_len(), 3 * MACHINES as usize);
     assert_agrees(&reference, &reopened);
 }
 

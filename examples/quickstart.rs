@@ -27,7 +27,7 @@ fn main() {
     // 2. Model: the Performance Monitor prepares group-level views and
     //    the What-if Engine calibrates per-group Huber regressions.
     //    Sealing compacts any pending delta into the sealed columnar run
-    //    (sorted rows, dense ids, metric columns) up front; queries
+    //    (sorted rows, dense ids, hour index) up front; queries
     //    would otherwise merge run + delta on the fly.
     observed.telemetry.seal();
     let monitor = PerformanceMonitor::new(&observed.telemetry);
