@@ -48,7 +48,17 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 of `data` (standard init/final xor, matching zlib's `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_update(0, data)
+}
+
+/// Extends `prev`, the CRC-32 of some bytes `a`, over `data`: the
+/// result is the CRC-32 of `a` followed by `data` (zlib's
+/// `crc32(prev, buf, len)` convention), and `crc32_update(0, data)` is
+/// `crc32(data)`. A segment load checksums each section chunk by chunk
+/// this way, the running CRC threaded through the chunks in file order,
+/// so no buffer ever holds a whole section.
+pub fn crc32_update(prev: u32, data: &[u8]) -> u32 {
+    let mut crc = !prev;
     let mut chunks = data.chunks_exact(8);
     for c in chunks.by_ref() {
         // The low half is folded into the running CRC, the high half is
@@ -93,6 +103,19 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn update_over_any_split_equals_one_pass() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i.wrapping_mul(197) >> 3) as u8).collect();
+        let whole = crc32(&data);
+        for cut in [0, 1, 7, 8, 9, 500, 999, 1000] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_update(crc32(a), b), whole, "split at {cut}");
+        }
+        let chunked = data.chunks(64).fold(0, crc32_update);
+        assert_eq!(chunked, whole);
+        assert_eq!(crc32_update(whole, b""), whole);
     }
 
     #[test]

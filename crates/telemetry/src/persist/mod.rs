@@ -38,6 +38,13 @@
 //! the old file set or the new one, both complete. Corruption
 //! quarantines the file and fails typed, never panics.
 //!
+//! A segment body loads in one streaming pass (`segment.rs`): ~1 MiB
+//! chunks are read into one reused buffer, each chunk is checksummed on
+//! a second core while the first decodes it and checks the index
+//! invariants, and every section checksum is compared before the run
+//! is served. A restart's [`TelemetryStore::verify`] is that pass over
+//! each run in turn.
+//!
 //! ## Format policy
 //!
 //! This build reads only the format it writes: manifest header
@@ -49,6 +56,7 @@
 //! [`TelemetryStore`]: crate::TelemetryStore
 //! [`TelemetryStore::sync`]: crate::TelemetryStore::sync
 //! [`TelemetryStore::open`]: crate::TelemetryStore::open
+//! [`TelemetryStore::verify`]: crate::TelemetryStore::verify
 
 pub(crate) mod codec;
 pub(crate) mod crc;

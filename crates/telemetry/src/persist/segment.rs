@@ -4,9 +4,11 @@
 //! the interned machine list, and the `(hour, machine)` permutation —
 //! because everything else in the index (CSR offsets, dense ids) is an
 //! O(n) derivation, and metric columns are built from the records on
-//! first use. Writing is therefore a near-straight dump; loading
-//! re-derives and *validates*, so a segment that passes checksums but
-//! encodes a structurally inconsistent index is still rejected.
+//! first use. Writing is therefore a near-straight dump: the header and
+//! the three sections go to one temp file handle, which is then
+//! fsynced. Loading re-derives and *validates*, so a segment that
+//! passes checksums but encodes a structurally inconsistent index is
+//! still rejected.
 //!
 //! Layout (all little-endian):
 //!
@@ -34,18 +36,32 @@
 //! every section CRC and structural invariant checked) happens lazily
 //! on first query via [`load_segment`].
 //!
+//! [`load_segment`] reads, checksums, decodes and validates in one
+//! streaming pass. After the header and the small machine table, the
+//! records and then the hour permutation flow through one reused
+//! buffer of [`CHUNK_ROWS`] records (~1 MiB), so no buffer ever holds
+//! the whole image. Each chunk's CRC-32 runs on a scoped second thread
+//! ([`crc32_update`] carries it from chunk to chunk) while this thread
+//! decodes the same bytes into an [`IndexLoader`], the store's streaming
+//! builder, which checks every invariant as the rows go by. A section
+//! whose checksum fails is reported as such even when its bytes also
+//! break a structural check, so the error names the damage, not its
+//! symptom.
+//!
 //! On checksum or validation failure both entry points rename the file
 //! to `<name>.quarantine` (best-effort) so the bad bytes survive for
 //! forensics and never get mistaken for a live segment again, then
 //! return [`PersistError::Corrupt`].
 
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use super::codec::{self, RECORD_BYTES};
-use super::crc::crc32;
+use super::crc::{crc32, crc32_update};
 use super::{fsync_dir, io_err, PersistError};
 use crate::record::MachineId;
-use crate::store::ColumnIndex;
+use crate::store::{ColumnIndex, IndexLoader};
 
 /// Magic bytes opening every segment file.
 pub const SEG_MAGIC: &[u8; 8] = b"KEASEG1\n";
@@ -59,6 +75,13 @@ const SECTIONS: usize = 3;
 /// Fixed header size: magic + version + rows + machines + section
 /// descriptors + header CRC.
 const HEADER_BYTES: usize = 8 + 4 + 8 + 8 + SECTIONS * 12 + 4;
+
+/// Records per chunk of a load: the one read buffer holds this many
+/// encoded records (~1 MiB). Its size is a multiple of both element
+/// sizes, 127-byte records and 4-byte permutation entries, so no
+/// element straddles two chunks.
+const CHUNK_ROWS: usize = 8_192;
+const CHUNK_BYTES: usize = CHUNK_ROWS * RECORD_BYTES;
 
 /// Encodes a row permutation as little-endian `u32`s with a checked
 /// narrowing per entry; `None` if any row position exceeds `u32::MAX`
@@ -112,30 +135,30 @@ pub fn write_segment(dir: &Path, name: &str, index: &ColumnIndex) -> Result<u64,
     }
     header.extend_from_slice(&crc32(&header).to_le_bytes());
 
-    let mut bytes = header;
-    for s in sections {
-        bytes.extend_from_slice(s);
-    }
-
     let tmp = dir.join(format!("{name}.tmp"));
     let path = dir.join(name);
-    std::fs::write(&tmp, &bytes).map_err(io_err("write segment temp", &tmp))?;
-    let f = std::fs::File::open(&tmp).map_err(io_err("reopen segment temp", &tmp))?;
+    let mut f = File::create(&tmp).map_err(io_err("create segment temp", &tmp))?;
+    let mut written = header.len();
+    f.write_all(&header).map_err(io_err("write segment temp", &tmp))?;
+    for s in sections {
+        f.write_all(s).map_err(io_err("write segment temp", &tmp))?;
+        written += s.len();
+    }
     f.sync_all().map_err(io_err("fsync segment temp", &tmp))?;
     drop(f);
     std::fs::rename(&tmp, &path).map_err(io_err("rename segment", &path))?;
     fsync_dir(dir)?;
-    Ok(u64::try_from(bytes.len()).unwrap_or(u64::MAX))
+    Ok(u64::try_from(written).unwrap_or(u64::MAX))
 }
 
 /// The validated accounting a segment header describes.
 struct HeaderInfo {
     /// Row count.
     n: usize,
-    /// Machine count.
-    m: usize,
     /// The section lengths in table order.
     lens: [usize; SECTIONS],
+    /// The section CRCs in table order.
+    crcs: [u32; SECTIONS],
     /// Total file size the header implies (header + sections).
     total: usize,
 }
@@ -165,10 +188,12 @@ fn parse_header(bytes: &[u8], expect_rows: u64) -> Result<HeaderInfo, String> {
     let m = usize::try_from(m64).map_err(|_| "machine count overflows usize")?;
 
     let mut lens = [0usize; SECTIONS];
-    for (i, len) in lens.iter_mut().enumerate() {
+    let mut crcs = [0u32; SECTIONS];
+    for (i, (len, crc)) in lens.iter_mut().zip(&mut crcs).enumerate() {
         let at = 28 + i * 12;
         *len = usize::try_from(codec::u64_at(bytes, at).ok_or("truncated header")?)
             .map_err(|_| "section length overflows usize")?;
+        *crc = codec::u32_at(bytes, at + 8).ok_or("truncated header")?;
     }
     let total: usize = lens
         .iter()
@@ -182,7 +207,33 @@ fn parse_header(bytes: &[u8], expect_rows: u64) -> Result<HeaderInfo, String> {
     if lens != expect_lens {
         return Err("section lengths disagree with row/machine counts".to_string());
     }
-    Ok(HeaderInfo { n, m, lens, total })
+    Ok(HeaderInfo { n, lens, crcs, total })
+}
+
+/// Opens segment `path` and validates its header against the file
+/// length. The outer `Err` is an I/O failure; the inner one names the
+/// corruption.
+fn open_segment(
+    path: &Path,
+    expect_rows: u64,
+) -> Result<Result<(File, HeaderInfo), String>, PersistError> {
+    let mut f = File::open(path).map_err(io_err("open segment", path))?;
+    let file_len = f.metadata().map_err(io_err("stat segment", path))?.len();
+    let mut header = [0u8; HEADER_BYTES];
+    if let Err(e) = f.read_exact(&mut header) {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            return Ok(Err("truncated header".to_string()));
+        }
+        return Err(io_err("read segment header", path)(e));
+    }
+    let info = match parse_header(&header, expect_rows) {
+        Ok(info) => info,
+        Err(reason) => return Ok(Err(reason)),
+    };
+    if u64::try_from(info.total).ok() != Some(file_len) {
+        return Ok(Err(format!("file is {file_len} bytes, sections describe {}", info.total)));
+    }
+    Ok(Ok((f, info)))
 }
 
 /// Validates segment `name`'s header without decoding the body: magic,
@@ -193,45 +244,33 @@ fn parse_header(bytes: &[u8], expect_rows: u64) -> Result<HeaderInfo, String> {
 /// the file exactly like a load failure.
 pub fn read_header(dir: &Path, name: &str, expect_rows: u64) -> Result<(), PersistError> {
     let path = dir.join(name);
-    let mut header = vec![0u8; HEADER_BYTES];
-    let outcome = (|| {
-        use std::io::Read;
-        let mut f = std::fs::File::open(&path).map_err(io_err("open segment", &path))?;
-        let file_len = f
-            .metadata()
-            .map_err(io_err("stat segment", &path))?
-            .len();
-        if let Err(e) = f.read_exact(&mut header) {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                return Ok(Err("truncated header".to_string()));
-            }
-            return Err(io_err("read segment header", &path)(e));
-        }
-        match parse_header(&header, expect_rows) {
-            Ok(info) => {
-                if u64::try_from(info.total).ok() != Some(file_len) {
-                    return Ok(Err(format!(
-                        "file is {file_len} bytes, sections describe {}",
-                        info.total
-                    )));
-                }
-                Ok(Ok(()))
-            }
-            Err(reason) => Ok(Err(reason)),
-        }
-    })();
-    match outcome {
-        Ok(Ok(())) => Ok(()),
-        Ok(Err(reason)) => Err(quarantine(dir, name, &path, reason)),
-        Err(io) => Err(io),
+    match open_segment(&path, expect_rows)? {
+        Ok(_) => Ok(()),
+        Err(reason) => Err(quarantine(dir, name, &path, reason)),
     }
 }
 
-/// Loads segment `name` from `dir`, verifying every checksum and the
-/// structural invariants, and expecting exactly `expect_rows` rows and
-/// the inclusive `expect_bounds` hour range (both recorded in the
-/// manifest). Corruption quarantines the file and returns a typed
-/// error; it never panics.
+/// Loads segment `name` from `dir` in one streaming pass, expecting
+/// exactly `expect_rows` rows and the inclusive `expect_bounds` hour
+/// range (both recorded in the manifest).
+///
+/// The header and the file length are validated first, as in
+/// [`read_header`]. Then the small machine table is read whole, and the
+/// records and the hour permutation stream through one reused buffer of
+/// [`CHUNK_ROWS`] records (~1 MiB); no buffer ever holds the whole
+/// image. Each chunk is checksummed on a scoped second thread while
+/// this thread decodes it into an [`IndexLoader`], which checks every
+/// structural invariant as the rows go by. Both read the same bytes, so
+/// everything decoded is also checksummed.
+///
+/// Errors are reported in a fixed order: a bad header or file length
+/// first; then the first section whose checksum mismatches ("section N
+/// checksum mismatch", even when its bytes also break a structural
+/// check); then the first structural violation ("index invariants
+/// violated: …"); then hour bounds that disagree with the manifest. A
+/// read that comes up short after the length check means the file
+/// changed underfoot and is reported the same way. Corruption
+/// quarantines the file and returns a typed error; it never panics.
 pub fn load_segment(
     dir: &Path,
     name: &str,
@@ -239,8 +278,7 @@ pub fn load_segment(
     expect_bounds: (u64, u64),
 ) -> Result<ColumnIndex, PersistError> {
     let path = dir.join(name);
-    let bytes = std::fs::read(&path).map_err(io_err("read segment", &path))?;
-    let checked = parse_segment(&bytes, expect_rows).and_then(|index| {
+    let checked = read_segment(&path, expect_rows)?.and_then(|index| {
         let got = index.hours.first().copied().zip(index.hours.last().copied());
         if got == Some(expect_bounds) {
             Ok(index)
@@ -252,47 +290,99 @@ pub fn load_segment(
     checked.map_err(|reason| quarantine(dir, name, &path, reason))
 }
 
-/// Parses and validates a whole segment image. `Err` carries the
-/// human-readable reason; the caller turns it into a quarantine.
-fn parse_segment(bytes: &[u8], expect_rows: u64) -> Result<ColumnIndex, String> {
-    let HeaderInfo { n, m, lens, total } = parse_header(bytes, expect_rows)?;
-    if bytes.len() != total {
-        return Err(format!("file is {} bytes, sections describe {total}", bytes.len()));
-    }
-    // Section CRCs from the (already-validated) descriptors.
-    let mut crcs = [0u32; SECTIONS];
-    for (i, crc) in crcs.iter_mut().enumerate() {
-        *crc = codec::u32_at(bytes, 28 + i * 12 + 8).ok_or("truncated header")?;
-    }
-    let mut sections = [&[] as &[u8]; SECTIONS];
-    let mut at = HEADER_BYTES;
-    for ((sec, &len), (i, &crc)) in
-        sections.iter_mut().zip(&lens).zip(crcs.iter().enumerate())
-    {
-        let s = bytes.get(at..at + len).ok_or("truncated section")?;
-        if crc32(s) != crc {
-            return Err(format!("section {i} checksum mismatch"));
+/// The streaming pass of [`load_segment`], without the manifest's hour
+/// bounds (an empty run has none). The outer `Err` is an I/O failure;
+/// the inner one names the corruption.
+fn read_segment(path: &Path, expect_rows: u64) -> Result<Result<ColumnIndex, String>, PersistError> {
+    let (file, info) = match open_segment(path, expect_rows)? {
+        Ok(opened) => opened,
+        Err(reason) => return Ok(Err(reason)),
+    };
+    match read_body(file, &info) {
+        Ok(checked) => Ok(checked),
+        // The file length was checked at open, so a short read means
+        // the file changed underfoot.
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            Ok(Err("file shrank while loading".to_string()))
         }
-        *sec = s;
-        at += len;
+        Err(e) => Err(io_err("read segment", path)(e)),
     }
-    let [records_b, machines_b, hour_b] = sections;
+}
 
-    let sorted = codec::decode_records(records_b, n).ok_or("record section malformed")?;
+/// Reads, checksums, decodes and validates the three sections behind a
+/// validated header.
+fn read_body(mut file: File, info: &HeaderInfo) -> std::io::Result<Result<ColumnIndex, String>> {
+    let [records_len, machines_len, hours_len] = info.lens;
+
+    // The machine table first: every record is checked against it.
+    seek_to(&mut file, HEADER_BYTES + records_len)?;
+    let mut machines_b = vec![0u8; machines_len];
+    file.read_exact(&mut machines_b)?;
     let machines: Vec<MachineId> = machines_b
         .chunks_exact(4)
         .filter_map(|c| codec::u32_at(c, 0).map(MachineId))
         .collect();
-    if machines.len() != m {
-        return Err("machine section malformed".to_string());
-    }
-    let hour_order: Vec<usize> = hour_b
-        .chunks_exact(4)
-        .filter_map(|c| codec::u32_at(c, 0).map(|v| v as usize))
-        .collect();
+    let mut loader = IndexLoader::new(info.n, machines);
 
-    ColumnIndex::from_persisted(sorted, machines, hour_order)
-        .ok_or_else(|| "index invariants violated (unsorted rows or bad permutation)".to_string())
+    seek_to(&mut file, HEADER_BYTES)?;
+    let mut buf = Vec::new();
+    let records_crc = stream_section(&mut file, &mut buf, records_len, |chunk| {
+        loader.push_records(chunk.chunks_exact(RECORD_BYTES).filter_map(codec::decode_record))
+    })?;
+    seek_to(&mut file, HEADER_BYTES + records_len + machines_len)?;
+    let hours_crc = stream_section(&mut file, &mut buf, hours_len, |chunk| {
+        loader.push_hour_rows(
+            chunk.chunks_exact(4).filter_map(|c| codec::u32_at(c, 0)).map(|row| row as usize),
+        )
+    })?;
+
+    // A damaged section is named as such, ahead of whatever structural
+    // violation its bytes caused.
+    let got = [records_crc, crc32(&machines_b), hours_crc];
+    if let Some(i) = got.iter().zip(&info.crcs).position(|(got, want)| got != want) {
+        return Ok(Err(format!("section {i} checksum mismatch")));
+    }
+    Ok(loader.finish())
+}
+
+/// Positions `file` at byte `at`.
+fn seek_to(file: &mut File, at: usize) -> std::io::Result<()> {
+    let at = u64::try_from(at).map_err(std::io::Error::other)?;
+    file.seek(SeekFrom::Start(at)).map(|_| ())
+}
+
+/// Streams the next `len` bytes of `file` through `buf`, at most
+/// [`CHUNK_BYTES`] at a time, and returns their CRC-32. Each chunk goes
+/// to `each` on this thread while a scoped thread extends the CRC over
+/// the same bytes; the next read waits for both. One path on every
+/// host: on a single CPU the two take turns, and the spawn per ~1 MiB
+/// costs microseconds. A thread the OS refuses to create is an I/O
+/// error, not a panic.
+fn stream_section(
+    file: &mut File,
+    buf: &mut Vec<u8>,
+    len: usize,
+    mut each: impl FnMut(&[u8]),
+) -> std::io::Result<u32> {
+    let mut crc = 0;
+    let mut left = len;
+    while left > 0 {
+        let take = left.min(CHUNK_BYTES);
+        buf.resize(take, 0);
+        file.read_exact(buf)?;
+        let chunk: &[u8] = buf;
+        crc = std::thread::scope(|scope| -> std::io::Result<u32> {
+            let checksum = std::thread::Builder::new()
+                .spawn_scoped(scope, move || crc32_update(crc, chunk))?;
+            each(chunk);
+            match checksum.join() {
+                Ok(crc) => Ok(crc),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })?;
+        left -= take;
+    }
+    Ok(crc)
 }
 
 /// Renames a corrupt file to `<name>.quarantine` (best-effort; the
@@ -339,21 +429,107 @@ mod tests {
         dir
     }
 
+    /// Asserts `back` equals `index` table by table and column by column.
+    fn assert_same_index(back: &ColumnIndex, index: &ColumnIndex) {
+        assert_eq!(back.sorted, index.sorted);
+        assert_eq!(back.groups, index.groups);
+        assert_eq!(back.group_offsets, index.group_offsets);
+        assert_eq!(back.machines, index.machines);
+        assert_eq!(back.machine_dense, index.machine_dense);
+        assert_eq!(back.hours, index.hours);
+        assert_eq!(back.hour_order, index.hour_order);
+        assert_eq!(back.hour_offsets, index.hour_offsets);
+        for m in Metric::ALL {
+            assert_eq!(back.column(m), index.column(m), "{m}");
+        }
+    }
+
     #[test]
     fn write_then_load_is_identical() {
         let dir = tmpdir("roundtrip");
         let index = ColumnIndex::build(records(500));
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         let back = load_segment(&dir, "seg-000001.kseg", 500, (0, 71)).unwrap();
-        assert_eq!(back.sorted, index.sorted);
-        assert_eq!(back.machines, index.machines);
-        assert_eq!(back.machine_dense, index.machine_dense);
-        assert_eq!(back.hour_order, index.hour_order);
-        for m in Metric::ALL {
-            assert_eq!(back.column(m), index.column(m), "{m}");
+        assert_same_index(&back, &index);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Segments on either side of every chunk boundary load back equal
+    /// to a fresh build: one row, one chunk less one row, exactly one
+    /// chunk, one past it, several chunks and a partial one, and a
+    /// permutation section too long for one chunk.
+    #[test]
+    fn chunk_boundaries_roundtrip() {
+        let dir = tmpdir("chunks");
+        for n in [
+            1,
+            CHUNK_ROWS - 1,
+            CHUNK_ROWS,
+            CHUNK_ROWS + 1,
+            3 * CHUNK_ROWS + 17,
+            CHUNK_BYTES / 4 + 1,
+        ] {
+            let index = ColumnIndex::build(records(n as u64));
+            let name = format!("seg-{n}.kseg");
+            write_segment(&dir, &name, &index).unwrap();
+            let bounds = (index.hours[0], *index.hours.last().unwrap());
+            let back = load_segment(&dir, &name, n as u64, bounds).unwrap();
+            assert_same_index(&back, &index);
         }
-        assert_eq!(back.group_offsets, index.group_offsets);
-        assert_eq!(back.hour_offsets, index.hour_offsets);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Loads `bytes` as segment `name` and asserts it is refused for a
+    /// checksum mismatch in `section`, and quarantined.
+    fn assert_checksum_refused(dir: &Path, name: &str, bytes: &[u8], rows: u64, section: usize) {
+        std::fs::write(dir.join(name), bytes).unwrap();
+        match load_segment(dir, name, rows, (0, u64::MAX)).unwrap_err() {
+            PersistError::Corrupt { reason, .. } => assert!(
+                reason.contains(&format!("section {section} checksum mismatch")),
+                "{name}: {reason}"
+            ),
+            other => panic!("{name}: expected Corrupt, got {other}"),
+        }
+        assert!(dir.join(format!("{name}.quarantine")).exists(), "{name}");
+        assert!(!dir.join(name).exists(), "{name}");
+    }
+
+    /// Every chunk is checksummed, and a checksum mismatch is reported
+    /// ahead of the structural violation the same flipped byte causes.
+    #[test]
+    fn flips_in_any_chunk_report_their_section_checksum() {
+        let dir = tmpdir("chunk-flips");
+        let n = 3 * CHUNK_ROWS + 17;
+        let index = ColumnIndex::build(records(n as u64));
+        write_segment(&dir, "seg-000001.kseg", &index).unwrap();
+        let bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
+        let machines_at = HEADER_BYTES + n * RECORD_BYTES;
+        let hours_at = machines_at + index.machines.len() * 4;
+        // A byte of a metric value (records' bytes 15.. are metrics).
+        let metric_byte = |row: usize| HEADER_BYTES + row * RECORD_BYTES + 40;
+        let flips = [
+            (0, metric_byte(0)),
+            (0, metric_byte(CHUNK_ROWS + CHUNK_ROWS / 2)),
+            (0, metric_byte(n - 1)),
+            // Machine 0 becomes 256: missing from the records, too.
+            (1, machines_at + 1),
+            // A permutation entry jumps past the row count, too.
+            (2, hours_at + 2),
+        ];
+        for (i, (section, at)) in flips.into_iter().enumerate() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x01;
+            assert_checksum_refused(&dir, &format!("flip-{i}.kseg"), &flipped, n as u64, section);
+        }
+
+        // A record's hour jumps by 2^40, past its successor in the same
+        // group: out of order and checksum-broken at once.
+        let row = (CHUNK_ROWS..n - 1)
+            .find(|&r| index.sorted[r].group == index.sorted[r + 1].group)
+            .unwrap();
+        let mut flipped = bytes.clone();
+        flipped[HEADER_BYTES + row * RECORD_BYTES + 7 + 5] ^= 0x01;
+        assert_checksum_refused(&dir, "hour-flip.kseg", &flipped, n as u64, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -423,9 +599,10 @@ mod tests {
         let index = ColumnIndex::build(Vec::new());
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
         read_header(&dir, "seg-000001.kseg", 0).unwrap();
-        let bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
-        let back = parse_segment(&bytes, 0).unwrap();
+        let back = read_segment(&dir.join("seg-000001.kseg"), 0).unwrap().unwrap();
         assert!(back.sorted.is_empty());
+        assert!(back.machines.is_empty() && back.hour_order.is_empty());
+        assert_eq!((back.group_offsets, back.hour_offsets), (vec![0], vec![0]));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -469,6 +646,89 @@ mod tests {
             assert!(dir.join(format!("{name}.quarantine")).exists(), "at byte {at}");
             assert!(!dir.join(&name).exists());
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes `index` — every section checksum valid — and asserts the
+    /// load refuses it as an inconsistent index and quarantines it.
+    fn assert_invariant_refused(dir: &Path, name: &str, index: &ColumnIndex, bounds: (u64, u64)) {
+        write_segment(dir, name, index).unwrap();
+        let rows = index.sorted.len() as u64;
+        match load_segment(dir, name, rows, bounds).unwrap_err() {
+            PersistError::Corrupt { reason, .. } => {
+                assert!(reason.contains("index invariants violated"), "{name}: {reason}")
+            }
+            other => panic!("{name}: expected Corrupt, got {other}"),
+        }
+        assert!(dir.join(format!("{name}.quarantine")).exists(), "{name}");
+        assert!(!dir.join(name).exists(), "{name}");
+    }
+
+    /// Each structural invariant `load_segment` enforces, violated alone
+    /// in a segment whose checksums all hold.
+    #[test]
+    fn checksummed_but_inconsistent_index_is_refused() {
+        let dir = tmpdir("invariants");
+        let index = ColumnIndex::build(records(300)); // hours 0..=42, machines 0..7
+        let bounds = (0, 42);
+
+        // Two `sorted` rows swapped out of `(group, hour, machine)` order.
+        let mut unsorted = index.clone();
+        let at = (1..unsorted.sorted.len())
+            .find(|&i| {
+                let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
+                key(&unsorted.sorted[i - 1]) < key(&unsorted.sorted[i])
+            })
+            .unwrap();
+        unsorted.sorted.swap(at - 1, at);
+        assert_invariant_refused(&dir, "unsorted.kseg", &unsorted, bounds);
+
+        // A duplicate `hour_order` entry (so some row is never listed).
+        let mut dup = index.clone();
+        dup.hour_order[1] = dup.hour_order[0];
+        assert_invariant_refused(&dir, "dup.kseg", &dup, bounds);
+
+        // An `hour_order` entry past the row count.
+        let mut past = index.clone();
+        let n = past.sorted.len();
+        *past.hour_order.last_mut().unwrap() = n;
+        assert_invariant_refused(&dir, "past.kseg", &past, bounds);
+
+        // `hour_order` still a permutation, but out of `(hour, machine)`
+        // order.
+        let mut misordered = index.clone();
+        let last = misordered.hour_order.len() - 1;
+        misordered.hour_order.swap(0, last);
+        assert_invariant_refused(&dir, "misordered.kseg", &misordered, bounds);
+
+        // A phantom machine no row references.
+        let mut phantom = index.clone();
+        phantom.machines.push(MachineId(1_000));
+        assert_invariant_refused(&dir, "phantom.kseg", &phantom, bounds);
+
+        // A row's machine missing from the machine table.
+        let mut missing = index.clone();
+        missing.machines.retain(|&m| m != MachineId(3));
+        assert_invariant_refused(&dir, "missing.kseg", &missing, bounds);
+
+        // The machine table not strictly ascending.
+        let mut descending = index.clone();
+        descending.machines.swap(0, 1);
+        assert_invariant_refused(&dir, "descending.kseg", &descending, bounds);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bytes `write_segment` produces are pinned: the file written
+    /// from a fixed 300-row index has the length and CRC-32 below.
+    #[test]
+    fn segment_bytes_are_pinned() {
+        let dir = tmpdir("golden");
+        let index = ColumnIndex::build(records(300));
+        let written = write_segment(&dir, "seg-000001.kseg", &index).unwrap();
+        let bytes = std::fs::read(dir.join("seg-000001.kseg")).unwrap();
+        assert_eq!(written, bytes.len() as u64);
+        assert_eq!((bytes.len(), crc32(&bytes)), (39_396, 0x4276_AFF6));
         std::fs::remove_dir_all(&dir).ok();
     }
 

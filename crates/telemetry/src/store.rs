@@ -179,10 +179,11 @@ impl Clone for TelemetryStore {
     }
 }
 
-/// The sealed columnar layout. Built by [`ColumnIndex::build`] (sort) or
-/// [`ColumnIndex::merge`] (linear compaction of two sorted runs);
-/// immutable afterwards, except that each metric column is filled once,
-/// on first use ([`ColumnIndex::column`]). All `Vec<usize>` offset
+/// The sealed columnar layout. Built by [`ColumnIndex::build`] (sort),
+/// [`ColumnIndex::merge`] (linear compaction of two sorted runs) or
+/// [`IndexLoader`] (a segment streaming off disk); immutable
+/// afterwards, except that each metric column is filled once, on first
+/// use ([`ColumnIndex::column`]). All `Vec<usize>` offset
 /// tables follow the CSR convention: `offsets.len() == keys.len() + 1`
 /// and key `i` owns rows `offsets[i]..offsets[i + 1]`.
 //
@@ -278,87 +279,6 @@ impl ColumnIndex {
             hour_offsets,
             columns: Default::default(),
         }
-    }
-
-    /// Rebuilds an index from the three core tables a segment file
-    /// persists, re-deriving every other table and validating the
-    /// structural invariants the query paths rely on. Returns `None` on
-    /// any violation — a segment that decodes byte-exactly but encodes
-    /// an inconsistent index (hand-edited, or written by a buggy
-    /// future version) must be rejected, not queried.
-    ///
-    /// Persisting only `sorted`, `machines`, and the hour permutation
-    /// keeps segments near-dump-speed to write while the O(n) rebuild
-    /// here stays far cheaper than the O(n log n) sorts that dominate
-    /// [`ColumnIndex::build`].
-    pub(crate) fn from_persisted(
-        sorted: Vec<MachineHourRecord>,
-        machines: Vec<MachineId>,
-        hour_order: Vec<usize>,
-    ) -> Option<Self> {
-        let n = sorted.len();
-        let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
-        if !sorted.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
-            return None;
-        }
-        // The machine list must be the exact distinct set: strictly
-        // ascending, and every row's machine resolvable to a dense id.
-        if !machines.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        let mut machine_dense = Vec::with_capacity(n);
-        for r in &sorted {
-            let dense = machines.partition_point(|m| *m < r.machine);
-            if machines.get(dense) != Some(&r.machine) {
-                return None;
-            }
-            machine_dense.push(dense as u32);
-        }
-        // No phantom machines: every interned id is referenced by a row.
-        let mut machine_seen = vec![false; machines.len()];
-        for &d in &machine_dense {
-            if let Some(slot) = machine_seen.get_mut(d as usize) {
-                *slot = true;
-            }
-        }
-        if !machine_seen.iter().all(|&s| s) {
-            return None;
-        }
-
-        // The hour ordering must be a true permutation of row positions,
-        // sorted by `(hour, machine)`.
-        if hour_order.len() != n {
-            return None;
-        }
-        let mut seen = vec![false; n];
-        for &row in &hour_order {
-            match seen.get_mut(row) {
-                Some(slot) if !*slot => *slot = true,
-                _ => return None,
-            }
-        }
-        if !hour_order
-            .windows(2)
-            .all(|w| (sorted[w[0]].hour, sorted[w[0]].machine) <= (sorted[w[1]].hour, sorted[w[1]].machine))
-        {
-            return None;
-        }
-
-        // Past validation the derivations mirror `from_sorted`.
-        let (groups, group_offsets) = group_runs(&sorted);
-        let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
-
-        Some(ColumnIndex {
-            sorted,
-            groups,
-            group_offsets,
-            machines,
-            machine_dense,
-            hours,
-            hour_order,
-            hour_offsets,
-            columns: Default::default(),
-        })
     }
 
     /// Compacts two sealed indexes into one in `O(n + d)`: every table is
@@ -495,44 +415,240 @@ impl ColumnIndex {
     }
 }
 
-/// Distinct-group list and CSR offsets of group-major sorted records.
-fn group_runs(sorted: &[MachineHourRecord]) -> (Vec<GroupKey>, Vec<usize>) {
-    let mut groups = Vec::new();
-    let mut offsets = vec![0];
-    for (row, r) in sorted.iter().enumerate() {
-        if groups.last() != Some(&r.group) {
-            if !groups.is_empty() {
-                offsets.push(row);
+/// The distinct keys of a key-ordered sequence and their CSR offsets,
+/// collected as the keys stream by.
+struct Runs<K> {
+    keys: Vec<K>,
+    offsets: Vec<usize>,
+}
+
+impl<K: Copy + PartialEq> Runs<K> {
+    fn new() -> Self {
+        Runs { keys: Vec::new(), offsets: vec![0] }
+    }
+
+    /// Notes that position `pos` of the sequence holds `key`.
+    fn push(&mut self, pos: usize, key: K) {
+        if self.keys.last() != Some(&key) {
+            if !self.keys.is_empty() {
+                self.offsets.push(pos);
             }
-            groups.push(r.group);
+            self.keys.push(key);
         }
     }
-    offsets.push(sorted.len());
-    if groups.is_empty() {
-        offsets = vec![0];
+
+    /// The distinct keys and their offsets over all `len` positions.
+    fn finish(mut self, len: usize) -> (Vec<K>, Vec<usize>) {
+        if !self.keys.is_empty() {
+            self.offsets.push(len);
+        }
+        (self.keys, self.offsets)
     }
-    (groups, offsets)
+}
+
+/// Distinct-group list and CSR offsets of group-major sorted records.
+fn group_runs(sorted: &[MachineHourRecord]) -> (Vec<GroupKey>, Vec<usize>) {
+    let mut runs = Runs::new();
+    for (row, r) in sorted.iter().enumerate() {
+        runs.push(row, r.group);
+    }
+    runs.finish(sorted.len())
 }
 
 /// Distinct-hour list and CSR offsets of an `(hour, machine)`-ordered
 /// row permutation.
 fn hour_runs(sorted: &[MachineHourRecord], hour_order: &[usize]) -> (Vec<u64>, Vec<usize>) {
-    let mut hours = Vec::new();
-    let mut offsets = vec![0];
+    let mut runs = Runs::new();
     for (pos, &row) in hour_order.iter().enumerate() {
-        let h = sorted[row].hour;
-        if hours.last() != Some(&h) {
-            if !hours.is_empty() {
-                offsets.push(pos);
-            }
-            hours.push(h);
+        runs.push(pos, sorted[row].hour);
+    }
+    runs.finish(hour_order.len())
+}
+
+/// Rebuilds a [`ColumnIndex`] from the three tables a segment persists
+/// — the sorted records, the machine table and the hour permutation —
+/// as they stream off disk, deriving every other table and checking
+/// every structural invariant the query paths rely on in the same
+/// pass. A segment that decodes byte-exactly but encodes an
+/// inconsistent index (hand-edited, or written by a buggy future
+/// version) is refused, never queried.
+///
+/// Persisting only those three tables keeps a segment near-dump-speed
+/// to write, and the derivation is one O(n) pass, far cheaper than the
+/// sorts of [`ColumnIndex::build`]: group runs and dense machine ids as
+/// the records arrive, hour runs as the permutation arrives.
+///
+/// Feed it the machine table ([`IndexLoader::new`]), then every record
+/// in file order ([`IndexLoader::push_records`]), then every
+/// permutation entry ([`IndexLoader::push_hour_rows`]), in chunks of
+/// any size. The first violation is kept and later pushes are ignored,
+/// so the caller can finish reading (and checksumming) the file before
+/// [`IndexLoader::finish`] reports it.
+pub(crate) struct IndexLoader {
+    /// Row count the segment header promises.
+    n: usize,
+    sorted: Vec<MachineHourRecord>,
+    groups: Runs<GroupKey>,
+    machines: Vec<MachineId>,
+    machine_dense: Vec<u32>,
+    /// Dense id of the previous row's machine. Within a `(group, hour)`
+    /// block machines ascend, so the next row's machine is usually at or
+    /// just past it; a binary search covers the rest.
+    cursor: usize,
+    /// Which interned machines some row references, and how many.
+    machine_seen: Vec<bool>,
+    machines_seen: usize,
+    hour_order: Vec<usize>,
+    hours: Runs<u64>,
+    /// Which rows the permutation has listed.
+    row_seen: Vec<bool>,
+    /// The first violation found.
+    fault: Option<String>,
+}
+
+impl IndexLoader {
+    /// A loader for `n` rows over the machine table `machines`, which
+    /// must be strictly ascending (the exact distinct set, checked as the
+    /// rows arrive).
+    pub(crate) fn new(n: usize, machines: Vec<MachineId>) -> Self {
+        let fault = (!machines.windows(2).all(|w| w[0] < w[1]))
+            .then(|| "machine table not strictly ascending".to_string());
+        IndexLoader {
+            n,
+            sorted: Vec::with_capacity(n),
+            groups: Runs::new(),
+            machine_seen: vec![false; machines.len()],
+            machines,
+            machine_dense: Vec::with_capacity(n),
+            cursor: 0,
+            machines_seen: 0,
+            hour_order: Vec::with_capacity(n),
+            hours: Runs::new(),
+            row_seen: vec![false; n],
+            fault,
         }
     }
-    offsets.push(hour_order.len());
-    if hours.is_empty() {
-        offsets = vec![0];
+
+    /// Takes the next records of `sorted`: each must not sort before its
+    /// predecessor by `(group, hour, machine)`, and its machine must be
+    /// in the machine table.
+    pub(crate) fn push_records(&mut self, records: impl IntoIterator<Item = MachineHourRecord>) {
+        if self.fault.is_some() {
+            return;
+        }
+        let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
+        for r in records {
+            let row = self.sorted.len();
+            if self.sorted.last().is_some_and(|prev| key(prev) > key(&r)) {
+                self.fault = Some(format!("row {row} out of (group, hour, machine) order"));
+                return;
+            }
+            let dense = if self.machines.get(self.cursor) == Some(&r.machine) {
+                self.cursor
+            } else if self.machines.get(self.cursor + 1) == Some(&r.machine) {
+                self.cursor + 1
+            } else {
+                let dense = self.machines.partition_point(|m| *m < r.machine);
+                if self.machines.get(dense) != Some(&r.machine) {
+                    self.fault = Some(format!(
+                        "row {row}'s machine {} missing from the machine table",
+                        r.machine.0
+                    ));
+                    return;
+                }
+                dense
+            };
+            if let Some(seen) = self.machine_seen.get_mut(dense) {
+                if !*seen {
+                    *seen = true;
+                    self.machines_seen += 1;
+                }
+            }
+            self.cursor = dense;
+            // Dense ids fit u32 because MachineId wraps a u32 and the
+            // table is strictly ascending.
+            self.machine_dense.push(dense as u32);
+            self.groups.push(row, r.group);
+            self.sorted.push(r);
+        }
     }
-    (hours, offsets)
+
+    /// Takes the next entries of the hour permutation, after every
+    /// record: each must name a row not listed before, in `(hour,
+    /// machine)` order.
+    pub(crate) fn push_hour_rows(&mut self, rows: impl IntoIterator<Item = usize>) {
+        if self.fault.is_some() {
+            return;
+        }
+        for row in rows {
+            let pos = self.hour_order.len();
+            let Some(r) = self.sorted.get(row) else {
+                self.fault = Some(format!(
+                    "hour permutation entry {row} past the {} rows",
+                    self.sorted.len()
+                ));
+                return;
+            };
+            match self.row_seen.get_mut(row) {
+                Some(seen) if !*seen => *seen = true,
+                _ => {
+                    self.fault = Some(format!("hour permutation lists row {row} twice"));
+                    return;
+                }
+            }
+            if let Some(p) = self.hour_order.last().and_then(|&prev| self.sorted.get(prev)) {
+                if (p.hour, p.machine) > (r.hour, r.machine) {
+                    self.fault = Some(format!(
+                        "hour permutation out of (hour, machine) order at position {pos}"
+                    ));
+                    return;
+                }
+            }
+            self.hours.push(pos, r.hour);
+            self.hour_order.push(row);
+        }
+    }
+
+    /// The index, or the first violation: besides what the pushes
+    /// checked, every row and every permutation entry must have arrived,
+    /// and every interned machine must be referenced by some row (no
+    /// phantom machines).
+    pub(crate) fn finish(self) -> Result<ColumnIndex, String> {
+        let fault = self.fault.or_else(|| {
+            if self.sorted.len() != self.n || self.hour_order.len() != self.n {
+                Some(format!(
+                    "{} rows and {} permutation entries, header says {}",
+                    self.sorted.len(),
+                    self.hour_order.len(),
+                    self.n
+                ))
+            } else if self.machines_seen != self.machines.len() {
+                Some(format!(
+                    "{} of {} interned machines referenced by no row",
+                    self.machines.len() - self.machines_seen,
+                    self.machines.len()
+                ))
+            } else {
+                None
+            }
+        });
+        if let Some(fault) = fault {
+            return Err(format!("index invariants violated: {fault}"));
+        }
+        let (groups, group_offsets) = self.groups.finish(self.n);
+        let (hours, hour_offsets) = self.hours.finish(self.n);
+        Ok(ColumnIndex {
+            sorted: self.sorted,
+            groups,
+            group_offsets,
+            machines: self.machines,
+            machine_dense: self.machine_dense,
+            hours,
+            hour_order: self.hour_order,
+            hour_offsets,
+            columns: Default::default(),
+        })
+    }
 }
 
 /// Merge two sorted, deduplicated key lists into one.
@@ -769,6 +885,11 @@ impl TelemetryStore {
     /// Queries on a degraded store serve the surviving runs (the bad
     /// segment is quarantined and its run reads as empty); this is how
     /// a caller distinguishes that state from a clean one.
+    ///
+    /// Runs load one after another, each in one streaming pass over its
+    /// segment: ~1 MiB chunks are checksummed on a second core while
+    /// this thread decodes them and checks every index invariant, so a
+    /// restart pays roughly one read and one decode of its history.
     pub fn verify(&self) -> Result<(), persist::PersistError> {
         for run in &self.runs {
             let _ = self.run_side(run);
