@@ -6,20 +6,16 @@
 //!   86k-row append that a cold backfill pays.
 //! * `telemetry_persist`: restart cost at the monitor-window size
 //!   (86,016 rows). `segment_load_86k` opens a directory whose sealed
-//!   run was spilled to a segment file and decodes it (`open`, then
-//!   `verify()`: segment bodies decode lazily, so `open` alone would
-//!   time only manifest and header validation). `csv_reingest_86k`
+//!   run was spilled to a segment file, which loads and checks it in
+//!   full. `csv_reingest_86k`
 //!   re-parses the same records from CSV and rebuilds the index from
 //!   scratch; `recovery_with_wal_tail` adds a 256-row WAL tail on top
 //!   of the segment to show replay cost is marginal.
 //!
 //! * `telemetry_retention`: month-scale retention (30 days × 256
 //!   machines = 184,320 rows, ingested day by day so the ladder leaves
-//!   a multi-segment directory). `day_query_pruned` opens the store and
-//!   answers a one-day windowed roll-up — hour-bound pruning decodes
-//!   only the segment(s) covering that day; `day_query_full_load`
-//!   forces every segment resident first (the open-everything restart
-//!   the pruning replaces; acceptance bar: pruned ≥5× faster);
+//!   a multi-segment directory). `day_query_full_load` opens the store,
+//!   which loads every segment, and answers a one-day windowed roll-up;
 //!   `rotate_spill_one_day` seals + syncs one new day against the month
 //!   of history, timing a rotation whose write amplification is bounded
 //!   to the new run (asserted: unchanged segments are not rewritten).
@@ -190,11 +186,7 @@ fn bench_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_persist");
     group.sample_size(20);
     group.bench_function("segment_load_86k", |b| {
-        b.iter(|| {
-            let store = TelemetryStore::open(black_box(&seg_scratch.0)).expect("recover segment");
-            store.verify().expect("decode segment");
-            store
-        })
+        b.iter(|| TelemetryStore::open(black_box(&seg_scratch.0)).expect("recover segment"))
     });
     group.bench_function("csv_reingest_86k", |b| {
         b.iter(|| {
@@ -203,11 +195,7 @@ fn bench_recovery(c: &mut Criterion) {
         })
     });
     group.bench_function("recovery_with_wal_tail", |b| {
-        b.iter(|| {
-            let store = TelemetryStore::open(black_box(&tail_scratch.0)).expect("recover tail");
-            store.verify().expect("decode segment");
-            store
-        })
+        b.iter(|| TelemetryStore::open(black_box(&tail_scratch.0)).expect("recover tail"))
     });
     group.finish();
 }
@@ -244,36 +232,23 @@ fn bench_retention(c: &mut Criterion) {
     let day_start = (MONTH_DAYS - 1) * 24;
     let day_end = MONTH_DAYS * 24;
 
-    // Sanity before timing: pruning must not change answers, and the
-    // final day must be answerable without decoding the whole month.
+    // Sanity before timing: the fixture is multi-segment and the final
+    // day has roll-ups.
     {
         let store = TelemetryStore::open(&month_scratch.0).expect("reopen month store");
         assert_eq!(store.len(), MONTH_DAYS as usize * ROWS_PER_DAY);
         assert!(store.run_count() > 1, "month fixture must be multi-segment");
         let windowed = daily_group_aggregates_window(&store, day_start, day_end);
         assert!(!windowed.is_empty(), "final day must produce roll-ups");
-        assert!(
-            store.resident_runs() < store.run_count(),
-            "one-day query must leave most segments undecoded"
-        );
     }
 
     let mut group = c.benchmark_group("telemetry_retention");
     group.sample_size(20);
-    // Restart + one-day roll-up, hour-bound pruning live: only the
-    // segment(s) whose bounds intersect the final day are decoded.
-    group.bench_function("day_query_pruned", |b| {
-        b.iter(|| {
-            let store = TelemetryStore::open(black_box(&month_scratch.0)).expect("open month");
-            black_box(daily_group_aggregates_window(&store, day_start, day_end))
-        })
-    });
-    // The open-everything restart this PR replaces: force every segment
-    // resident (what eager recovery paid), then the same roll-up.
+    // Restart + one-day roll-up: open loads every segment, then the
+    // window's hour bounds pick the runs the roll-up reads.
     group.bench_function("day_query_full_load", |b| {
         b.iter(|| {
             let store = TelemetryStore::open(black_box(&month_scratch.0)).expect("open month");
-            store.verify().expect("decode every segment");
             black_box(daily_group_aggregates_window(&store, day_start, day_end))
         })
     });

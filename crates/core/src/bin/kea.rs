@@ -15,7 +15,7 @@
 //! Run `kea <command> --help` (or no args) for per-command flags. Every
 //! command is deterministic given `--seed`.
 
-use kea_core::apps::power_capping::{run_power_capping, Arm, PowerCappingParams};
+use kea_core::apps::power_capping::{run_power_capping, PowerCappingParams};
 use kea_core::apps::queue_tuning::{run_queue_tuning, QueueTuningParams};
 use kea_core::apps::sc_selection::{run_sc_selection, ScSelectionParams};
 use kea_core::apps::sku_design::{run_sku_design, CostModel, SkuDesignParams};
@@ -103,16 +103,10 @@ fn cluster_by_name(name: &str) -> Result<ClusterSpec, String> {
 
 /// Loads telemetry from either a CSV file or a durable store directory
 /// (WAL + segments); a directory path selects crash recovery via
-/// `TelemetryStore::open`, anything else is parsed as CSV. Segment
-/// bodies decode lazily, so a one-shot CLI run verifies them up front:
-/// a corrupt segment must fail here with the typed error, not surface
-/// as silently missing rows mid-analysis.
+/// `TelemetryStore::open`, anything else is parsed as CSV.
 fn load_telemetry(path: &str) -> Result<TelemetryStore, String> {
     if std::path::Path::new(path).is_dir() {
-        let store =
-            TelemetryStore::open(path).map_err(|e| format!("recover {path}: {e}"))?;
-        store.verify().map_err(|e| format!("recover {path}: {e}"))?;
-        return Ok(store);
+        return TelemetryStore::open(path).map_err(|e| format!("recover {path}: {e}"));
     }
     let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     read_csv(BufReader::new(file)).map_err(|e| format!("read {path}: {e}"))
@@ -479,6 +473,5 @@ fn cmd_value(raw: &[String]) -> Result<(), String> {
         gain_pct,
         v.total_per_year / 1e6
     );
-    let _ = Arm::A; // silence unused-import lint in minimal builds
     Ok(())
 }

@@ -39,14 +39,14 @@
 //!
 //! ```
 //! use kea_core::monitor::PerformanceMonitor;
-//! use kea_core::whatif::{FitMethod, WhatIfEngine};
+//! use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
 //! use kea_sim::{run, ClusterSpec, SimConfig};
 //!
 //! // Observe a (simulated) cluster for two days.
 //! let out = run(&SimConfig::baseline(ClusterSpec::tiny(), 48, 7));
 //! // Calibrate the What-if Engine from telemetry alone.
 //! let monitor = PerformanceMonitor::new(&out.telemetry);
-//! let engine = WhatIfEngine::fit(&monitor, FitMethod::Huber, 4).unwrap();
+//! let engine = WhatIfEngine::fit_at(&monitor, FitMethod::Huber, Granularity::Daily, 4).unwrap();
 //! // Ask a what-if question: utilization at 10 containers per machine.
 //! let group = engine.groups().next().unwrap().group;
 //! let (util, tasks_per_hour, latency) = engine.predict(group, 10.0).unwrap();

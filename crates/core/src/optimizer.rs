@@ -654,7 +654,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::monitor::PerformanceMonitor;
-    use crate::whatif::FitMethod;
+    use crate::whatif::{FitMethod, Granularity};
     use kea_telemetry::{
         MachineHourRecord, MachineId, MetricValues, ScId, SkuId, TelemetryStore,
     };
@@ -708,7 +708,7 @@ mod tests {
 
     fn engine(store: &TelemetryStore) -> (PerformanceMonitor<'_>, WhatIfEngine) {
         let mon = PerformanceMonitor::new(store);
-        let eng = WhatIfEngine::fit(&mon, FitMethod::Huber, 5).unwrap();
+        let eng = WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5).unwrap();
         (mon, eng)
     }
 

@@ -137,7 +137,8 @@ pub struct WhatIfEngine {
 
 impl WhatIfEngine {
     /// Calibrates models for every group present in the monitor's window,
-    /// on daily per-machine aggregates (the paper's granularity).
+    /// at `granularity`: daily per-machine aggregates (the paper's
+    /// granularity) or the hourly records themselves.
     ///
     /// Rows with no completed tasks (cold machines) are dropped: their
     /// latency is undefined. Groups with fewer than `min_rows` usable
@@ -146,18 +147,6 @@ impl WhatIfEngine {
     /// # Errors
     /// Fails if *no* group could be fitted, or on estimator failure for a
     /// group that had enough data.
-    pub fn fit(
-        monitor: &PerformanceMonitor<'_>,
-        method: FitMethod,
-        min_rows: usize,
-    ) -> Result<Self, KeaError> {
-        Self::fit_at(monitor, method, Granularity::Daily, min_rows)
-    }
-
-    /// Calibrates at an explicit [`Granularity`]. See [`WhatIfEngine::fit`].
-    ///
-    /// # Errors
-    /// Same as [`WhatIfEngine::fit`].
     pub fn fit_at(
         monitor: &PerformanceMonitor<'_>,
         method: FitMethod,
@@ -439,7 +428,7 @@ mod tests {
     fn recovers_known_relationships() {
         let store = synthetic_store(10, 3);
         let mon = PerformanceMonitor::new(&store);
-        let engine = WhatIfEngine::fit(&mon, FitMethod::Huber, 5).unwrap();
+        let engine = WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5).unwrap();
         assert_eq!(engine.len(), 1);
         let g = engine.group(GroupKey::new(SkuId(0), ScId(1))).unwrap();
         assert!((g.g_containers_to_util.slope() - 4.0).abs() < 0.05);
@@ -454,7 +443,7 @@ mod tests {
     fn predict_composes_models() {
         let store = synthetic_store(10, 3);
         let mon = PerformanceMonitor::new(&store);
-        let engine = WhatIfEngine::fit(&mon, FitMethod::Huber, 5).unwrap();
+        let engine = WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5).unwrap();
         let key = GroupKey::new(SkuId(0), ScId(1));
         let (util, tasks, latency) = engine.predict(key, 10.0).unwrap();
         assert!((util - 45.0).abs() < 1.0);
@@ -468,7 +457,7 @@ mod tests {
     fn predictions_respect_physical_ranges() {
         let store = synthetic_store(10, 3);
         let mon = PerformanceMonitor::new(&store);
-        let engine = WhatIfEngine::fit(&mon, FitMethod::Huber, 5).unwrap();
+        let engine = WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5).unwrap();
         let g = engine.group(GroupKey::new(SkuId(0), ScId(1))).unwrap();
         assert_eq!(g.predict_util(1000.0), 100.0, "clamped at 100%");
         assert_eq!(g.predict_util(-50.0), 0.0, "clamped at 0%");
@@ -491,7 +480,7 @@ mod tests {
             }
         }
         let mon = PerformanceMonitor::new(&store);
-        let engine = WhatIfEngine::fit(&mon, FitMethod::Huber, 5).unwrap();
+        let engine = WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5).unwrap();
         let g = engine.group(GroupKey::new(SkuId(0), ScId(1))).unwrap();
         assert_eq!(g.n_machines, 6, "idle machines excluded");
         assert!((g.g_containers_to_util.slope() - 4.0).abs() < 0.05);
@@ -503,18 +492,18 @@ mod tests {
         let mon = PerformanceMonitor::new(&store);
         // min_rows = 5 > 2 available ⇒ no group fits ⇒ error.
         assert!(matches!(
-            WhatIfEngine::fit(&mon, FitMethod::Huber, 5),
+            WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5),
             Err(KeaError::NoObservations { .. })
         ));
         // With a lower bar it fits.
-        assert!(WhatIfEngine::fit(&mon, FitMethod::Huber, 2).is_ok());
+        assert!(WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 2).is_ok());
     }
 
     #[test]
     fn out_of_range_percentiles_clamp_to_observed_extremes() {
         let store = synthetic_store(10, 3);
         let mon = PerformanceMonitor::new(&store);
-        let engine = WhatIfEngine::fit(&mon, FitMethod::Huber, 5).unwrap();
+        let engine = WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5).unwrap();
         let g = engine.group(GroupKey::new(SkuId(0), ScId(1))).unwrap();
         let min = g.containers_percentile(0.0);
         let max = g.containers_percentile(100.0);
@@ -626,8 +615,8 @@ mod tests {
     fn ols_and_huber_agree_on_clean_data() {
         let store = synthetic_store(10, 3);
         let mon = PerformanceMonitor::new(&store);
-        let huber = WhatIfEngine::fit(&mon, FitMethod::Huber, 5).unwrap();
-        let ols = WhatIfEngine::fit(&mon, FitMethod::Ols, 5).unwrap();
+        let huber = WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5).unwrap();
+        let ols = WhatIfEngine::fit_at(&mon, FitMethod::Ols, Granularity::Daily, 5).unwrap();
         let key = GroupKey::new(SkuId(0), ScId(1));
         let hg = huber.group(key).unwrap();
         let og = ols.group(key).unwrap();

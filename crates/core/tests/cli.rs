@@ -47,6 +47,62 @@ fn observe_models_optimize_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--telemetry` also takes a durable store directory: built from the
+/// observed CSV, it must give the same `optimize` output as the CSV, and
+/// a flipped segment byte must fail the run with the typed recovery
+/// error (exit 2), never a plan fitted on partial history.
+#[test]
+fn optimize_on_a_store_directory_matches_the_csv_and_refuses_corruption() {
+    use kea_telemetry::{read_csv, TelemetryStore};
+
+    let dir = std::env::temp_dir().join(format!("kea-cli-store-test-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = dir.join("telemetry.csv");
+    let csv_str = csv.to_str().expect("utf-8 path");
+    let store_dir = dir.join("telemetry.store");
+    let store_str = store_dir.to_str().expect("utf-8 path");
+
+    let out = kea(&[
+        "observe", "--cluster", "tiny", "--hours", "26", "--seed", "5", "--out", csv_str,
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let observed =
+        read_csv(std::io::BufReader::new(std::fs::File::open(&csv).expect("open csv")))
+            .expect("read csv");
+    let mut store = TelemetryStore::open(&store_dir).expect("open store dir");
+    store.extend(observed.iter().copied());
+    store.seal();
+    store.sync().expect("sync store");
+    drop(store);
+
+    let from_csv = kea(&["optimize", "--telemetry", csv_str]);
+    assert!(from_csv.status.success(), "{}", String::from_utf8_lossy(&from_csv.stderr));
+    let from_dir = kea(&["optimize", "--telemetry", store_str]);
+    assert!(from_dir.status.success(), "{}", String::from_utf8_lossy(&from_dir.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&from_dir.stdout),
+        String::from_utf8_lossy(&from_csv.stdout)
+    );
+
+    let segment = std::fs::read_dir(&store_dir)
+        .expect("list store dir")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "kseg"))
+        .expect("a sealed store has a segment");
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&segment, &bytes).expect("write segment");
+
+    let out = kea(&["optimize", "--telemetry", store_str]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("checksum mismatch") && err.contains("quarantined"), "{err}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn value_reproduces_the_headline_arithmetic() {
     let out = kea(&["value", "--machines", "300000", "--gain-pct", "2"]);

@@ -255,9 +255,8 @@ pub fn daily_group_aggregates(store: &TelemetryStore) -> Vec<DailyAggregate> {
 
 /// [`daily_group_aggregates`] restricted to hours `[start_hour,
 /// end_hour)`. Sealed runs whose recorded hour bounds miss the window
-/// are skipped *without decoding their segments*, so a day-scale
-/// question against a month-scale history touches only the sides that
-/// can answer it.
+/// are skipped, so a day-scale question against a month-scale history
+/// touches only the sides that can answer it.
 pub fn daily_group_aggregates_window(
     store: &TelemetryStore,
     start_hour: u64,
@@ -359,17 +358,16 @@ pub fn hourly_fleet_series(store: &TelemetryStore, metric: Metric) -> Vec<(u64, 
 /// — one point per hour of the window's intersection with the store's
 /// span (hours inside the intersection that no machine reported are
 /// zero-filled, exactly as in the full series). Sealed runs whose
-/// recorded hour bounds miss the window are skipped *without decoding
-/// their segments*: this is the query shape the multi-segment layout
-/// exists for, a one-day dashboard panel against a month of retained
-/// fleet history.
+/// recorded hour bounds miss the window are skipped: this is the query
+/// shape the multi-run layout serves, a one-day dashboard panel against
+/// a month of retained fleet history.
 pub fn hourly_fleet_series_window(
     store: &TelemetryStore,
     metric: Metric,
     start_hour: u64,
     end_hour: u64,
 ) -> Vec<(u64, f64)> {
-    // `hour_span` reads the recorded run bounds — no segment decodes.
+    // `hour_span` reads the recorded run bounds — no row is scanned.
     let Some((lo, hi)) = store.hour_span() else {
         return Vec::new();
     };

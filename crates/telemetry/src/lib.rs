@@ -35,13 +35,13 @@
 //!   segment file per sealed run (three checksummed sections, ~131
 //!   bytes/row), and an atomically-flipped manifest naming the live
 //!   file set with per-segment row counts and hour bounds.
-//!   [`TelemetryStore::open`] recovers a directory (headers validated
-//!   eagerly, bodies decoded lazily on first query, torn WAL tails
-//!   truncated, corrupt files quarantined, never a panic) and reads
-//!   only the format this build writes: a directory from an older build
-//!   is refused, untouched. [`TelemetryStore::sync`] makes appended
-//!   records durable with one fsync per batch, never merges runs, and
-//!   never rewrites an unchanged segment.
+//!   [`TelemetryStore::open`] recovers a directory (every segment
+//!   loaded and checked before it returns, torn WAL tails truncated,
+//!   a corrupt file quarantined and the open refused, never a panic)
+//!   and reads only the format this build writes: a directory from an
+//!   older build is refused, untouched. [`TelemetryStore::sync`] makes
+//!   appended records durable with one fsync per batch, never merges
+//!   runs, and never rewrites an unchanged segment.
 //! * [`aggregate`] — fused single-pass aggregation kernels k-way merged
 //!   over the sealed runs + delta (hourly→daily roll-ups, fleet series,
 //!   group utilization), work-stealing parallel across groups, plus the

@@ -28,22 +28,19 @@
 //!
 //! ## Recovery sequence
 //!
-//! [`TelemetryStore::open`] reads the manifest and validates each named
-//! segment's *header* (magic, version, checksum, row/size accounting)
-//! without decoding bodies — segment bodies load lazily on first query,
-//! so opening a month of history costs one small read per segment.
-//! The WAL is replayed into the delta tail (truncating a torn tail from
-//! a mid-write crash), and orphan files left by an interrupted rotation
-//! are swept. Every crash point therefore lands in one of two states:
-//! the old file set or the new one, both complete. Corruption
-//! quarantines the file and fails typed, never panics.
-//!
-//! A segment body loads in one streaming pass (`segment.rs`): ~1 MiB
-//! chunks are read into one reused buffer, each chunk is checksummed on
-//! a second core while the first decodes it and checks the index
-//! invariants, and every section checksum is compared before the run
-//! is served. A restart's [`TelemetryStore::verify`] is that pass over
-//! each run in turn.
+//! [`TelemetryStore::open`] reads the manifest, then loads every named
+//! segment in run order, each in one streaming pass (`segment.rs`):
+//! ~1 MiB chunks are read into one reused buffer, each chunk is
+//! checksummed on a second core while the first decodes it and checks
+//! the index invariants, and every section checksum, the row count and
+//! the hour bounds are compared against the header and manifest before
+//! the run is kept. The WAL is replayed into the delta tail (truncating
+//! a torn tail from a mid-write crash), and orphan files left by an
+//! interrupted rotation are swept. Every crash point therefore lands in
+//! one of two states: the old file set or the new one, both complete.
+//! A corrupt segment is quarantined and fails the open typed, before
+//! the WAL is replayed or anything is swept, so a store that opens
+//! holds every run its manifest lists. Recovery never panics.
 //!
 //! ## Format policy
 //!
@@ -56,7 +53,6 @@
 //! [`TelemetryStore`]: crate::TelemetryStore
 //! [`TelemetryStore::sync`]: crate::TelemetryStore::sync
 //! [`TelemetryStore::open`]: crate::TelemetryStore::open
-//! [`TelemetryStore::verify`]: crate::TelemetryStore::verify
 
 pub(crate) mod codec;
 pub(crate) mod crc;
@@ -195,26 +191,15 @@ pub(crate) enum RunRef<'a> {
     },
 }
 
-/// One sealed run recovered at open: its manifest identity. The body
-/// loads lazily on first query.
-#[derive(Debug)]
-pub(crate) struct RecoveredRun {
-    /// Segment file name.
-    pub name: String,
-    /// Row count from the manifest (header-verified).
-    pub rows: usize,
-    /// Inclusive hour bounds from the manifest.
-    pub bounds: (u64, u64),
-}
-
 /// Result of opening a store directory: the backing plus the recovered
 /// in-memory state.
 #[derive(Debug)]
 pub(crate) struct Recovered {
     /// The attached backing, ready for appends.
     pub backing: Backing,
-    /// The sealed runs, oldest first.
-    pub runs: Vec<RecoveredRun>,
+    /// The sealed runs, oldest first: each segment's name and its
+    /// loaded, checked index.
+    pub runs: Vec<(String, ColumnIndex)>,
     /// The delta tail replayed from the WAL, in append order.
     pub delta: Vec<MachineHourRecord>,
 }
@@ -291,18 +276,12 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
         Err(e) => return Err(e),
     };
 
-    // Validate the live segments' headers, oldest first; bodies load
-    // lazily on first query.
+    // Load and check every live segment, oldest first; a corrupt one
+    // is quarantined and fails the open here.
     let mut runs = Vec::with_capacity(live.segments.len());
     for seg in &live.segments {
-        segment::read_header(dir, &seg.name, seg.rows)?;
-        let rows = usize::try_from(seg.rows).map_err(|_| PersistError::Corrupt {
-            path: dir.join(&seg.name),
-            reason: "row count overflows usize".to_string(),
-        })?;
-        if rows > 0 {
-            runs.push(RecoveredRun { name: seg.name.clone(), rows, bounds: seg.bounds });
-        }
+        let index = segment::load_segment(dir, &seg.name, seg.rows, seg.bounds)?;
+        runs.push((seg.name.clone(), index));
     }
 
     // Replay the WAL; a torn tail is truncated inside `Wal::open`.

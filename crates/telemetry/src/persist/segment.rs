@@ -29,17 +29,14 @@
 //! of permutation, plus 4 per distinct machine. This build reads only
 //! version 2; a segment of any other version is refused.
 //!
-//! [`read_header`] validates just the fixed header (magic, version,
-//! header CRC, row/section accounting against the file length) without
-//! decoding the body — the multi-segment store uses it at open so a
-//! month of segments costs one small read each, and full decoding (with
-//! every section CRC and structural invariant checked) happens lazily
-//! on first query via [`load_segment`].
-//!
 //! [`load_segment`] reads, checksums, decodes and validates in one
-//! streaming pass. After the header and the small machine table, the
-//! records and then the hour permutation flow through one reused
-//! buffer of [`CHUNK_ROWS`] records (~1 MiB), so no buffer ever holds
+//! streaming pass; the store calls it for every live segment at open.
+//! It first checks the fixed header (magic, version, header CRC,
+//! row/section accounting against the file length), so a damaged
+//! header or a truncated file is refused before any body byte is read.
+//! After the header and the small machine table, the records and then
+//! the hour permutation flow through one reused buffer of
+//! [`CHUNK_ROWS`] records (~1 MiB), so no buffer ever holds
 //! the whole image. Each chunk's CRC-32 runs on a scoped second thread
 //! ([`crc32_update`] carries it from chunk to chunk) while this thread
 //! decodes the same bytes into an [`IndexLoader`], the store's streaming
@@ -48,10 +45,10 @@
 //! break a structural check, so the error names the damage, not its
 //! symptom.
 //!
-//! On checksum or validation failure both entry points rename the file
-//! to `<name>.quarantine` (best-effort) so the bad bytes survive for
+//! On checksum or validation failure the load renames the file to
+//! `<name>.quarantine` (best-effort) so the bad bytes survive for
 //! forensics and never get mistaken for a live segment again, then
-//! return [`PersistError::Corrupt`].
+//! returns [`PersistError::Corrupt`].
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -236,26 +233,14 @@ fn open_segment(
     Ok(Ok((f, info)))
 }
 
-/// Validates segment `name`'s header without decoding the body: magic,
-/// version, header CRC, row count against the manifest, and the file
-/// length against the section accounting. This is the cheap open-time
-/// check of the lazy-loading store; full body validation happens in
-/// [`load_segment`] on first query. Header-level corruption quarantines
-/// the file exactly like a load failure.
-pub fn read_header(dir: &Path, name: &str, expect_rows: u64) -> Result<(), PersistError> {
-    let path = dir.join(name);
-    match open_segment(&path, expect_rows)? {
-        Ok(_) => Ok(()),
-        Err(reason) => Err(quarantine(dir, name, &path, reason)),
-    }
-}
-
 /// Loads segment `name` from `dir` in one streaming pass, expecting
 /// exactly `expect_rows` rows and the inclusive `expect_bounds` hour
-/// range (both recorded in the manifest).
+/// range (both recorded in the manifest; an empty run has no bounds,
+/// so they are not checked for one).
 ///
-/// The header and the file length are validated first, as in
-/// [`read_header`]. Then the small machine table is read whole, and the
+/// The header is validated first: magic, version, header CRC, the row
+/// count against the manifest, and the file length against the section
+/// accounting. Then the small machine table is read whole, and the
 /// records and the hour permutation stream through one reused buffer of
 /// [`CHUNK_ROWS`] records (~1 MiB); no buffer ever holds the whole
 /// image. Each chunk is checksummed on a scoped second thread while
@@ -280,7 +265,7 @@ pub fn load_segment(
     let path = dir.join(name);
     let checked = read_segment(&path, expect_rows)?.and_then(|index| {
         let got = index.hours.first().copied().zip(index.hours.last().copied());
-        if got == Some(expect_bounds) {
+        if got.is_none_or(|got| got == expect_bounds) {
             Ok(index)
         } else {
             let (lo, hi) = expect_bounds;
@@ -291,8 +276,8 @@ pub fn load_segment(
 }
 
 /// The streaming pass of [`load_segment`], without the manifest's hour
-/// bounds (an empty run has none). The outer `Err` is an I/O failure;
-/// the inner one names the corruption.
+/// bounds. The outer `Err` is an I/O failure; the inner one names the
+/// corruption.
 fn read_segment(path: &Path, expect_rows: u64) -> Result<Result<ColumnIndex, String>, PersistError> {
     let (file, info) = match open_segment(path, expect_rows)? {
         Ok(opened) => opened,
@@ -538,7 +523,6 @@ mod tests {
         let dir = tmpdir("header");
         let index = ColumnIndex::build(records(210)); // hours 0..=29
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
-        read_header(&dir, "seg-000001.kseg", 210).unwrap();
         // Matching bounds load cleanly.
         load_segment(&dir, "seg-000001.kseg", 210, (0, 29)).unwrap();
         // Mismatched manifest bounds are corruption, not silence.
@@ -557,20 +541,20 @@ mod tests {
         // Wrong manifest row count.
         std::fs::write(dir.join("a.kseg"), &bytes).unwrap();
         assert!(matches!(
-            read_header(&dir, "a.kseg", 65).unwrap_err(),
+            load_segment(&dir, "a.kseg", 65, (0, 9)).unwrap_err(),
             PersistError::Corrupt { .. }
         ));
         assert!(dir.join("a.kseg.quarantine").exists());
         // Body shorter than the header promises (caught without decoding).
         std::fs::write(dir.join("b.kseg"), &bytes[..bytes.len() - 3]).unwrap();
         assert!(matches!(
-            read_header(&dir, "b.kseg", 64).unwrap_err(),
+            load_segment(&dir, "b.kseg", 64, (0, 9)).unwrap_err(),
             PersistError::Corrupt { .. }
         ));
         // File shorter than the header itself.
         std::fs::write(dir.join("c.kseg"), &bytes[..10]).unwrap();
         assert!(matches!(
-            read_header(&dir, "c.kseg", 64).unwrap_err(),
+            load_segment(&dir, "c.kseg", 64, (0, 9)).unwrap_err(),
             PersistError::Corrupt { .. }
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -592,14 +576,14 @@ mod tests {
     }
 
     /// The store never spills an empty run (it has no hour bounds for
-    /// the manifest), but the format itself round-trips one.
+    /// the manifest), but the format itself round-trips one, and the
+    /// load skips the bounds check for it.
     #[test]
     fn empty_run_roundtrips() {
         let dir = tmpdir("empty");
         let index = ColumnIndex::build(Vec::new());
         write_segment(&dir, "seg-000001.kseg", &index).unwrap();
-        read_header(&dir, "seg-000001.kseg", 0).unwrap();
-        let back = read_segment(&dir.join("seg-000001.kseg"), 0).unwrap().unwrap();
+        let back = load_segment(&dir, "seg-000001.kseg", 0, (0, 0)).unwrap();
         assert!(back.sorted.is_empty());
         assert!(back.machines.is_empty() && back.hour_order.is_empty());
         assert_eq!((back.group_offsets, back.hour_offsets), (vec![0], vec![0]));
@@ -619,7 +603,7 @@ mod tests {
         let crc = crc32(&bytes[..HEADER_BYTES - 4]);
         bytes[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(dir.join("old.kseg"), &bytes).unwrap();
-        match read_header(&dir, "old.kseg", 64).unwrap_err() {
+        match load_segment(&dir, "old.kseg", 64, (0, 9)).unwrap_err() {
             PersistError::Corrupt { reason, .. } => {
                 assert!(reason.contains("unsupported segment version 1"), "{reason}")
             }

@@ -45,16 +45,10 @@
 //!
 //! A store created by [`TelemetryStore::open`] mirrors each sealed run
 //! to a segment file under the manifest-flip protocol of
-//! [`crate::persist`]; the delta rides the write-ahead log. Segment-backed
-//! runs load **lazily**: opening a directory validates headers only, a
-//! run's body is decoded on the first query that touches it, and
-//! [`sync`](TelemetryStore::sync) evicts the coldest decoded runs past a
-//! fixed LRU budget of eight. With `O(log n)` runs that budget keeps the
-//! whole retained history decoded after the first full query.
-//! A run whose segment fails validation at load time is quarantined and
-//! served as empty; the store remembers the failure ("degraded"),
-//! [`verify`](TelemetryStore::verify) and `sync` surface it, and `sync`
-//! refuses to rewrite history from a degraded image.
+//! [`crate::persist`]; the delta rides the write-ahead log. `open` loads
+//! and checks every segment before it returns, so a store that opens is
+//! whole: a segment that fails any check is quarantined and fails the
+//! open with a typed error, and no query ever meets a half-loaded store.
 //!
 //! The pre-columnar flat-scan implementation survives unchanged as
 //! [`reference::TelemetryStore`]: it is the executable specification that
@@ -68,9 +62,7 @@ use crate::persist;
 use crate::record::{GroupKey, MachineHourRecord, MachineId};
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 /// Delta sizes up to this never trigger automatic sealing: 65,536
 /// records are an 8 MiB buffer. A sub-day batch (a small fleet's hour)
@@ -80,45 +72,34 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// day-sized. A larger batch (a 300k-machine hour) still seals at once.
 const MIN_COMPACT_DELTA: usize = 65_536;
 
-/// Cap on decoded segment-backed runs kept resident between syncs.
-const SEGMENT_CACHE: usize = 8;
-
-/// One sealed, immutable run of the store.
-///
-/// Invariants: `rows >= 1` (empty runs are never created); when `seg`
-/// is `None` the run exists only in memory and `index` is always
-/// resident (there is nothing to reload it from).
-#[derive(Debug)]
+/// One sealed, immutable run of the store. Empty runs are never created.
+#[derive(Debug, Clone)]
 struct SealedRun {
-    /// Row count (also recorded in the manifest once persisted).
-    rows: usize,
     /// Inclusive `[min_hour, max_hour]` covered by the run.
     bounds: (u64, u64),
     /// Segment file name once persisted by a sync; `None` while dirty.
     seg: Option<String>,
-    /// Decoded index; for segment-backed runs, loaded lazily on first
-    /// touch and evictable at `&mut self` points.
-    index: OnceLock<ColumnIndex>,
-    /// LRU stamp from the store's touch clock (Relaxed is enough: the
-    /// stamp only orders evictions, never gates an observable read).
-    touch: AtomicU64,
+    /// The run's rows in the columnar layout.
+    index: ColumnIndex,
 }
 
 impl SealedRun {
-    /// A run born in memory from `index`; `None` when `index` is empty
-    /// (empty runs are never created).
-    fn dirty(index: ColumnIndex) -> Option<SealedRun> {
+    /// A run over `index`, persisted as segment `seg` if named; `None`
+    /// when `index` is empty.
+    fn new(index: ColumnIndex, seg: Option<String>) -> Option<SealedRun> {
         let bounds = index.hours.first().copied().zip(index.hours.last().copied())?;
-        let rows = index.sorted.len();
-        let cell = OnceLock::new();
-        let _ = cell.set(index);
-        Some(SealedRun { rows, bounds, seg: None, index: cell, touch: AtomicU64::new(0) })
+        Some(SealedRun { bounds, seg, index })
+    }
+
+    /// Row count (also recorded in the manifest once persisted).
+    fn rows(&self) -> usize {
+        self.index.sorted.len()
     }
 }
 
 /// Append-only store of machine-hour records: N sealed columnar runs
 /// plus a small delta buffer for streaming appends.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TelemetryStore {
     /// Sealed runs, oldest first.
     runs: Vec<SealedRun>,
@@ -131,27 +112,6 @@ pub struct TelemetryStore {
     /// created by [`TelemetryStore::open`]. In-memory stores (the
     /// default) carry `None` and reject [`TelemetryStore::sync`].
     backing: Option<persist::Backing>,
-    /// First segment-load failure observed by a query, if any. Queries
-    /// cannot return `Result` (they are infallible on in-memory
-    /// stores), so a lazy load that fails parks its diagnosis here,
-    /// serves the run as empty, and [`TelemetryStore::verify`] /
-    /// [`TelemetryStore::sync`] surface it.
-    degraded: Mutex<Option<(PathBuf, String)>>,
-    /// Monotonic clock behind the per-run LRU touch stamps.
-    touch_clock: AtomicU64,
-}
-
-impl Default for TelemetryStore {
-    fn default() -> Self {
-        TelemetryStore {
-            runs: Vec::new(),
-            tail: Vec::new(),
-            delta: OnceLock::new(),
-            backing: None,
-            degraded: Mutex::new(None),
-            touch_clock: AtomicU64::new(0),
-        }
-    }
 }
 
 impl Clone for TelemetryStore {
@@ -159,22 +119,12 @@ impl Clone for TelemetryStore {
     /// *detached*: it holds the same records but no file handles, so
     /// mutating the clone never races the original's directory and
     /// `sync()` on the clone reports [`persist::PersistError::NotDurable`].
-    /// Cloning forces lazy runs resident; runs a degraded original
-    /// serves as empty are dropped from the clone (which is then
-    /// internally consistent and not degraded).
     fn clone(&self) -> Self {
-        let runs = self
-            .runs
-            .iter()
-            .filter_map(|r| SealedRun::dirty(self.run_side(r).clone()))
-            .collect();
         TelemetryStore {
-            runs,
+            runs: self.runs.clone(),
             tail: self.tail.clone(),
             delta: self.delta.clone(),
             backing: None,
-            degraded: Mutex::new(None),
-            touch_clock: AtomicU64::new(0),
         }
     }
 }
@@ -212,13 +162,6 @@ pub(crate) struct ColumnIndex {
     /// Struct-of-arrays metric columns in `sorted` row order, one per
     /// metric, each built on first use by [`ColumnIndex::column`].
     columns: [OnceLock<Vec<f64>>; Metric::ALL.len()],
-}
-
-/// The empty index — the stand-in side wherever view code wants a
-/// uniform merge shape or a degraded run must serve something.
-pub(crate) fn empty_index() -> &'static ColumnIndex {
-    static EMPTY: OnceLock<ColumnIndex> = OnceLock::new();
-    EMPTY.get_or_init(|| ColumnIndex::build(Vec::new()))
 }
 
 impl ColumnIndex {
@@ -784,13 +727,21 @@ impl TelemetryStore {
     /// Opens a durable store rooted at directory `dir`, creating it on
     /// first use and recovering its contents otherwise: the manifest
     /// names the live segments with their row counts and hour bounds,
-    /// each segment's header is validated (bodies decode lazily on
-    /// first query), and the write-ahead log is replayed into the delta
-    /// tail, truncating any torn tail a crash left behind. This build
-    /// reads only the format it writes: a directory whose manifest
-    /// carries an older header is refused before any file is touched.
-    /// Corruption surfaces as a typed [`persist::PersistError`] —
+    /// every segment is loaded and checked in full (checksums, index
+    /// invariants, and the manifest's rows and bounds), and the
+    /// write-ahead log is replayed into the delta tail, truncating any
+    /// torn tail a crash left behind. A store that opens is therefore
+    /// whole; a segment that fails a check is quarantined and the open
+    /// fails with [`persist::PersistError::Corrupt`] naming it. This
+    /// build reads only the format it writes: a directory whose
+    /// manifest carries an older header is refused before any file is
+    /// touched. Every failure is a typed [`persist::PersistError`] —
     /// recovery never panics.
+    ///
+    /// Segments load one after another, each in one streaming pass:
+    /// ~1 MiB chunks are checksummed on a second core while this thread
+    /// decodes them and checks every index invariant, so an open costs
+    /// roughly one read and one decode of the history.
     ///
     /// Note that recovery restores the *record multiset*, not the
     /// original insertion order: sealed runs come back in
@@ -802,20 +753,13 @@ impl TelemetryStore {
         let runs = recovered
             .runs
             .into_iter()
-            .map(|r| SealedRun {
-                rows: r.rows,
-                bounds: r.bounds,
-                seg: Some(r.name),
-                index: OnceLock::new(),
-                touch: AtomicU64::new(0),
-            })
+            .filter_map(|(name, index)| SealedRun::new(index, Some(name)))
             .collect();
         Ok(TelemetryStore {
             runs,
             tail: recovered.delta,
             delta: OnceLock::new(),
             backing: Some(recovered.backing),
-            ..TelemetryStore::default()
         })
     }
 
@@ -826,38 +770,29 @@ impl TelemetryStore {
     /// fresh segment — unchanged segments are never rewritten — starts a
     /// fresh WAL holding only the delta tail, and atomically flips the
     /// manifest. `sync` only persists: it never merges runs, so the
-    /// ladder's shape at the last seal is the shape on disk. Decoded
-    /// segment runs beyond the cache budget are evicted after.
+    /// ladder's shape at the last seal is the shape on disk.
     ///
     /// Records are durable — guaranteed to survive a crash or kill —
     /// only once `sync` returns `Ok`. A failed sync may be retried and
     /// never duplicates records. `push`/`extend`/`seal` never touch
     /// disk. Returns [`persist::PersistError::NotDurable`] on a store
-    /// that was not created by [`TelemetryStore::open`], and refuses
-    /// (with the original diagnosis) on a store degraded by a corrupt
-    /// segment, so a partial in-memory image never overwrites history.
+    /// that was not created by [`TelemetryStore::open`].
     pub fn sync(&mut self) -> Result<persist::SyncStats, persist::PersistError> {
-        if let Some(err) = self.degraded_error() {
-            return Err(err);
-        }
-        let refs: Vec<persist::RunRef<'_>> = self
-            .runs
-            .iter()
-            .map(|r| match (&r.seg, r.index.get()) {
-                (Some(name), _) => persist::RunRef::Clean {
-                    name,
-                    rows: r.rows as u64,
-                    bounds: r.bounds,
-                },
-                (None, Some(index)) => persist::RunRef::Dirty { index },
-                // Unreachable by invariant (dirty runs are resident);
-                // an empty side is simply skipped by the rotation.
-                (None, None) => persist::RunRef::Dirty { index: empty_index() },
-            })
-            .collect();
         let Some(backing) = self.backing.as_mut() else {
             return Err(persist::PersistError::NotDurable);
         };
+        let refs: Vec<persist::RunRef<'_>> = self
+            .runs
+            .iter()
+            .map(|r| match &r.seg {
+                Some(name) => persist::RunRef::Clean {
+                    name,
+                    rows: r.rows() as u64,
+                    bounds: r.bounds,
+                },
+                None => persist::RunRef::Dirty { index: &r.index },
+            })
+            .collect();
         let (stats, assigned) = backing.sync(&refs, &self.tail)?;
         drop(refs);
         for (run, name) in self.runs.iter_mut().zip(assigned) {
@@ -865,7 +800,6 @@ impl TelemetryStore {
                 run.seg = Some(name);
             }
         }
-        self.evict_cold();
         Ok(stats)
     }
 
@@ -880,24 +814,10 @@ impl TelemetryStore {
         self.backing.as_ref().map(|b| b.dir())
     }
 
-    /// Forces every run resident and reports the first segment-load
-    /// failure, if any — the explicit "is my history intact?" check.
-    /// Queries on a degraded store serve the surviving runs (the bad
-    /// segment is quarantined and its run reads as empty); this is how
-    /// a caller distinguishes that state from a clean one.
-    ///
-    /// Runs load one after another, each in one streaming pass over its
-    /// segment: ~1 MiB chunks are checksummed on a second core while
-    /// this thread decodes them and checks every index invariant, so a
-    /// restart pays roughly one read and one decode of its history.
+    /// Always `Ok(())`: [`open`](TelemetryStore::open) already loaded
+    /// and checked every segment. Kept because keabench calls it.
     pub fn verify(&self) -> Result<(), persist::PersistError> {
-        for run in &self.runs {
-            let _ = self.run_side(run);
-        }
-        match self.degraded_error() {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Number of sealed runs currently live.
@@ -905,10 +825,10 @@ impl TelemetryStore {
         self.runs.len()
     }
 
-    /// Number of sealed runs with a decoded index resident in memory —
-    /// what hour-bound pruning and the LRU cache actually bound.
+    /// Same as [`run_count`](TelemetryStore::run_count): every run is
+    /// held in memory. Kept because keabench calls it.
     pub fn resident_runs(&self) -> usize {
-        self.runs.iter().filter(|r| r.index.get().is_some()).count()
+        self.run_count()
     }
 
     /// Appends one record into the delta buffer. The sealed runs are
@@ -957,17 +877,12 @@ impl TelemetryStore {
     /// control windows collected separately). Routed through the same
     /// batch append — and therefore the same non-finite validation — as
     /// [`extend`](TelemetryStore::extend); returns the number of records
-    /// dropped. A durable `other`'s sealed runs are loaded from its
-    /// segments the way queries load them; if that degrades `other`,
-    /// this store inherits the diagnosis, so
-    /// [`verify`](TelemetryStore::verify) reports it.
+    /// dropped. A durable `other` merges like an in-memory one; its
+    /// directory is not touched.
     pub fn merge(&mut self, other: TelemetryStore) -> usize {
         let mut dropped = 0;
         for run in &other.runs {
-            dropped += self.extend(other.run_side(run).sorted.iter().copied());
-        }
-        if let Some(err) = other.degraded_error() {
-            self.note_degraded(&err);
+            dropped += self.extend(run.index.sorted.iter().copied());
         }
         dropped + self.extend(other.tail)
     }
@@ -981,7 +896,7 @@ impl TelemetryStore {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.runs.iter().map(|r| r.rows).sum::<usize>() + self.tail.len()
+        self.runs.iter().map(SealedRun::rows).sum::<usize>() + self.tail.len()
     }
 
     /// True when empty.
@@ -1027,7 +942,7 @@ impl TelemetryStore {
     fn seal_tail(&mut self) {
         let tail = std::mem::take(&mut self.tail);
         let delta = self.delta.take().unwrap_or_else(|| ColumnIndex::build(tail));
-        let Some(run) = SealedRun::dirty(delta) else {
+        let Some(run) = SealedRun::new(delta, None) else {
             return; // Empty delta: nothing to seal.
         };
         self.runs.push(run);
@@ -1043,7 +958,7 @@ impl TelemetryStore {
     fn ladder_compact(&mut self) {
         while self.runs.len() >= 2 {
             let at = self.runs.len() - 2;
-            if self.runs[at].rows > self.runs[at + 1].rows {
+            if self.runs[at].rows() > self.runs[at + 1].rows() {
                 break;
             }
             self.merge_pair(at);
@@ -1055,105 +970,16 @@ impl TelemetryStore {
     /// Rebuilds the vector without panic-capable splicing.
     fn merge_pair(&mut self, at: usize) {
         let merged = match (self.runs.get(at), self.runs.get(at + 1)) {
-            (Some(elder), Some(newer)) => {
-                ColumnIndex::merge(self.run_side(elder), self.run_side(newer))
-            }
+            (Some(elder), Some(newer)) => ColumnIndex::merge(&elder.index, &newer.index),
             _ => return,
         };
-        let mut merged = SealedRun::dirty(merged);
+        let mut merged = SealedRun::new(merged, None);
         let old = std::mem::take(&mut self.runs);
         for (i, run) in old.into_iter().enumerate() {
             if i == at {
                 self.runs.extend(merged.take());
             } else if i != at + 1 {
                 self.runs.push(run);
-            }
-        }
-    }
-
-    /// The decoded index of one run, loading it from its segment on
-    /// first touch and stamping the LRU clock. A load failure marks the
-    /// store degraded and serves the run as empty — queries stay
-    /// infallible; [`TelemetryStore::verify`] surfaces the diagnosis.
-    fn run_side<'a>(&'a self, run: &'a SealedRun) -> &'a ColumnIndex {
-        run.touch.store(
-            self.touch_clock.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-        run.index.get_or_init(|| {
-            let loaded = match (&self.backing, &run.seg) {
-                (Some(backing), Some(name)) => {
-                    match persist::segment::load_segment(
-                        backing.dir(),
-                        name,
-                        run.rows as u64,
-                        run.bounds,
-                    ) {
-                        Ok(index) => Some(index),
-                        Err(err) => {
-                            self.note_degraded(&err);
-                            None
-                        }
-                    }
-                }
-                // Unreachable by invariant (a run without a segment is
-                // always resident); serve empty rather than panic.
-                _ => None,
-            };
-            loaded.unwrap_or_else(|| empty_index().clone())
-        })
-    }
-
-    /// Records the first load failure; later ones keep the original
-    /// diagnosis (the first corruption found is the actionable one).
-    fn note_degraded(&self, err: &persist::PersistError) {
-        let mut slot = self.degraded.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            let (path, reason) = match err {
-                persist::PersistError::Corrupt { path, reason } => (path.clone(), reason.clone()),
-                persist::PersistError::Io { op, path, source } => {
-                    (path.clone(), format!("{op}: {source}"))
-                }
-                other => (PathBuf::new(), other.to_string()),
-            };
-            *slot = Some((path, reason));
-        }
-    }
-
-    /// The sticky degradation, reconstructed as a typed error.
-    /// (`PersistError` holds an `io::Error` and is not `Clone`; the
-    /// stored diagnosis is re-wrapped on each read.)
-    fn degraded_error(&self) -> Option<persist::PersistError> {
-        self.degraded
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(|(path, reason)| persist::PersistError::Corrupt {
-                path: path.clone(),
-                reason: reason.clone(),
-            })
-    }
-
-    /// Evicts the coldest decoded segment-backed runs down to the cache
-    /// budget. Dirty runs are exempt (they are the only copy). Touch
-    /// stamps are collected then sorted — never compared in-place as a
-    /// gate — so Relaxed ordering is sufficient.
-    fn evict_cold(&mut self) {
-        let mut resident: Vec<(u64, usize)> = self
-            .runs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.seg.is_some() && r.index.get().is_some())
-            .map(|(i, r)| (r.touch.load(Ordering::Relaxed), i))
-            .collect();
-        if resident.len() <= SEGMENT_CACHE {
-            return;
-        }
-        resident.sort_unstable();
-        let over = resident.len() - SEGMENT_CACHE;
-        for &(_, i) in resident.iter().take(over) {
-            if let Some(run) = self.runs.get_mut(i) {
-                run.index.take();
             }
         }
     }
@@ -1170,30 +996,20 @@ impl TelemetryStore {
     /// Every sorted side of the store, oldest run first, delta last —
     /// the merge inputs of the unwindowed views and kernels.
     pub(crate) fn sides(&self) -> Vec<&ColumnIndex> {
-        let mut out: Vec<&ColumnIndex> = self.runs.iter().map(|r| self.run_side(r)).collect();
-        if let Some(delta) = self.delta_index() {
-            out.push(delta);
-        }
-        out
+        self.runs.iter().map(|r| &r.index).chain(self.delta_index()).collect()
     }
 
     /// The sides that can contain hours `[start, end)`: runs whose
     /// recorded `[min_hour, max_hour]` intersects the window (others
-    /// are skipped *without decoding their segments* — the pruning this
-    /// store exists for), plus the delta. Oldest first, delta last.
+    /// are skipped without a probe), plus the delta. Oldest first,
+    /// delta last.
     pub(crate) fn window_sides(&self, start: u64, end: u64) -> Vec<&ColumnIndex> {
-        let mut out: Vec<&ColumnIndex> = Vec::with_capacity(self.runs.len() + 1);
-        if end > start {
-            for r in &self.runs {
-                if r.bounds.0 < end && r.bounds.1 >= start {
-                    out.push(self.run_side(r));
-                }
-            }
-        }
-        if let Some(delta) = self.delta_index() {
-            out.push(delta);
-        }
-        out
+        self.runs
+            .iter()
+            .filter(|r| end > start && r.bounds.0 < end && r.bounds.1 >= start)
+            .map(|r| &r.index)
+            .chain(self.delta_index())
+            .collect()
     }
 
     /// All records: each sealed run's rows (oldest run first, each in
@@ -1205,7 +1021,7 @@ impl TelemetryStore {
     pub fn iter(&self) -> impl Iterator<Item = &MachineHourRecord> {
         self.runs
             .iter()
-            .flat_map(move |r| self.run_side(r).sorted.iter())
+            .flat_map(|r| r.index.sorted.iter())
             .chain(self.tail.iter())
     }
 
@@ -1219,7 +1035,7 @@ impl TelemetryStore {
 
     /// Records within `[start_hour, end_hour)`, sorted by
     /// `(hour, machine)`. Runs whose hour bounds miss the window are
-    /// skipped without touching their segments.
+    /// skipped.
     pub fn by_hours(
         &self,
         start_hour: u64,
@@ -1267,10 +1083,10 @@ impl TelemetryStore {
     }
 
     /// Inclusive-exclusive hour span `(min, max+1)` covered by the
-    /// store, or `None` when empty. O(runs) over the recorded bounds —
-    /// no segment is decoded — and the delta contributes an O(1) read
-    /// when its mini-index is built or a single min/max pass over the
-    /// (small) buffer when not; this never forces an index build.
+    /// store, or `None` when empty. O(runs) over the recorded bounds,
+    /// and the delta contributes an O(1) read when its mini-index is
+    /// built or a single min/max pass over the (small) buffer when not;
+    /// this never forces an index build.
     pub fn hour_span(&self) -> Option<(u64, u64)> {
         let runs_span = self.runs.iter().fold(None, |acc, r| match acc {
             None => Some(r.bounds),
@@ -1458,7 +1274,7 @@ mod tests {
     /// tests only) otherwise, which is itself the assertion.
     fn single_run(store: &TelemetryStore) -> &ColumnIndex {
         assert_eq!(store.runs.len(), 1, "expected exactly one sealed run");
-        store.run_side(&store.runs[0])
+        &store.runs[0].index
     }
 
     #[test]

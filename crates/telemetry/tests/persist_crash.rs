@@ -361,13 +361,10 @@ proptest! {
     }
 
     /// Kill-point property for rotation: seal + sync (spilling a
-    /// segment), then flip one byte anywhere in the segment file. The
-    /// damage must surface as a typed `Corrupt` error — never a panic —
-    /// and quarantine the damaged file. Where it surfaces depends on
-    /// where the flip landed: header damage fails `open` itself (the
-    /// header is validated eagerly), body damage passes `open` (bodies
-    /// decode lazily) and fails `verify()` on the reopened store, which
-    /// then refuses to `sync`.
+    /// segment), then flip one byte anywhere in the segment file. Header
+    /// or body, the damage must fail `open` with a typed `Corrupt` error
+    /// naming the segment — never a panic — and quarantine the damaged
+    /// file.
     #[test]
     fn segment_byte_flip_quarantines_with_typed_error(
         records in proptest::collection::vec(arb_record(), 1..80),
@@ -391,25 +388,13 @@ proptest! {
 
         let quarantined = seg.with_extension("kseg.quarantine");
         match TelemetryStore::open(scratch.path()) {
-            // Flip landed in the eagerly-validated header region.
             Err(PersistError::Corrupt { path, .. }) => {
                 prop_assert_eq!(&path, seg);
                 prop_assert!(quarantined.exists(), "corrupt segment not quarantined");
                 prop_assert!(!seg.exists());
             }
             Err(other) => prop_assert!(false, "wrong error type: {other}"),
-            // Flip landed in the lazily-decoded body: open passes on the
-            // intact header, the first decode quarantines and degrades.
-            Ok(mut reopened) => {
-                let err = reopened.verify().expect_err("body flip must fail verify");
-                prop_assert!(matches!(err, PersistError::Corrupt { .. }), "got {err}");
-                prop_assert!(quarantined.exists(), "corrupt segment not quarantined");
-                prop_assert!(!seg.exists());
-                // A degraded store serves the surviving sides (here:
-                // nothing) but must refuse to overwrite history.
-                prop_assert_eq!(reopened.by_hours(0, u64::MAX).count(), 0);
-                prop_assert!(reopened.sync().is_err(), "degraded store must refuse sync");
-            }
+            Ok(_) => prop_assert!(false, "a flipped byte at {at} must fail open"),
         }
     }
 }
@@ -566,11 +551,8 @@ fn quarantined_files_survive_the_sweep() {
     bytes[mid] ^= 0xA5;
     std::fs::write(seg, &bytes).expect("write");
 
-    // A mid-file flip lands in the lazily-decoded body, so open passes
-    // on the intact header; the first decode quarantines the file.
-    let reopened = TelemetryStore::open(scratch.path()).expect("open validates headers only");
-    assert!(reopened.verify().is_err(), "body corruption must fail verify");
-    drop(reopened);
+    // A mid-file flip fails the open, which quarantines the file.
+    assert!(TelemetryStore::open(scratch.path()).is_err(), "body corruption must fail open");
     let quarantined = seg.with_extension("kseg.quarantine");
     assert!(quarantined.exists());
 
@@ -787,13 +769,14 @@ fn older_format_directories_are_refused_untouched() {
     }
 }
 
-// ---- multi-segment retention: pruning, laziness, write amplification ---
+// ---- multi-segment retention: pruning, write amplification -------------
 
-/// Two disjoint-hour segments: opening validates headers only; an
-/// hour-windowed query decodes just the segment whose bounds intersect
-/// the window; `verify` forces everything.
+/// Two disjoint-hour segments reopen into a store whose windowed
+/// queries answer from the segment whose bounds intersect the window,
+/// from neither in the dead zone between them, and from both over the
+/// full span.
 #[test]
-fn windowed_queries_load_only_intersecting_segments() {
+fn windowed_queries_over_disjoint_segments_after_reopen() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
     // Elder run strictly larger than the newcomer so the ladder keeps
@@ -810,56 +793,11 @@ fn windowed_queries_load_only_intersecting_segments() {
 
     let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
     assert_eq!(reopened.run_count(), 2);
-    assert_eq!(reopened.resident_runs(), 0, "open must not decode segment bodies");
-    // Span comes from the manifest bounds — still nothing decoded.
     assert_eq!(reopened.hour_span(), Some((0, 1100)));
     assert_eq!(reopened.len(), 8700);
-    assert_eq!(reopened.resident_runs(), 0);
-
-    // A query over the second segment's hours decodes only it.
     assert_eq!(reopened.by_hours(1000, 1100).count(), 4200);
-    assert_eq!(reopened.resident_runs(), 1, "pruned query must decode one segment");
-    // The dead zone between the segments touches nothing new.
     assert_eq!(reopened.by_hours(200, 900).count(), 0);
-    assert_eq!(reopened.resident_runs(), 1);
-    // A full-span query decodes both; verify keeps them valid.
     assert_eq!(reopened.by_hours(0, 1100).count(), 8700);
-    assert_eq!(reopened.resident_runs(), 2);
-    reopened.verify().expect("both segments intact");
-}
-
-/// The decoded-segment cache holds at most eight runs across a sync:
-/// with nine disjoint-hour segments decoded, `sync()` evicts the least
-/// recently used one, and the next query that touches it reloads it
-/// from disk.
-#[test]
-fn sync_evicts_decoded_segments_past_the_cache_budget() {
-    let scratch = Scratch::new();
-    let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    // Nine runs, each strictly smaller than its elder so the ladder
-    // keeps them apart.
-    let rows = |k: u64| 4200 - 10 * k;
-    for k in 0..9u64 {
-        store.extend((0..rows(k)).map(|i| rec_at(i, 1000 * k + i % 100)));
-        store.seal();
-    }
-    store.sync().expect("sync");
-    assert_eq!(live_segments(scratch.path()).len(), 9);
-    drop(store);
-
-    let mut reopened = TelemetryStore::open(scratch.path()).expect("reopen");
-    assert_eq!(reopened.resident_runs(), 0);
-    // Touch every segment, oldest first; queries alone never evict.
-    for k in 0..9u64 {
-        assert_eq!(reopened.by_hours(1000 * k, 1000 * k + 100).count() as u64, rows(k));
-    }
-    assert_eq!(reopened.resident_runs(), 9);
-    reopened.sync().expect("sync");
-    assert_eq!(reopened.resident_runs(), 8, "sync evicts down to the budget");
-    // The least recently touched run was the one evicted: it reloads.
-    assert_eq!(reopened.by_hours(0, 100).count() as u64, rows(0));
-    assert_eq!(reopened.resident_runs(), 9);
-    reopened.verify().expect("reloaded segment intact");
 }
 
 /// Bounded write amplification: once a large segment is on disk, later
@@ -1006,8 +944,8 @@ fn hourly_syncs_ride_the_wal_and_day_seals_keep_runs_logarithmic() {
 /// Regression (previously: `merge` read only the other store's sealed
 /// runs whose index was already decoded, so a reopened durable store —
 /// every run still on disk — contributed none of its sealed rows while
-/// `merge` reported 0 dropped). Sealed runs now load through the same
-/// lazy path queries use.
+/// `merge` reported 0 dropped). A reopened store now holds every run
+/// it lists.
 #[test]
 fn merge_of_reopened_store_carries_its_sealed_rows() {
     let scratch = Scratch::new();
@@ -1019,7 +957,6 @@ fn merge_of_reopened_store_carries_its_sealed_rows() {
     drop(store);
 
     let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
-    assert_eq!(reopened.resident_runs(), 0, "nothing decoded before the merge");
     let mut merged = TelemetryStore::new();
     assert_eq!(merged.merge(reopened), 0);
 
@@ -1029,14 +966,13 @@ fn merge_of_reopened_store_carries_its_sealed_rows() {
     for g in reference.groups() {
         assert_eq!(sorted_keys(reference.by_group(g)), sorted_keys(merged.by_group(g)));
     }
-    merged.verify().expect("nothing degraded");
 }
 
-/// Merging a store whose segment fails to load carries the failure
-/// along: the result holds the surviving rows and `verify()` reports
-/// the original diagnosis.
+/// A store that opens is whole: a byte flipped mid-body fails `open`
+/// with `Corrupt` naming the segment, and quarantines the file, rather
+/// than opening a store that serves only the WAL tail.
 #[test]
-fn merge_of_degraded_store_carries_its_diagnosis() {
+fn corrupt_segment_fails_open() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
     store.extend((0..40).map(rec));
@@ -1052,12 +988,13 @@ fn merge_of_degraded_store_carries_its_diagnosis() {
     bytes[mid] ^= 0xA5;
     std::fs::write(seg, &bytes).expect("write");
 
-    let reopened = TelemetryStore::open(scratch.path()).expect("open validates headers only");
-    let mut merged = TelemetryStore::new();
-    merged.merge(reopened);
-    assert_eq!(merged.len(), 10, "only the WAL tail survives");
-    match merged.verify() {
-        Err(PersistError::Corrupt { path, .. }) => assert_eq!(&path, seg),
-        other => panic!("expected the segment's diagnosis, got {other:?}"),
+    match TelemetryStore::open(scratch.path()) {
+        Err(PersistError::Corrupt { path, reason }) => {
+            assert_eq!(&path, seg);
+            assert!(reason.contains("checksum mismatch"), "{reason}");
+        }
+        other => panic!("expected the segment's Corrupt error, got {other:?}"),
     }
+    assert!(seg.with_extension("kseg.quarantine").exists(), "corrupt segment not quarantined");
+    assert!(!seg.exists());
 }
