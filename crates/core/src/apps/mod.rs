@@ -13,51 +13,3 @@ pub mod queue_tuning;
 pub mod sc_selection;
 pub mod sku_design;
 pub mod yarn_config;
-
-/// The three tuning approaches of §4.2, used to tag applications and
-/// reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuningApproach {
-    /// Model from passive telemetry; flight only as a safety check.
-    Observational,
-    /// Model from passive telemetry; no flighting or deployment possible
-    /// (future hardware).
-    Hypothetical,
-    /// Deploy experiments to gather operating points (last resort).
-    Experimental,
-}
-
-impl TuningApproach {
-    /// Which KEA architecture modules (Figure 7) the approach uses.
-    pub fn modules(&self) -> &'static [&'static str] {
-        match self {
-            TuningApproach::Observational => {
-                &["performance monitor", "modeling", "flighting", "deployment"]
-            }
-            TuningApproach::Hypothetical => &["performance monitor", "modeling"],
-            TuningApproach::Experimental => &[
-                "performance monitor",
-                "modeling",
-                "experiment",
-                "flighting",
-                "deployment",
-            ],
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn module_usage_matches_section_4_2() {
-        assert_eq!(TuningApproach::Observational.modules().len(), 4);
-        assert_eq!(TuningApproach::Hypothetical.modules().len(), 2);
-        assert_eq!(TuningApproach::Experimental.modules().len(), 5);
-        assert!(!TuningApproach::Hypothetical
-            .modules()
-            .contains(&"flighting"));
-        assert!(TuningApproach::Experimental.modules().contains(&"experiment"));
-    }
-}

@@ -63,11 +63,6 @@ impl Arm {
     pub fn feature_on(&self) -> bool {
         matches!(self, Arm::B | Arm::D)
     }
-
-    /// Whether the arm is capped.
-    pub fn capped(&self) -> bool {
-        matches!(self, Arm::C | Arm::D)
-    }
 }
 
 /// Parameters of the power-capping study.

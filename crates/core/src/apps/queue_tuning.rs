@@ -28,7 +28,6 @@ use crate::monitor::PerformanceMonitor;
 use kea_ml::LinearModel1D;
 use kea_sim::{run, ClusterSpec, ConfigPlan, SimConfig, WorkloadSpec};
 use kea_telemetry::{GroupKey, Metric};
-use std::collections::BTreeMap;
 
 /// Parameters of the queue-tuning study.
 #[derive(Debug, Clone)]
@@ -238,15 +237,6 @@ pub fn run_queue_tuning(params: &QueueTuningParams) -> Result<QueueTuningOutcome
         rows,
         models,
     })
-}
-
-/// Convenience: suggested caps keyed by group.
-pub fn suggested_caps(outcome: &QueueTuningOutcome) -> BTreeMap<GroupKey, u32> {
-    outcome
-        .models
-        .iter()
-        .map(|m| (m.group, m.suggested_cap))
-        .collect()
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub struct YarnTuningParams {
     pub max_step: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Estimator for the What-if Engine.
+    /// Fit method for the What-if Engine.
     pub method: FitMethod,
     /// Workload pressure: target slot occupancy. The knob only matters
     /// when peaks saturate capacity, so tune near the high end (the

@@ -46,11 +46,6 @@ pub struct AnnualValue {
     pub fleet_cost_per_year: f64,
     /// Value of the capacity gain: the machines you no longer have to
     /// buy to serve the same (grown) demand.
-    pub capacity_value_per_year: f64,
-    /// Value of harvested power headroom (power-capping): extra machines
-    /// the same provisioned megawatts can host, priced at facility cost.
-    pub power_value_per_year: f64,
-    /// Sum of the above.
     pub total_per_year: f64,
 }
 
@@ -82,57 +77,10 @@ pub fn capacity_gain_value(
     let per_machine_year =
         cost.capex_per_machine_year + cost.facility_per_machine_year + power_cost_per_machine;
     let fleet_cost_per_year = per_machine_year * machines as f64;
-    let capacity_value_per_year = fleet_cost_per_year * capacity_gain_fraction;
     Ok(AnnualValue {
         machines,
         fleet_cost_per_year,
-        capacity_value_per_year,
-        power_value_per_year: 0.0,
-        total_per_year: capacity_value_per_year,
-    })
-}
-
-/// Prices harvested provisioned power (the power-capping application):
-/// capping every machine by `harvested_w_per_machine` frees megawatts
-/// that host `freed / per_machine_provisioned` additional machines in the
-/// same datacenter, each saving the *facility* cost that would otherwise
-/// be spent building new capacity.
-///
-/// # Errors
-/// The harvested power must be non-negative and below the provisioned
-/// level of every SKU.
-pub fn harvested_power_value(
-    cluster: &ClusterSpec,
-    cost: &FleetCostModel,
-    harvested_w_per_machine: f64,
-) -> Result<AnnualValue, KeaError> {
-    if !harvested_w_per_machine.is_finite() || harvested_w_per_machine < 0.0 {
-        return Err(KeaError::Design(
-            "harvested power must be non-negative".to_string(),
-        ));
-    }
-    let mean_provisioned: f64 = cluster
-        .skus
-        .iter()
-        .map(|s| s.provisioned_power_w * s.machine_count as f64)
-        .sum::<f64>()
-        / cluster.n_machines() as f64;
-    if harvested_w_per_machine >= mean_provisioned {
-        return Err(KeaError::Design(
-            "cannot harvest more than the provisioned level".to_string(),
-        ));
-    }
-    let machines = cluster.n_machines();
-    let freed_w = harvested_w_per_machine * machines as f64;
-    let new_provision_per_machine = mean_provisioned - harvested_w_per_machine;
-    let extra_machines = freed_w / new_provision_per_machine;
-    let power_value_per_year = extra_machines * cost.facility_per_machine_year;
-    Ok(AnnualValue {
-        machines,
-        fleet_cost_per_year: 0.0,
-        capacity_value_per_year: 0.0,
-        power_value_per_year,
-        total_per_year: power_value_per_year,
+        total_per_year: fleet_cost_per_year * capacity_gain_fraction,
     })
 }
 
@@ -156,7 +104,6 @@ mod tests {
             value.total_per_year
         );
         assert!(value.total_per_year < 100_000_000.0, "sanity upper bound");
-        assert_eq!(value.capacity_value_per_year, value.total_per_year);
     }
 
     #[test]
@@ -177,26 +124,11 @@ mod tests {
     }
 
     #[test]
-    fn harvested_power_hosts_more_machines() {
-        let cluster = ClusterSpec::default_cluster();
-        let cost = FleetCostModel::default();
-        // Cap ~15% below a ~450W mean provision: ~67W per machine.
-        let v = harvested_power_value(&cluster, &cost, 67.0).unwrap();
-        assert!(v.power_value_per_year > 0.0);
-        // More harvest, more value; super-linear because the denominator
-        // shrinks too.
-        let v2 = harvested_power_value(&cluster, &cost, 134.0).unwrap();
-        assert!(v2.power_value_per_year > 2.0 * v.power_value_per_year);
-    }
-
-    #[test]
     fn input_validation() {
         let cluster = ClusterSpec::tiny();
         let cost = FleetCostModel::default();
         assert!(capacity_gain_value(&cluster, &cost, f64::NAN, 250.0).is_err());
         assert!(capacity_gain_value(&cluster, &cost, -1.5, 250.0).is_err());
         assert!(capacity_gain_value(&cluster, &cost, 0.02, -1.0).is_err());
-        assert!(harvested_power_value(&cluster, &cost, -5.0).is_err());
-        assert!(harvested_power_value(&cluster, &cost, 10_000.0).is_err());
     }
 }

@@ -176,51 +176,6 @@ pub fn analyze_time_slices(
     })
 }
 
-/// Sizes an experiment from observed telemetry: the machine-hours per
-/// group needed to detect a `relative_effect` (e.g. 0.05 = 5%) change in
-/// `metric`, using the metric's fleet-wide mean and standard deviation
-/// over `[start_hour, end_hour)` as the noise model.
-///
-/// This is how the Experiment Module answers "how many machines × how
-/// many hours do we need?" before committing production capacity to an
-/// experiment (§7's sample-size concern).
-///
-/// # Errors
-/// The window must contain observations with variance, and the effect,
-/// `alpha`, and `power` must be in their domains.
-pub fn required_machine_hours(
-    store: &TelemetryStore,
-    metric: Metric,
-    start_hour: u64,
-    end_hour: u64,
-    relative_effect: f64,
-    alpha: f64,
-    power: f64,
-) -> Result<usize, KeaError> {
-    let samples: Vec<f64> = store
-        .by_hours(start_hour, end_hour)
-        .map(|r| metric.value(&r.metrics))
-        .collect();
-    if samples.len() < 2 {
-        return Err(KeaError::NoObservations {
-            what: format!("sizing window for {metric}"),
-        });
-    }
-    let mean = kea_stats::mean(&samples)?;
-    let sd = kea_stats::stddev(&samples)?;
-    if mean == 0.0 {
-        return Err(KeaError::Design(
-            "metric mean is zero; relative effect undefined".to_string(),
-        ));
-    }
-    Ok(kea_stats::required_n_two_sample(
-        (mean * relative_effect).abs(),
-        sd,
-        alpha,
-        power,
-    )?)
-}
-
 /// Extracts per-machine-hour samples of `metric` for a machine set in a
 /// window — the unit of analysis for all experiment comparisons.
 ///
@@ -394,31 +349,6 @@ mod tests {
         let (store, split) = synthetic_split_store(0.0);
         let res = analyze(&store, &split, 0, 48, Metric::TotalDataRead).unwrap();
         assert!(!res.effect.significant_at(0.05));
-    }
-
-    #[test]
-    fn experiment_sizing_matches_observed_noise() {
-        let (store, _) = synthetic_split_store(0.0);
-        // Total Data Read here has mean ≈ 105, sd ≈ 2.6 → a 5% effect
-        // (≈5.25) is big relative to noise: tiny n required.
-        let n_easy =
-            required_machine_hours(&store, Metric::TotalDataRead, 0, 48, 0.05, 0.05, 0.8)
-                .unwrap();
-        // A 0.5% effect needs ~100× the samples (n ∝ 1/δ²).
-        let n_hard =
-            required_machine_hours(&store, Metric::TotalDataRead, 0, 48, 0.005, 0.05, 0.8)
-                .unwrap();
-        assert!(n_easy >= 2);
-        let ratio = n_hard as f64 / n_easy as f64;
-        assert!(
-            (50.0..200.0).contains(&ratio),
-            "inverse-square law: {n_easy} vs {n_hard}"
-        );
-        // Empty windows error.
-        assert!(matches!(
-            required_machine_hours(&store, Metric::TotalDataRead, 900, 901, 0.05, 0.05, 0.8),
-            Err(KeaError::NoObservations { .. })
-        ));
     }
 
     #[test]

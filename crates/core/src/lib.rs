@@ -25,8 +25,8 @@
 //! * [`anomaly`] — model-based screening of machines that drift off
 //!   their group's calibrated line (the Griffon-adjacent hygiene the
 //!   Huber choice of §5.2.1 implies).
-//! * [`economics`] — converting capacity and power gains into dollars
-//!   (§5.3's "monetary values").
+//! * [`economics`] — converting capacity gains into dollars (§5.3's
+//!   "monetary values").
 //! * [`apps`] — the four production applications of Table 3, plus the
 //!   §5.3 queue-length extension.
 //!
@@ -70,14 +70,12 @@ pub mod slo;
 pub mod whatif;
 
 pub use anomaly::{screen_machines, MachineAnomaly};
-pub use apps::TuningApproach;
-pub use economics::{capacity_gain_value, harvested_power_value, AnnualValue, FleetCostModel};
+pub use economics::{capacity_gain_value, AnnualValue, FleetCostModel};
 pub use error::KeaError;
 pub use methodology::{Approach, Phase, TuningProject};
 pub use slo::{check_implicit_slos, SloReport};
 pub use experiment::{
-    analyze, analyze_time_slices, hybrid_groups, ideal_setting, required_machine_hours,
-    time_slices, MachineSplit,
+    analyze, analyze_time_slices, hybrid_groups, ideal_setting, time_slices, MachineSplit,
 };
 pub use flighting::{evaluate_deployment, DeploymentReport, FlightingTool, Guardrail};
 pub use monitor::PerformanceMonitor;

@@ -132,7 +132,6 @@ impl GroupModels {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhatIfEngine {
     models: BTreeMap<GroupKey, GroupModels>,
-    method: FitMethod,
 }
 
 impl WhatIfEngine {
@@ -212,7 +211,7 @@ impl WhatIfEngine {
         for ((group, _), result) in groups.iter().zip(results) {
             models.insert(*group, result?);
         }
-        Ok(WhatIfEngine { models, method })
+        Ok(WhatIfEngine { models })
     }
 
     /// Fits every group, work-stealing across at most `n_workers` scoped
@@ -330,11 +329,6 @@ impl WhatIfEngine {
             n_rows: rows.len(),
             containers_sorted,
         })
-    }
-
-    /// The estimator used at fit time.
-    pub fn method(&self) -> FitMethod {
-        self.method
     }
 
     /// Calibrated groups, sorted by key.
@@ -623,7 +617,5 @@ mod tests {
         assert!(
             (hg.g_containers_to_util.slope() - og.g_containers_to_util.slope()).abs() < 0.01
         );
-        assert_eq!(huber.method(), FitMethod::Huber);
-        assert_eq!(ols.method(), FitMethod::Ols);
     }
 }

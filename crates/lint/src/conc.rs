@@ -12,11 +12,14 @@
 //!   `join` — a closure **mutating captured state** races instead;
 //! * `OnceLock` is either read through `get_or_init` or invalidated
 //!   through `&mut`/`take()` — a **`get()`-then-`set()`** sequence is a
-//!   check-then-act race.
+//!   check-then-act race;
+//! * a joined worker's `Err` is its panic, re-raised with
+//!   `resume_unwind` — a join that **discards the `Err`** drops the
+//!   panic and that worker's results without an error.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
-use crate::rules::in_spans;
+use crate::rules::{in_spans, open_paren_of};
 use crate::syntax::{receiver_path, receiver_root, Syntax, VarType};
 
 /// Rule id: `.load(Ordering::Relaxed)` inside an `if`/`while`/`match`
@@ -28,6 +31,9 @@ pub const SCOPED_MUT_CAPTURE: &str = "scoped-mut-capture";
 /// Rule id: `get()` then `set(…)` on one `OnceLock` — a
 /// check-then-act race `get_or_init` exists to close.
 pub const ONCELOCK_GET_THEN_SET: &str = "oncelock-get-then-set";
+/// Rule id: a zero-argument `.join()` whose `Err` — the worker's panic
+/// — is discarded (`if let Ok(..) =`, `let _ =`, `.ok()`, `.is_ok()`).
+pub(crate) const SWALLOWED_JOIN_PANIC: &str = "swallowed-join-panic";
 
 /// Mutating container/string methods: a call through a captured
 /// receiver inside a spawned closure is a cross-worker write.
@@ -64,6 +70,7 @@ pub fn run(
     relaxed_atomic_gate(file, toks, spans, syn, diags);
     scoped_mut_capture(file, toks, spans, syn, diags);
     oncelock_get_then_set(file, toks, spans, syn, diags);
+    swallowed_join_panic(file, toks, spans, diags);
 }
 
 fn relaxed_atomic_gate(
@@ -270,6 +277,92 @@ fn oncelock_get_then_set(
             ));
         }
     }
+}
+
+fn swallowed_join_panic(
+    file: &str,
+    toks: &[Tok],
+    spans: &[(u32, u32)],
+    diags: &mut Vec<Diagnostic>,
+) {
+    for i in 1..toks.len() {
+        if in_spans(spans, toks[i].line) {
+            continue;
+        }
+        let Some(shape) = discarded_join(toks, i) else {
+            continue;
+        };
+        diags.push(Diagnostic::new(
+            SWALLOWED_JOIN_PANIC,
+            file,
+            toks[i].line,
+            toks[i].col,
+            format!(
+                "`{shape}` discards the `Err` that carries the worker's panic, so the \
+                 worker's results drop out without an error; match on the result and \
+                 re-raise with `Err(payload) => std::panic::resume_unwind(payload)`, or \
+                 add `// kea-lint: allow({SWALLOWED_JOIN_PANIC}) — <reason>`"
+            ),
+        ));
+    }
+}
+
+/// If the token at `i` (≥ 1) is the `join` of a zero-argument `.join()`
+/// whose `Err` is discarded, the shape that discards it.
+fn discarded_join(toks: &[Tok], i: usize) -> Option<&'static str> {
+    let sym_at = |k: usize, s: &str| toks.get(k).is_some_and(|t| t.is_sym(s));
+    // String and path `join(x)` calls take an argument.
+    if !toks[i].is_ident("join")
+        || !sym_at(i - 1, ".")
+        || !sym_at(i + 1, "(")
+        || !sym_at(i + 2, ")")
+    {
+        return None;
+    }
+    let after = i + 3;
+    if sym_at(after, ".") {
+        let method = toks.get(after + 1)?;
+        return match method.text.as_str() {
+            "ok" => Some(".join().ok()"),
+            "is_ok" => Some(".join().is_ok()"),
+            _ => None,
+        };
+    }
+    let head = expr_head(toks, i - 1)?;
+    if head < 2 || !toks[head].is_sym("=") {
+        return None;
+    }
+    if toks[head - 1].is_ident("_") && toks[head - 2].is_ident("let") && sym_at(after, ";") {
+        return Some("let _ = ….join()");
+    }
+    // `if let Ok(..) =`, `while let Ok(..) =` and `let Ok(..) = … else`.
+    if !toks[head - 1].is_sym(")") {
+        return None;
+    }
+    let open = open_paren_of(toks, head - 1)?;
+    (open >= 2 && toks[open - 1].is_ident("Ok") && toks[open - 2].is_ident("let"))
+        .then_some("let Ok(..) = ….join()")
+}
+
+/// Walking back from the expression whose last token is at `end`, the
+/// index of the token just before it: the nearest `=`, `;` or `,`
+/// outside brackets, or the opening bracket that encloses it.
+fn expr_head(toks: &[Tok], end: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for k in (0..=end).rev() {
+        let t = &toks[k];
+        if t.is_sym(")") || t.is_sym("]") || t.is_sym("}") {
+            depth += 1;
+        } else if t.is_sym("(") || t.is_sym("[") || t.is_sym("{") {
+            if depth == 0 {
+                return Some(k);
+            }
+            depth -= 1;
+        } else if depth == 0 && (t.is_sym("=") || t.is_sym(";") || t.is_sym(",")) {
+            return Some(k);
+        }
+    }
+    None
 }
 
 /// Is the receiver a `OnceLock`? Either its root binding classifies as

@@ -42,6 +42,7 @@ pub const ALL_RULES: &[&str] = &[
     crate::conc::RELAXED_ATOMIC_GATE,
     crate::conc::SCOPED_MUT_CAPTURE,
     crate::conc::ONCELOCK_GET_THEN_SET,
+    crate::conc::SWALLOWED_JOIN_PANIC,
     crate::suppress::BAD_SUPPRESSION,
 ];
 
@@ -74,6 +75,9 @@ pub fn describe(rule: &str) -> &'static str {
         }
         crate::conc::ONCELOCK_GET_THEN_SET => {
             "OnceLock get() then set() check-then-act race"
+        }
+        crate::conc::SWALLOWED_JOIN_PANIC => {
+            "thread join whose Err (the worker's panic) is discarded"
         }
         crate::suppress::BAD_SUPPRESSION => "malformed, unreasoned, or stale kea-lint directive",
         _ => "unknown rule",
@@ -244,7 +248,7 @@ pub(crate) fn skip_parens(toks: &[Tok], open: usize) -> usize {
 }
 
 /// Index of the `(` matching the `)` at `close`, scanning backwards.
-fn open_paren_of(toks: &[Tok], close: usize) -> Option<usize> {
+pub(crate) fn open_paren_of(toks: &[Tok], close: usize) -> Option<usize> {
     let mut depth = 0i32;
     let mut i = close as isize;
     while i >= 0 {

@@ -13,9 +13,13 @@ pub fn discarded_handle_std_path() {
 
 pub fn bound_handle_is_fine() {
     let handle = thread::spawn(|| {});
-    let _ = handle.join();
+    if let Err(payload) = handle.join() {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 pub fn chained_join_is_fine() {
-    let _ = thread::spawn(|| {}).join();
+    if let Err(payload) = thread::spawn(|| {}).join() {
+        std::panic::resume_unwind(payload);
+    }
 }

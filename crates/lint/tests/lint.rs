@@ -184,6 +184,23 @@ fn oncelock_fixture_flags_check_then_act_only() {
     assert!(diags[0].line < 16, "{diags:#?}");
 }
 
+#[test]
+fn join_fixture_flags_discarded_errs_only() {
+    let diags = lint_fixture("conc_swallowed_join_panic.rs");
+    assert_eq!(
+        rules_of(&diags),
+        vec!["swallowed-join-panic"; 4],
+        "{diags:#?}"
+    );
+    let msgs: String = diags.iter().map(|d| d.message.as_str()).collect();
+    for shape in ["let Ok(..) =", "let _ =", ".join().ok()", ".join().is_ok()"] {
+        assert!(msgs.contains(shape), "missing `{shape}` in {msgs}");
+    }
+    // A `match` that re-raises in its `Err` arm, a returned result, and
+    // string or path `join(x)` calls are exempt.
+    assert!(diags.iter().all(|d| d.line < 35), "{diags:#?}");
+}
+
 // ---- the closed type-inference gaps ------------------------------------
 
 #[test]
@@ -382,6 +399,7 @@ fn cli_exits_nonzero_on_each_rule_fixture() {
         "conc_relaxed_gate.rs",
         "conc_scoped_mut_capture.rs",
         "conc_oncelock_get_then_set.rs",
+        "conc_swallowed_join_panic.rs",
         "stale_allow.rs",
     ] {
         let path = fixture_path(fixture);

@@ -6,7 +6,7 @@
 //! task latency (`f_k`), cores → SSD (`p`), cores → RAM (`q`). The SKU
 //! design optimizer additionally needs the inverse maps `p⁻¹`, `q⁻¹`
 //! (§6.1, step 2). [`LinearModel1D`] packages a fitted line with its
-//! inverse and provenance.
+//! inverse.
 //!
 //! Both fits run directly on the `x` and `y` slices and solve the 2×2
 //! normal equations of the design `[1, x]` in closed form: OLS in
@@ -16,24 +16,11 @@
 use crate::error::MlError;
 use crate::{huber, linreg};
 
-/// Which estimator produced a [`LinearModel1D`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Estimator {
-    /// Ordinary least squares.
-    Ols,
-    /// Huber robust regression (the paper's default for the What-if Engine).
-    Huber,
-    /// Parameters supplied directly rather than fitted.
-    Manual,
-}
-
 /// A univariate linear model `y = intercept + slope·x`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearModel1D {
     intercept: f64,
     slope: f64,
-    estimator: Estimator,
-    n_obs: usize,
 }
 
 impl LinearModel1D {
@@ -56,7 +43,7 @@ impl LinearModel1D {
     pub fn fit_ols(x: &[f64], y: &[f64]) -> Result<Self, MlError> {
         check_inputs(x, y)?;
         let (intercept, slope) = linreg::fit(x, y)?;
-        Ok(Self::fitted(intercept, slope, Estimator::Ols, x.len()))
+        Ok(LinearModel1D { intercept, slope })
     }
 
     /// Fits by Huber robust regression (the paper's choice, §5.2.1).
@@ -78,21 +65,7 @@ impl LinearModel1D {
     pub fn fit_huber(x: &[f64], y: &[f64]) -> Result<Self, MlError> {
         check_inputs(x, y)?;
         let (intercept, slope) = huber::fit(x, y)?;
-        Ok(Self::fitted(intercept, slope, Estimator::Huber, x.len()))
-    }
-
-    fn fitted(intercept: f64, slope: f64, estimator: Estimator, n_obs: usize) -> Self {
-        LinearModel1D {
-            intercept,
-            slope,
-            estimator,
-            n_obs,
-        }
-    }
-
-    /// Builds a model from known parameters.
-    pub fn from_parameters(intercept: f64, slope: f64) -> Self {
-        Self::fitted(intercept, slope, Estimator::Manual, 0)
+        Ok(LinearModel1D { intercept, slope })
     }
 
     /// Intercept (`α` in the paper's Equations 11–12).
@@ -103,16 +76,6 @@ impl LinearModel1D {
     /// Slope (`β` in the paper's Equations 11–12).
     pub fn slope(&self) -> f64 {
         self.slope
-    }
-
-    /// Which estimator produced this model.
-    pub fn estimator(&self) -> Estimator {
-        self.estimator
-    }
-
-    /// Number of observations the model was fitted on (0 for manual).
-    pub fn n_obs(&self) -> usize {
-        self.n_obs
     }
 
     /// Forward prediction `y = intercept + slope·x`.
@@ -167,8 +130,6 @@ mod tests {
         let m = LinearModel1D::fit_ols(&x, &y).unwrap();
         assert!((m.intercept() - 1.0).abs() < 1e-9);
         assert!((m.slope() - 0.5).abs() < 1e-9);
-        assert_eq!(m.estimator(), Estimator::Ols);
-        assert_eq!(m.n_obs(), 10);
     }
 
     #[test]
@@ -187,7 +148,10 @@ mod tests {
 
     #[test]
     fn inverse_round_trips() {
-        let m = LinearModel1D::from_parameters(10.0, 2.5);
+        let m = LinearModel1D {
+            intercept: 10.0,
+            slope: 2.5,
+        };
         for x in [-3.0, 0.0, 7.25] {
             let y = m.predict(x);
             assert!((m.inverse(y).unwrap() - x).abs() < 1e-12);
@@ -196,7 +160,10 @@ mod tests {
 
     #[test]
     fn inverse_rejects_flat_line() {
-        let m = LinearModel1D::from_parameters(4.0, 0.0);
+        let m = LinearModel1D {
+            intercept: 4.0,
+            slope: 0.0,
+        };
         assert!(m.inverse(4.0).is_err());
     }
 

@@ -45,7 +45,8 @@ proptest! {
         slope in -5.0..5.0f64,
         x in -100.0..100.0f64,
     ) {
-        let m = LinearModel1D::from_parameters(intercept, slope);
+        // Two exact points pin the line: (0, intercept), (1, intercept + slope).
+        let m = LinearModel1D::fit_ols(&[0.0, 1.0], &[intercept, intercept + slope]).unwrap();
         let direct = m.predict(x);
         prop_assert!((direct - (intercept + slope * x)).abs() < 1e-9);
         // Affinity: doubling x doubles the non-intercept part.

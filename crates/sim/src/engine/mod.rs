@@ -193,8 +193,11 @@ fn run_federated(cfg: &SimConfig, exec: ExecConfig) -> SimOutput {
             })
             .collect();
         for h in handles {
-            if let Ok(v) = h.join() {
-                indexed.extend(v);
+            match h.join() {
+                Ok(v) => indexed.extend(v),
+                // A domain whose worker panicked must not drop out of
+                // the output unnoticed.
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });

@@ -100,14 +100,6 @@ impl JobTemplate {
     pub fn total_tasks(&self) -> u32 {
         self.stages.iter().map(|s| s.tasks).sum()
     }
-
-    /// Expected CPU-seconds of one instance on the reference SKU.
-    pub fn expected_cpu_s(&self) -> f64 {
-        self.stages
-            .iter()
-            .map(|s| s.tasks as f64 * s.mean_cpu_s)
-            .sum()
-    }
 }
 
 /// Seasonality of the ad-hoc load: Figure 1's diurnal wave plus a weekday
@@ -561,12 +553,20 @@ mod tests {
         assert!((rate(&hi) / rate(&lo) - 2.0).abs() < 0.01);
     }
 
+    /// CPU-seconds of one instance on the reference SKU: Σ tasks × mean.
+    fn cpu_s(t: &JobTemplate) -> f64 {
+        t.stages
+            .iter()
+            .map(|s| f64::from(s.tasks) * s.mean_cpu_s)
+            .sum()
+    }
+
     #[test]
     fn template_accessors() {
         let spec = WorkloadSpec::default_for(&ClusterSpec::tiny(), 0.75);
         for t in &spec.templates {
             assert!(t.total_tasks() > 0);
-            assert!(t.expected_cpu_s() > 0.0);
+            assert!(cpu_s(t) > 0.0);
             assert!(!t.stages.is_empty());
         }
     }
@@ -655,13 +655,13 @@ mod tests {
                 ) => {
                     // Rate drops 8×, per-job work grows 8×: load constant.
                     assert!((ra / rb - 8.0).abs() < 1e-9);
-                    assert!((b.expected_cpu_s() / a.expected_cpu_s() - 8.0).abs() < 1e-9);
+                    assert!((cpu_s(b) / cpu_s(a) - 8.0).abs() < 1e-9);
                 }
                 _ => {
                     // Recurring: total CPU-seconds per instance within
                     // ceil-rounding of the original.
                     assert!(b.total_tasks() <= a.total_tasks());
-                    assert!(b.expected_cpu_s() >= a.expected_cpu_s() - 1e-9);
+                    assert!(cpu_s(b) >= cpu_s(a) - 1e-9);
                 }
             }
         }

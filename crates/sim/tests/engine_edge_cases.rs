@@ -2,9 +2,10 @@
 //! conservation laws the event loop must uphold.
 
 use kea_sim::{
-    run, ClusterSpec, ConfigPatch, ConfigPlan, Flight, SimConfig, WorkloadSpec, SC1,
+    run, run_with_exec, ClusterSpec, ConfigPatch, ConfigPlan, ExecConfig, Flight, SimConfig,
+    WorkloadSpec, SC1,
 };
-use kea_telemetry::MachineId;
+use kea_telemetry::{MachineId, SkuId};
 use std::collections::BTreeSet;
 
 fn saturated_config(hours: u64, seed: u64) -> SimConfig {
@@ -196,4 +197,27 @@ fn degenerate_calibration_cannot_smuggle_nonfinite_telemetry() {
     let oracle = kea_sim::engine::reference::run(&cfg);
     assert_eq!(oracle.nonfinite_dropped, out.nonfinite_dropped);
     assert_eq!(oracle.telemetry.len(), out.telemetry.len());
+}
+
+#[test]
+#[should_panic(expected = "SKU present in plan")]
+fn federated_run_surfaces_a_worker_panic() {
+    // A machine whose SKU the plan does not know panics its domain's
+    // worker. The serial engine panics with the same message; the
+    // federated one must too, not return the other domains' records.
+    let mut cfg = SimConfig::baseline(ClusterSpec::tiny(), 2, 1);
+    if let Some(m) = cfg.cluster.machines.last_mut() {
+        m.sku = SkuId(999);
+    }
+    let out = run_with_exec(
+        &cfg,
+        ExecConfig {
+            shards: 2,
+            emit_window_hours: 24,
+        },
+    );
+    panic!(
+        "returned {} records instead of panicking",
+        out.telemetry.len()
+    );
 }

@@ -1,8 +1,7 @@
 //! Descriptive statistics over machine-level telemetry samples.
 //!
 //! Numerically stable means and variances (Welford) over telemetry
-//! samples. The Experiment Module sizes its groups from the mean and
-//! standard deviation of a pilot sample.
+//! samples.
 
 use crate::error::{check_finite, StatsError};
 
@@ -37,11 +36,6 @@ pub fn variance(data: &[f64]) -> Result<f64, StatsError> {
         acc.push(v);
     }
     Ok(acc.sample_variance())
-}
-
-/// Unbiased sample standard deviation. See [`variance`].
-pub fn stddev(data: &[f64]) -> Result<f64, StatsError> {
-    variance(data).map(f64::sqrt)
 }
 
 /// Welford's online algorithm for streaming mean/variance.
@@ -120,12 +114,6 @@ mod tests {
                 actual: 1
             })
         );
-    }
-
-    #[test]
-    fn stddev_is_sqrt_of_variance() {
-        let data = [1.0, 2.0, 3.0, 4.0];
-        assert!((stddev(&data).unwrap().powi(2) - variance(&data).unwrap()).abs() < 1e-12);
     }
 
     #[test]

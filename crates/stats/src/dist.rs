@@ -3,10 +3,9 @@
 //! KEA reports Student t statistics for every production comparison
 //! (t = 4.45 / 7.13 for the §5.2.2 roll-out, t = 40.4 / 27.1 for Table 4),
 //! so the t distribution CDF — and therefore the regularized incomplete beta
-//! function — is the workhorse of this crate. Experiment sizing needs only
-//! the standard normal quantile. Everything is implemented from scratch:
-//! Lanczos log-gamma, a Lentz continued fraction for the incomplete beta,
-//! and Acklam's normal quantile.
+//! function — is the workhorse of this crate. Everything is implemented
+//! from scratch: Lanczos log-gamma and a Lentz continued fraction for the
+//! incomplete beta.
 
 // kea-lint: allow-file(index-in-library) — fixed-size coefficient tables indexed by constant literals
 
@@ -124,81 +123,6 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// The standard normal distribution (μ = 0, σ = 1). Only its quantile
-/// is needed: [`crate::power`] sizes experiments from `z` scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Normal;
-
-impl Normal {
-    /// Standard normal.
-    pub fn standard() -> Self {
-        Normal
-    }
-
-    /// Inverse CDF (quantile) using Acklam's algorithm
-    /// (relative error < 1.15e-9 over the open unit interval).
-    ///
-    /// # Errors
-    /// `p` must be strictly inside `(0, 1)`.
-    pub fn quantile(&self, p: f64) -> Result<f64, StatsError> {
-        // kea-lint: allow(nan-unsafe-ordering) — exact open-interval endpoint check after range validation
-        if !(0.0..=1.0).contains(&p) || p == 0.0 || p == 1.0 {
-            return Err(StatsError::InvalidParameter("quantile p must be in (0, 1)"));
-        }
-        Ok(standard_normal_quantile(p))
-    }
-}
-
-/// Acklam's rational approximation to the standard normal quantile.
-fn standard_normal_quantile(p: f64) -> f64 {
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.024_25;
-    const P_HIGH: f64 = 1.0 - P_LOW;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= P_HIGH {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
-}
-
 /// Student's t distribution with `df` degrees of freedom.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudentsT {
@@ -306,31 +230,6 @@ mod tests {
     fn inc_beta_rejects_bad_params() {
         assert!(inc_beta(-1.0, 1.0, 0.5).is_err());
         assert!(inc_beta(1.0, 1.0, 1.5).is_err());
-    }
-
-    #[test]
-    fn normal_quantile_round_trip() {
-        // Reference quantiles (R's qnorm), at least one per branch of
-        // Acklam's approximation: lower tail (p < 0.02425), central
-        // region, upper tail.
-        let n = Normal::standard();
-        for (p, z) in [
-            (0.001, -3.090_232_306),
-            (0.5, 0.0),
-            (0.8, 0.841_621_234),
-            (0.975, 1.959_963_985),
-            (0.999, 3.090_232_306),
-        ] {
-            let x = n.quantile(p).unwrap();
-            assert!((x - z).abs() < 1e-8, "p = {p}: {x} vs {z}");
-        }
-    }
-
-    #[test]
-    fn normal_quantile_rejects_boundaries() {
-        let n = Normal::standard();
-        assert!(n.quantile(0.0).is_err());
-        assert!(n.quantile(1.0).is_err());
     }
 
     #[test]

@@ -3,17 +3,14 @@
 //! KEA ("Tuning an Exabyte-Scale Data Infrastructure", SIGMOD 2021) leans on
 //! classical statistics rather than heavyweight ML: the paper validates every
 //! configuration change with Student's t-tests, summarises machine behaviour
-//! with descriptive statistics, evaluates production roll-outs with
-//! treatment-effect analysis, and sizes its experiments for significance.
-//! This crate implements that machinery from scratch:
+//! with descriptive statistics, and evaluates production roll-outs with
+//! treatment-effect analysis. This crate implements that machinery from
+//! scratch:
 //!
 //! * [`describe`] — means and variances (Welford).
-//! * [`dist`] — special functions (log-gamma, regularized incomplete beta),
-//!   the Student-t distribution built on them, and the standard normal
-//!   quantile.
+//! * [`dist`] — special functions (log-gamma, regularized incomplete beta)
+//!   and the Student-t distribution built on them.
 //! * [`ttest`] — Welch's two-sample t-test.
-//! * [`power`] — experiment sizing: the group size a two-sample comparison
-//!   needs (§7's "relatively large sample size", made quantitative).
 //! * [`treatment`] — before/after treatment effects, as used for the
 //!   §5.2.2 production roll-out.
 
@@ -23,13 +20,11 @@
 pub mod describe;
 pub mod dist;
 pub mod error;
-pub mod power;
 pub mod treatment;
 pub mod ttest;
 
-pub use describe::{mean, stddev, variance, Welford};
-pub use dist::{Normal, StudentsT};
+pub use describe::{mean, variance, Welford};
+pub use dist::StudentsT;
 pub use error::StatsError;
-pub use power::required_n_two_sample;
 pub use treatment::{treatment_effect, TreatmentEffect};
 pub use ttest::{t_test_welch, Alternative, TTestResult};

@@ -374,7 +374,8 @@ pub fn hourly_fleet_series_window(
     if end_hour <= start_hour {
         return Vec::new();
     }
-    // Guarded above: end_hour >= 1 and hi >= 1, so neither `- 1` wraps.
+    // Guarded above: end_hour >= 1, and hi = max + 1 >= 1 because ingest
+    // refuses the hour u64::MAX, so neither `- 1` wraps.
     let start = lo.max(start_hour);
     let end_inclusive = (hi - 1).min(end_hour - 1);
     if end_inclusive < start {

@@ -7,7 +7,7 @@
 //! different version of the schema is rejected loudly, not misparsed.
 
 use crate::record::{GroupKey, MachineHourRecord, MachineId, MetricValues, ScId, SkuId};
-use crate::store::TelemetryStore;
+use crate::store::{TelemetryStore, MAX_HOUR};
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -56,11 +56,12 @@ pub enum CsvError {
         /// What went wrong.
         reason: String,
     },
-    /// An identifier field parsed as an integer but exceeds the range of
-    /// its typed destination (`machine` is a `u32`, `sku` a `u16`, `sc` a
-    /// `u8`). Previously these were narrowed with `as`, so a machine id
-    /// ≥ 2³² silently aliased to a different machine; now the conversion
-    /// is checked and the offending site is named.
+    /// An integer field parsed but exceeds the range of its typed
+    /// destination (`machine` is a `u32`, `sku` a `u16`, `sc` a `u8`), or
+    /// `hour` is `u64::MAX`, whose span end `hour + 1` does not fit. The
+    /// identifiers used to be narrowed with `as`, so a machine id ≥ 2³²
+    /// silently aliased to a different machine; now the conversion is
+    /// checked and the offending site is named.
     ValueOutOfRange {
         /// Line number in the file.
         line: usize,
@@ -68,7 +69,7 @@ pub enum CsvError {
         column: &'static str,
         /// The value found in the file.
         found: u64,
-        /// Largest value the destination type can hold.
+        /// Largest value the column accepts.
         max: u64,
     },
     /// A metric field parsed as a float but was NaN or infinite. Typed
@@ -137,6 +138,21 @@ fn narrow<T: TryFrom<u64>>(
     })
 }
 
+/// Checks the `hour` column against [`MAX_HOUR`]: the store's span ends
+/// at `hour + 1`, so `u64::MAX` is refused here, where the line is known,
+/// rather than dropped silently by the store.
+fn checked_hour(value: u64, line: usize) -> Result<u64, CsvError> {
+    if value > MAX_HOUR {
+        return Err(CsvError::ValueOutOfRange {
+            line,
+            column: "hour",
+            found: value,
+            max: MAX_HOUR,
+        });
+    }
+    Ok(value)
+}
+
 /// Writes the store as CSV (header + one row per record, insertion order).
 ///
 /// # Errors
@@ -175,8 +191,8 @@ pub fn write_csv<W: Write>(store: &TelemetryStore, mut out: W) -> Result<(), Csv
 ///
 /// # Errors
 /// Rejects a wrong header ([`CsvError::SchemaMismatch`]), malformed rows
-/// ([`CsvError::BadRow`] with the line number), and identifier values
-/// that do not fit their typed destination
+/// ([`CsvError::BadRow`] with the line number), and identifier or hour
+/// values that do not fit their typed destination
 /// ([`CsvError::ValueOutOfRange`] with line and column); propagates I/O
 /// errors.
 pub fn read_csv<R: BufRead>(input: R) -> Result<TelemetryStore, CsvError> {
@@ -225,9 +241,7 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<TelemetryStore, CsvError> {
                 SkuId(narrow(int(1)?, u64::from(u16::MAX), line_no, "sku")?),
                 ScId(narrow(int(2)?, u64::from(u8::MAX), line_no, "sc")?),
             ),
-            // `hour` is a u64 end to end: `parse::<u64>` itself rejects
-            // overflow with a BadRow, so no narrowing is involved.
-            hour: int(3)?,
+            hour: checked_hour(int(3)?, line_no)?,
             metrics: MetricValues {
                 total_data_read_gb: num(4)?,
                 tasks_finished: num(5)?,
@@ -413,6 +427,38 @@ mod tests {
             Err(CsvError::BadRow { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected BadRow, got {other:?}"),
         }
+    }
+
+    /// The last u64 hour parses but has no span end (`hour + 1`): it is
+    /// refused with its line instead of wrapping the store's span.
+    #[test]
+    fn rejects_the_last_u64_hour() {
+        let row = format!(
+            "{CSV_HEADER}\n0,0,0,0{0}\n0,0,0,{1}{0}\n",
+            ",1.0".repeat(14),
+            u64::MAX
+        );
+        match read_csv(row.as_bytes()) {
+            Err(CsvError::ValueOutOfRange {
+                line,
+                column,
+                found,
+                max,
+            }) => {
+                assert_eq!(line, 3);
+                assert_eq!(column, "hour");
+                assert_eq!(found, u64::MAX);
+                assert_eq!(max, u64::MAX - 1);
+            }
+            other => panic!("expected ValueOutOfRange, got {other:?}"),
+        }
+        let row = format!(
+            "{CSV_HEADER}\n0,0,0,{}{}\n",
+            u64::MAX - 1,
+            ",1.0".repeat(14)
+        );
+        let store = read_csv(row.as_bytes()).unwrap();
+        assert_eq!(store.hour_span(), Some((u64::MAX - 1, u64::MAX)));
     }
 
     #[test]

@@ -72,6 +72,11 @@ use std::sync::OnceLock;
 /// day-sized. A larger batch (a 300k-machine hour) still seals at once.
 const MIN_COMPACT_DELTA: usize = 65_536;
 
+/// The last hour a record may carry. [`hour_span`](TelemetryStore::hour_span)
+/// ends at `max + 1`, which `u64::MAX` has no room for, so ingest
+/// refuses that hour.
+pub(crate) const MAX_HOUR: u64 = u64::MAX - 1;
+
 /// One sealed, immutable run of the store. Empty runs are never created.
 #[derive(Debug, Clone)]
 struct SealedRun {
@@ -834,8 +839,9 @@ impl TelemetryStore {
     /// Appends one record into the delta buffer. The sealed runs are
     /// left untouched; only the delta mini-index is invalidated. Seals
     /// when the delta outgrows its threshold. A record carrying a NaN or
-    /// infinite metric is dropped, as in [`extend`](TelemetryStore::extend);
-    /// returns whether the record was kept.
+    /// infinite metric or the hour `u64::MAX` is dropped, as in
+    /// [`extend`](TelemetryStore::extend); returns whether the record was
+    /// kept.
     pub fn push(&mut self, record: MachineHourRecord) -> bool {
         self.extend(std::iter::once(record)) == 0
     }
@@ -844,17 +850,18 @@ impl TelemetryStore {
     /// once per call, so a bulk load seals at most once.
     ///
     /// Every ingest path (`push`, `extend`, `merge`) applies the
-    /// non-finite validation CSV ingest applies (see [`crate::csv`]), in
-    /// every build profile: records carrying a NaN or infinite metric are
+    /// validation CSV ingest applies (see [`crate::csv`]), in every build
+    /// profile: records carrying a NaN or infinite metric, or the hour
+    /// `u64::MAX` (the store's span ends one past its last hour), are
     /// dropped and counted, so a poisoned producer (e.g. a lognormal
     /// sampler overflowing to `inf` under a degenerate calibration) can
-    /// never surface later as NaN aggregates. Returns the number of
-    /// records dropped (zero for any healthy producer).
+    /// never surface later as NaN aggregates or a wrapped span. Returns
+    /// the number of records dropped (zero for any healthy producer).
     pub fn extend(&mut self, records: impl IntoIterator<Item = MachineHourRecord>) -> usize {
         self.delta.take();
         let mut dropped = 0usize;
         for record in records {
-            if record.metrics.is_finite() {
+            if record.metrics.is_finite() && record.hour <= MAX_HOUR {
                 self.tail.push(record);
             } else {
                 dropped += 1;
@@ -875,7 +882,7 @@ impl TelemetryStore {
 
     /// Merges another store into this one (e.g. combining experiment and
     /// control windows collected separately). Routed through the same
-    /// batch append — and therefore the same non-finite validation — as
+    /// batch append — and therefore the same validation — as
     /// [`extend`](TelemetryStore::extend); returns the number of records
     /// dropped. A durable `other` merges like an in-memory one; its
     /// directory is not touched.
@@ -1083,7 +1090,8 @@ impl TelemetryStore {
     }
 
     /// Inclusive-exclusive hour span `(min, max+1)` covered by the
-    /// store, or `None` when empty. O(runs) over the recorded bounds,
+    /// store, or `None` when empty; `max + 1` fits because ingest
+    /// refuses the hour `u64::MAX`. O(runs) over the recorded bounds,
     /// and the delta contributes an O(1) read when its mini-index is
     /// built or a single min/max pass over the (small) buffer when not;
     /// this never forces an index build.
@@ -1324,6 +1332,24 @@ mod tests {
         assert_eq!(store.merge(other), 1);
         assert_eq!(store.len(), 6);
         assert!(store.iter().all(|r| r.metrics.is_finite()));
+    }
+
+    #[test]
+    fn extend_drops_the_hour_whose_span_end_overflows() {
+        // `hour_span` ends at `max + 1`: a record at `u64::MAX` would
+        // overflow it (a panic in debug builds, a span ending at 0 in
+        // release), so ingest drops and counts it like a non-finite one.
+        let mut store = TelemetryStore::new();
+        assert_eq!(
+            store.extend(vec![rec(1, 0, 0, 1.0), rec(1, 0, u64::MAX, 1.0)]),
+            1
+        );
+        assert!(!store.push(rec(2, 0, u64::MAX, 1.0)));
+        assert!(store.push(rec(2, 0, u64::MAX - 1, 1.0)));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.hour_span(), Some((0, u64::MAX)));
+        store.seal();
+        assert_eq!(store.hour_span(), Some((0, u64::MAX)));
     }
 
     #[test]
