@@ -6,9 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
-use kea_core::{optimize_max_containers, OperatingPoint, PerformanceMonitor};
+use kea_core::{tune, PerformanceMonitor, TunePolicy};
 use kea_sim::{run, ClusterSpec, SimConfig};
-use std::collections::BTreeMap;
 use std::hint::black_box;
 
 fn bench_fit_methods(c: &mut Criterion) {
@@ -30,26 +29,11 @@ fn bench_fit_methods(c: &mut Criterion) {
 }
 
 fn bench_observational_vs_experimental(c: &mut Criterion) {
-    // Observational tuning: one telemetry window, then model + LP.
+    // Observational tuning: one telemetry window, then one tuning pass
+    // (model + LP).
     let out = run(&SimConfig::baseline(ClusterSpec::tiny(), 48, 4));
-    let monitor = PerformanceMonitor::new(&out.telemetry);
-    let engine =
-        WhatIfEngine::fit_at(&monitor, FitMethod::Huber, Granularity::Hourly, 24).unwrap();
-    let counts: BTreeMap<_, _> = monitor
-        .group_utilization()
-        .into_iter()
-        .map(|g| (g.group, g.machines))
-        .collect();
     c.bench_function("observational_model_plus_lp", |b| {
-        b.iter(|| {
-            optimize_max_containers(
-                black_box(&engine),
-                black_box(&counts),
-                1.0,
-                OperatingPoint::Median,
-            )
-            .unwrap()
-        })
+        b.iter(|| tune(black_box(&out.telemetry), &TunePolicy::default()).unwrap())
     });
     // Experimental tuning: every candidate evaluation costs a production
     // experiment — here, a full simulated flighting round. One round is

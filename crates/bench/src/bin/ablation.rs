@@ -18,10 +18,8 @@
 
 use kea_bench::Report;
 use kea_core::apps::sc_selection::{run_sc_selection, ScSelectionParams};
-use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
 use kea_core::{
-    analyze, hybrid_groups, optimize_max_containers, time_slices, MachineSplit,
-    OperatingPoint, PerformanceMonitor,
+    analyze, hybrid_groups, time_slices, tune, MachineSplit, PerformanceMonitor, TunePolicy,
 };
 use kea_ml::LinearModel1D;
 use kea_sim::{
@@ -30,7 +28,7 @@ use kea_sim::{
 use kea_telemetry::{MachineId, Metric, SkuId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -117,16 +115,9 @@ fn tuning_modes() -> Report {
         task_log_every: 0,
         adhoc_job_log_every: 0,
     });
-    let monitor = PerformanceMonitor::new(&out.telemetry);
-    let engine =
-        WhatIfEngine::fit_at(&monitor, FitMethod::Huber, Granularity::Hourly, 24).expect("fits");
-    let counts: BTreeMap<_, _> = monitor
-        .group_utilization()
-        .into_iter()
-        .map(|g| (g.group, g.machines))
-        .collect();
-    let opt = optimize_max_containers(&engine, &counts, 1.0, OperatingPoint::Median)
-        .expect("solvable");
+    let opt = tune(&out.telemetry, &TunePolicy::default())
+        .expect("fits and solves")
+        .plan;
     r.row(
         "observational (model+LP)",
         vec![opt.predicted_capacity_gain * 100.0, 0.0, 1.0],

@@ -3,26 +3,16 @@
 //! between the median-load and high-percentile runs.
 
 use crate::common::{observe, ExperimentScale, Report, STANDARD_OCCUPANCY};
-use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
-use kea_core::{optimize_max_containers, OperatingPoint, PerformanceMonitor};
-use std::collections::BTreeMap;
+use kea_core::{optimize_max_containers, tune, OperatingPoint, TunePolicy};
 
 /// Regenerates the suggested-change bar chart (as a signed-step table)
 /// plus the high-load sensitivity run.
 pub fn run(scale: ExperimentScale) -> Report {
     let cluster = scale.cluster();
     let out = observe(&cluster, STANDARD_OCCUPANCY, scale.observe_hours(), 27);
-    let monitor = PerformanceMonitor::new(&out.telemetry);
-    let engine = WhatIfEngine::fit_at(&monitor, FitMethod::Huber, Granularity::Hourly, 24)
-        .expect("enough telemetry");
-    let counts: BTreeMap<_, _> = monitor
-        .group_utilization()
-        .into_iter()
-        .map(|g| (g.group, g.machines))
-        .collect();
-    let median = optimize_max_containers(&engine, &counts, 1.0, OperatingPoint::Median)
-        .expect("solvable LP");
-    let p90 = optimize_max_containers(&engine, &counts, 1.0, OperatingPoint::Percentile(90.0))
+    let tuned = tune(&out.telemetry, &TunePolicy::default()).expect("enough telemetry");
+    let (engine, counts, median) = (&tuned.engine, &tuned.machine_counts, &tuned.plan);
+    let p90 = optimize_max_containers(engine, counts, 1.0, OperatingPoint::Percentile(90.0))
         .expect("solvable LP");
 
     let mut r = Report::new(
@@ -60,7 +50,7 @@ pub fn run(scale: ExperimentScale) -> Report {
     ));
     // The paper's next round allowed ±2 containers and expected ~5% more
     // capacity; project it with the same models.
-    if let Ok(round2) = optimize_max_containers(&engine, &counts, 2.0, OperatingPoint::Median) {
+    if let Ok(round2) = optimize_max_containers(engine, counts, 2.0, OperatingPoint::Median) {
         r.note(format!(
             "round 2 (±2 containers): predicted capacity gain {:.2}% (paper expected ~5% more)",
             round2.predicted_capacity_gain * 100.0

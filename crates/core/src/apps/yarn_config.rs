@@ -18,13 +18,16 @@
 use crate::error::KeaError;
 use crate::flighting::{evaluate_deployment, DeploymentReport, Guardrail};
 use crate::slo::{check_implicit_slos, SloReport};
-use crate::monitor::PerformanceMonitor;
-use crate::optimizer::{optimize_max_containers, OperatingPoint, YarnOptimization};
-use crate::whatif::{FitMethod, Granularity, WhatIfEngine};
+use crate::tune::{tune, TunePolicy, TunedPlan};
 use kea_sim::{run, ClusterSpec, ConfigPatch, ConfigPlan, Flight, SimConfig, WorkloadSpec};
 use kea_stats::{t_test_welch, Alternative};
-use kea_telemetry::{GroupKey, MachineId, Metric};
-use std::collections::{BTreeMap, BTreeSet};
+use kea_telemetry::{MachineId, Metric};
+use std::collections::BTreeSet;
+
+/// Workload pressure: target slot occupancy. The knob only matters when
+/// peaks saturate capacity, so tune near the high end (the paper's
+/// clusters run with standing per-machine queues — Fig 12).
+const TARGET_OCCUPANCY: f64 = 1.02;
 
 /// Parameters of a YARN tuning run.
 #[derive(Debug, Clone)]
@@ -36,16 +39,8 @@ pub struct YarnTuningParams {
     pub observe_hours: u64,
     /// Hours of post-deployment evaluation.
     pub eval_hours: u64,
-    /// Conservative step bound δ (1 in the paper's first round).
-    pub max_step: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Fit method for the What-if Engine.
-    pub method: FitMethod,
-    /// Workload pressure: target slot occupancy. The knob only matters
-    /// when peaks saturate capacity, so tune near the high end (the
-    /// paper's clusters run with standing per-machine queues — Fig 12).
-    pub target_occupancy: f64,
 }
 
 impl YarnTuningParams {
@@ -58,10 +53,7 @@ impl YarnTuningParams {
             cluster,
             observe_hours: 48,
             eval_hours: 48,
-            max_step: 1.0,
             seed,
-            method: FitMethod::Huber,
-            target_occupancy: 1.02,
         }
     }
 }
@@ -82,14 +74,11 @@ pub struct BenchmarkComparison {
 /// Everything the pipeline produced.
 #[derive(Debug, Clone)]
 pub struct YarnTuningOutcome {
-    /// The calibrated What-if Engine (Figure 9 artifacts).
-    pub engine: WhatIfEngine,
-    /// The LP result (Figure 10 artifact).
-    pub optimization: YarnOptimization,
-    /// Machines per group in the observation window, so callers can
-    /// re-run the optimizer at other operating points (the Figure 10
-    /// high-percentile sensitivity check).
-    pub machine_counts: BTreeMap<GroupKey, usize>,
+    /// The tuning pass over the observation window: the calibrated
+    /// What-if Engine (Figure 9), the LP result (Figure 10), and the
+    /// machine counts that let callers re-solve at other operating
+    /// points (the Figure 10 high-percentile sensitivity check).
+    pub tuned: TunedPlan,
     /// Fleet-wide before/after evaluation with guardrails.
     pub deployment: DeploymentReport,
     /// Total Data Read change, percent (paper: +9%).
@@ -114,7 +103,7 @@ pub struct YarnTuningOutcome {
 /// the observation window is too short to calibrate any group.
 pub fn run_yarn_tuning(params: &YarnTuningParams) -> Result<YarnTuningOutcome, KeaError> {
     // ---- Phase: observe under the manual baseline -------------------
-    let workload = WorkloadSpec::default_for(&params.cluster, params.target_occupancy);
+    let workload = WorkloadSpec::default_for(&params.cluster, TARGET_OCCUPANCY);
     let baseline_plan = ConfigPlan::baseline(&params.cluster.skus, kea_sim::SC1);
     let observe_cfg = SimConfig {
         cluster: params.cluster.clone(),
@@ -127,24 +116,11 @@ pub fn run_yarn_tuning(params: &YarnTuningParams) -> Result<YarnTuningOutcome, K
     };
     let observed = run(&observe_cfg);
 
-    // ---- Phase: model ------------------------------------------------
-    let monitor = PerformanceMonitor::new(&observed.telemetry);
-    // Hourly granularity: a scaled-down cluster trades machines for
-    // hours (the paper's 45k machines make daily aggregates plentiful).
-    let engine = WhatIfEngine::fit_at(&monitor, params.method, Granularity::Hourly, 24)?;
-    let machine_counts: BTreeMap<GroupKey, usize> = monitor
-        .group_utilization()
-        .into_iter()
-        .map(|g| (g.group, g.machines))
-        .collect();
-
-    // ---- Phase: optimize ----------------------------------------------
-    let optimization = optimize_max_containers(
-        &engine,
-        &machine_counts,
-        params.max_step,
-        OperatingPoint::Median,
-    )?;
+    // ---- Phase: model and optimize ------------------------------------
+    // The default policy fits hourly rows: a scaled-down cluster trades
+    // machines for hours (the paper's 45k machines make daily aggregates
+    // plentiful).
+    let tuned = tune(&observed.telemetry, &TunePolicy::default())?;
 
     // ---- Phase: deploy fleet-wide at the deployment hour --------------
     // One simulated world covering both windows: baseline until
@@ -152,7 +128,7 @@ pub fn run_yarn_tuning(params: &YarnTuningParams) -> Result<YarnTuningOutcome, K
     // staged config push).
     let total_hours = params.observe_hours + params.eval_hours;
     let mut plan = baseline_plan;
-    for suggestion in &optimization.suggestions {
+    for suggestion in &tuned.plan.suggestions {
         if suggestion.delta_step == 0 {
             continue;
         }
@@ -274,9 +250,7 @@ pub fn run_yarn_tuning(params: &YarnTuningParams) -> Result<YarnTuningOutcome, K
     let slo = check_implicit_slos(&before_jobs, &after_jobs, 3, 0.01)?;
 
     Ok(YarnTuningOutcome {
-        engine,
-        optimization,
-        machine_counts,
+        tuned,
         deployment,
         throughput_change_pct,
         latency_change_pct,
@@ -321,9 +295,9 @@ mod tests {
 
         // Figure 9: models calibrated for every group with positive
         // utilization slopes.
-        assert_eq!(outcome.engine.len(), 6);
+        assert_eq!(outcome.tuned.engine.len(), 6);
         let mut positive_f = 0;
-        for g in outcome.engine.groups() {
+        for g in outcome.tuned.engine.groups() {
             assert!(
                 g.g_containers_to_util.slope() > 0.0,
                 "util rises with containers: {g:?}"
@@ -346,7 +320,8 @@ mod tests {
         // than a tiny cluster offers; the fig10 repro bench covers it.
         let suggestion_of = |sku: u16| {
             outcome
-                .optimization
+                .tuned
+                .plan
                 .suggestions
                 .iter()
                 .find(|s| s.group.sku == SkuId(sku))
@@ -365,13 +340,13 @@ mod tests {
         // *magnitudes* are validated by the sec52 repro bench, which
         // pools several worlds for statistical power.
         assert!(
-            outcome.optimization.predicted_capacity_gain > 0.0,
+            outcome.tuned.plan.predicted_capacity_gain > 0.0,
             "predicted gain: {}",
-            outcome.optimization.predicted_capacity_gain
+            outcome.tuned.plan.predicted_capacity_gain
         );
         assert!(
-            outcome.optimization.predicted_latency
-                <= outcome.optimization.baseline_latency * (1.0 + 1e-9),
+            outcome.tuned.plan.predicted_latency
+                <= outcome.tuned.plan.baseline_latency * (1.0 + 1e-9),
             "latency budget respected by the plan"
         );
         assert!(

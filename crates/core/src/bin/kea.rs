@@ -22,8 +22,7 @@ use kea_core::apps::sku_design::{run_sku_design, CostModel, SkuDesignParams};
 use kea_core::apps::yarn_config::{run_yarn_tuning, YarnTuningParams};
 use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
 use kea_core::{
-    capacity_gain_value, optimize_max_containers, FleetCostModel, OperatingPoint,
-    PerformanceMonitor,
+    capacity_gain_value, tune, FleetCostModel, OperatingPoint, PerformanceMonitor, TunePolicy,
 };
 use kea_sim::{run, ClusterSpec, SimConfig, WorkloadSpec, SC1};
 use kea_telemetry::{read_csv, write_csv, GroupKey, SkuId, TelemetryStore};
@@ -241,14 +240,6 @@ fn cmd_optimize(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &["telemetry", "method", "granularity", "max-step", "percentile"])?;
     let (store, method, granularity) = fit_engine(&args)?;
     let max_step: f64 = args.get("max-step", 1.0)?;
-    let monitor = PerformanceMonitor::new(&store);
-    let engine =
-        WhatIfEngine::fit_at(&monitor, method, granularity, 24).map_err(|e| e.to_string())?;
-    let counts: BTreeMap<_, _> = monitor
-        .group_utilization()
-        .into_iter()
-        .map(|g| (g.group, g.machines))
-        .collect();
     let at = match args.flags.get("percentile") {
         None => OperatingPoint::Median,
         Some(p) => {
@@ -262,8 +253,13 @@ fn cmd_optimize(raw: &[String]) -> Result<(), String> {
             OperatingPoint::Percentile(p)
         }
     };
-    let opt =
-        optimize_max_containers(&engine, &counts, max_step, at).map_err(|e| e.to_string())?;
+    let policy = TunePolicy {
+        method,
+        granularity,
+        max_step,
+        at,
+    };
+    let opt = tune(&store, &policy).map_err(|e| e.to_string())?.plan;
     println!("{:<14}{:>8}{:>10}{:>12}{:>10}", "group", "step", "m'", "gradient", "machines");
     for s in &opt.suggestions {
         println!(
@@ -292,7 +288,7 @@ fn cmd_yarn(raw: &[String]) -> Result<(), String> {
     params.observe_hours = args.get("observe-hours", params.observe_hours)?;
     params.eval_hours = args.get("eval-hours", params.eval_hours)?;
     let o = run_yarn_tuning(&params).map_err(|e| e.to_string())?;
-    for s in &o.optimization.suggestions {
+    for s in &o.tuned.plan.suggestions {
         println!(
             "sku{:<3} step {:+}  (m' = {:.1})",
             s.group.sku.0, s.delta_step, s.current_containers

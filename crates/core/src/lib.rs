@@ -13,6 +13,9 @@
 //!   Huber regressions `g_k`, `h_k`, `f_k` (Equations 1–6).
 //! * [`optimizer`] — the **Optimizer**: the container-rebalancing LP
 //!   (Equations 7–10), linearized into one row and solved in closed form.
+//! * [`tune`](mod@tune) — one observational tuning pass through the three:
+//!   [`tune()`] fits the engine on a telemetry window and solves the LP
+//!   under a [`TunePolicy`].
 //! * [`experiment`] — the **Experiment Module**: ideal / time-slicing /
 //!   hybrid designs and treatment-effect analysis (§7).
 //! * [`flighting`] — the **Flighting Tool** and **Deployment Module**:
@@ -67,6 +70,7 @@ pub mod methodology;
 pub mod monitor;
 pub mod optimizer;
 pub mod slo;
+pub mod tune;
 pub mod whatif;
 
 pub use anomaly::{screen_machines, MachineAnomaly};
@@ -80,4 +84,5 @@ pub use experiment::{
 pub use flighting::{evaluate_deployment, DeploymentReport, FlightingTool, Guardrail};
 pub use monitor::PerformanceMonitor;
 pub use optimizer::{optimize_max_containers, optimize_sweep, OperatingPoint, YarnOptimization};
+pub use tune::{tune, TunePolicy, TunedPlan};
 pub use whatif::{FitMethod, GroupModels, WhatIfEngine};

@@ -18,9 +18,8 @@
 use crate::error::KeaError;
 use crate::monitor::PerformanceMonitor;
 use kea_ml::{r2_score, LinearModel1D};
-use kea_telemetry::{GroupKey, Metric};
+use kea_telemetry::{run_group_partitions, GroupKey, Metric};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Training-row granularity.
 ///
@@ -215,69 +214,24 @@ impl WhatIfEngine {
     }
 
     /// Fits every group, work-stealing across at most `n_workers` scoped
-    /// threads: each worker pulls the next unfitted group off a shared
-    /// atomic cursor, so one giant group (row count is wildly skewed in
-    /// real fleets) pins exactly one worker while the others drain the
-    /// remaining groups — a contiguous chunk split would serialize every
-    /// group sharing the giant's chunk. Results land in per-group slots,
-    /// so the output is identical to a serial loop for any worker count
-    /// and any steal interleaving.
+    /// threads through [`run_group_partitions`]: one giant group (row
+    /// count is wildly skewed in real fleets) pins one worker while the
+    /// others drain the rest, and the output is identical to a serial
+    /// loop for any worker count.
     fn fit_groups(
         groups: &[(GroupKey, Vec<TrainRow>)],
         method: FitMethod,
         n_workers: usize,
     ) -> Vec<Result<GroupModels, KeaError>> {
-        let n_workers = n_workers.clamp(1, groups.len().max(1));
-        if n_workers <= 1 {
-            return groups
-                .iter()
-                .map(|(group, rows)| Self::fit_group(*group, rows, method))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Result<GroupModels, KeaError>>> = Vec::new();
-        results.resize_with(groups.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut claimed: Vec<(usize, Result<GroupModels, KeaError>)> = Vec::new();
-                        loop {
-                            let gi = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((group, rows)) = groups.get(gi) else {
-                                break;
-                            };
-                            claimed.push((gi, Self::fit_group(*group, rows, method)));
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(claimed) => {
-                        for (gi, result) in claimed {
-                            results[gi] = Some(result);
-                        }
-                    }
-                    // A panicking fit (estimator assertion) must surface,
-                    // not silently leave slots unfilled.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| {
-                // Every claimed slot is written exactly once; an unfilled
-                // slot degrades to a per-group error.
-                r.unwrap_or_else(|| {
-                    Err(KeaError::Design(
-                        "fit worker left a group slot unfilled".to_string(),
-                    ))
-                })
-            })
-            .collect()
+        run_group_partitions(
+            groups.len(),
+            n_workers,
+            || (),
+            |_, gi| {
+                let (group, rows) = &groups[gi];
+                Self::fit_group(*group, rows, method)
+            },
+        )
     }
 
     fn fit_group(

@@ -32,7 +32,8 @@ pub const SCOPED_MUT_CAPTURE: &str = "scoped-mut-capture";
 /// check-then-act race `get_or_init` exists to close.
 pub const ONCELOCK_GET_THEN_SET: &str = "oncelock-get-then-set";
 /// Rule id: a zero-argument `.join()` whose `Err` — the worker's panic
-/// — is discarded (`if let Ok(..) =`, `let _ =`, `.ok()`, `.is_ok()`).
+/// — is discarded (`if let Ok(..) =`, `let _ =`, `.ok()`, `.is_ok()`,
+/// `.unwrap_or(..)`, `.unwrap_or_default()`).
 pub(crate) const SWALLOWED_JOIN_PANIC: &str = "swallowed-join-panic";
 
 /// Mutating container/string methods: a call through a captured
@@ -322,9 +323,13 @@ fn discarded_join(toks: &[Tok], i: usize) -> Option<&'static str> {
     let after = i + 3;
     if sym_at(after, ".") {
         let method = toks.get(after + 1)?;
+        // `unwrap_or_else` stays clean: its closure sees the payload and
+        // can re-raise it.
         return match method.text.as_str() {
             "ok" => Some(".join().ok()"),
             "is_ok" => Some(".join().is_ok()"),
+            "unwrap_or" => Some(".join().unwrap_or(..)"),
+            "unwrap_or_default" => Some(".join().unwrap_or_default()"),
             _ => None,
         };
     }

@@ -21,7 +21,7 @@
 //! | `relaxed-atomic-gate`    | `Relaxed` load gating control flow (no happens-before edge) |
 //! | `scoped-mut-capture`     | `scope.spawn` closure mutating captured state unsynchronized |
 //! | `oncelock-get-then-set`  | `OnceLock` `get()` … `set(…)` check-then-act race |
-//! | `swallowed-join-panic`   | `.join()` whose `Err` (the worker's panic) is discarded |
+//! | `swallowed-join-panic`   | `.join()` whose `Err` (the worker's panic) is discarded, incl. `.unwrap_or(..)`/`.unwrap_or_default()` |
 //! | `bad-suppression`        | malformed, unreasoned, or stale `kea-lint:` directives |
 //!
 //! Scanning is token-level plus the lightweight [`syntax`] layer —

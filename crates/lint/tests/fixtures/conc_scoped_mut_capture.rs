@@ -44,7 +44,9 @@ pub fn gather_local(inputs: &[f64]) -> f64 {
             }
             local
         });
-        merged = h.join().unwrap_or(0.0);
+        merged = h
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     });
     merged
 }

@@ -31,6 +31,16 @@ pub fn joined_cleanly(h: JoinHandle<u32>) -> bool {
     h.join().is_ok()
 }
 
+/// Positive: `.unwrap_or(..)` replaces the panic with a default.
+pub fn joined_or_zero(h: JoinHandle<u32>) -> u32 {
+    h.join().unwrap_or(0)
+}
+
+/// Positive: `.unwrap_or_default()` does the same.
+pub fn joined_or_default(h: JoinHandle<Vec<u32>>) -> Vec<u32> {
+    h.join().unwrap_or_default()
+}
+
 /// Negative: the `Err` arm re-raises the worker's panic.
 pub fn merge_or_resume(handles: Vec<JoinHandle<Vec<u32>>>) -> Vec<u32> {
     let mut out = Vec::new();
@@ -41,6 +51,13 @@ pub fn merge_or_resume(handles: Vec<JoinHandle<Vec<u32>>>) -> Vec<u32> {
         }
     }
     out
+}
+
+/// Negative: `.unwrap_or_else(..)`'s closure sees the payload and
+/// re-raises it.
+pub fn joined_or_resume(h: JoinHandle<u32>) -> u32 {
+    h.join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Negative: the result goes to the caller.

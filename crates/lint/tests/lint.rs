@@ -189,16 +189,24 @@ fn join_fixture_flags_discarded_errs_only() {
     let diags = lint_fixture("conc_swallowed_join_panic.rs");
     assert_eq!(
         rules_of(&diags),
-        vec!["swallowed-join-panic"; 4],
+        vec!["swallowed-join-panic"; 6],
         "{diags:#?}"
     );
     let msgs: String = diags.iter().map(|d| d.message.as_str()).collect();
-    for shape in ["let Ok(..) =", "let _ =", ".join().ok()", ".join().is_ok()"] {
+    for shape in [
+        "let Ok(..) =",
+        "let _ =",
+        ".join().ok()",
+        ".join().is_ok()",
+        ".join().unwrap_or(..)",
+        ".join().unwrap_or_default()",
+    ] {
         assert!(msgs.contains(shape), "missing `{shape}` in {msgs}");
     }
-    // A `match` that re-raises in its `Err` arm, a returned result, and
-    // string or path `join(x)` calls are exempt.
-    assert!(diags.iter().all(|d| d.line < 35), "{diags:#?}");
+    // A `match` that re-raises in its `Err` arm, an `unwrap_or_else`
+    // that re-raises, a returned result, and string or path `join(x)`
+    // calls are exempt.
+    assert!(diags.iter().all(|d| d.line < 45), "{diags:#?}");
 }
 
 // ---- the closed type-inference gaps ------------------------------------

@@ -48,11 +48,10 @@ use crate::output::{JobRecord, SimOutput, TaskRecord};
 use crate::rng::{exponential, gauge_noise_at, lognormal_mean, CounterRng};
 use crate::workload::{Schedule, TaskType, WorkloadSpec};
 use crate::CalendarQueue;
-use kea_telemetry::{GroupKey, MachineHourRecord, MetricValues, SkuId};
+use kea_telemetry::{run_group_partitions, GroupKey, MachineHourRecord, MetricValues, SkuId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Full specification of one simulation run.
 #[derive(Debug, Clone)]
@@ -131,10 +130,11 @@ pub fn run_with_exec(cfg: &SimConfig, exec: ExecConfig) -> SimOutput {
 }
 
 /// Federated execution: one scheduling domain per sub-cluster, simulated
-/// by `min(shards, domains)` scoped workers (`shards == 0` ⇒ one worker
-/// per domain) claiming domains through an atomic ticket. Workers return
-/// their outputs and the parent merges after `join`, in domain order —
-/// the result does not depend on which worker simulated which domain.
+/// by `min(shards, domains)` workers (`shards == 0` ⇒ one worker per
+/// domain) work-stealing domains through
+/// [`kea_telemetry::run_group_partitions`]. Outputs come back in domain
+/// order and merge after the join, so the result does not depend on
+/// which worker simulated which domain.
 fn run_federated(cfg: &SimConfig, exec: ExecConfig) -> SimOutput {
     // Deterministic domain list: sub-clusters in id order. Machines keep
     // their global identity (ids, racks), so merged telemetry is exactly
@@ -143,67 +143,39 @@ fn run_federated(cfg: &SimConfig, exec: ExecConfig) -> SimOutput {
     for m in &cfg.cluster.machines {
         by_sc.entry(m.subcluster).or_default().push(*m);
     }
-    let domains: Vec<Vec<Machine>> = by_sc.into_values().collect();
-    let n_domains = domains.len();
-    let total_machines = cfg.cluster.machines.len();
+    let total_machines = cfg.cluster.machines.len() as u64;
     // Slice the workload by machine share, cumulatively, so the union
     // over domains reproduces the global spec exactly.
-    let mut slices = Vec::with_capacity(n_domains);
-    let mut before = 0usize;
-    for d in &domains {
-        slices.push(cfg.workload.sliced(before as u64, d.len() as u64, total_machines as u64));
-        before += d.len();
-    }
+    let mut before = 0u64;
+    let domains: Vec<(Vec<Machine>, WorkloadSpec)> = by_sc
+        .into_values()
+        .map(|machines| {
+            let n = machines.len() as u64;
+            let slice = cfg.workload.sliced(before, n, total_machines);
+            before += n;
+            (machines, slice)
+        })
+        .collect();
     let workers = if exec.shards == 0 {
-        n_domains
+        domains.len()
     } else {
-        exec.shards.min(n_domains)
-    }
-    .max(1);
-    let ticket = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, SimOutput)> = Vec::with_capacity(n_domains);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let ticket = &ticket;
-                let domains = &domains;
-                let slices = &slices;
-                scope.spawn(move || {
-                    let mut outs = Vec::new();
-                    loop {
-                        let i = ticket.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_domains {
-                            break;
-                        }
-                        let (Some(machines), Some(workload)) = (domains.get(i), slices.get(i))
-                        else {
-                            break;
-                        };
-                        // The RNG stream is keyed by the domain's lowest
-                        // machine id — a property of the domain, not of
-                        // the worker or claim order.
-                        let stream = machines.first().map_or(i as u64, |m| u64::from(m.id.0));
-                        let rng = CounterRng::new(cfg.seed, stream);
-                        let out =
-                            Fleet::new(cfg, machines, workload, rng, exec.emit_window_hours).run();
-                        outs.push((i, out));
-                    }
-                    outs
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(v) => indexed.extend(v),
-                // A domain whose worker panicked must not drop out of
-                // the output unnoticed.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    indexed.sort_by_key(|(i, _)| *i);
+        exec.shards
+    };
+    let outputs = run_group_partitions(
+        domains.len(),
+        workers,
+        || (),
+        |_, i| {
+            let (machines, workload) = domains.get(i)?;
+            // The RNG stream is keyed by the domain's lowest machine id —
+            // a property of the domain, not of the worker or claim order.
+            let stream = machines.first().map_or(i as u64, |m| u64::from(m.id.0));
+            let rng = CounterRng::new(cfg.seed, stream);
+            Some(Fleet::new(cfg, machines, workload, rng, exec.emit_window_hours).run())
+        },
+    );
     let mut out = SimOutput::default();
-    for (_, domain_out) in indexed {
+    for domain_out in outputs.into_iter().flatten() {
         out.absorb(domain_out);
     }
     out

@@ -13,7 +13,7 @@ use crate::error::StatsError;
 
 /// Natural log of the gamma function, via the Lanczos approximation
 /// (g = 7, n = 9 coefficients; absolute error below 1e-13 for x > 0).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Lanczos coefficients for g=7.
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -49,7 +49,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// # Errors
 /// `a` and `b` must be positive and `x` in `[0, 1]`.
-pub fn inc_beta(a: f64, b: f64, x: f64) -> Result<f64, StatsError> {
+pub(crate) fn inc_beta(a: f64, b: f64, x: f64) -> Result<f64, StatsError> {
     if a <= 0.0 || b <= 0.0 {
         return Err(StatsError::InvalidParameter("beta parameters must be positive"));
     }
@@ -125,7 +125,7 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 
 /// Student's t distribution with `df` degrees of freedom.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StudentsT {
+pub(crate) struct StudentsT {
     df: f64,
 }
 
@@ -134,7 +134,7 @@ impl StudentsT {
     ///
     /// # Errors
     /// `df` must be positive and finite.
-    pub fn new(df: f64) -> Result<Self, StatsError> {
+    pub(crate) fn new(df: f64) -> Result<Self, StatsError> {
         if !df.is_finite() || df <= 0.0 {
             return Err(StatsError::InvalidParameter("t df must be positive"));
         }
@@ -143,7 +143,7 @@ impl StudentsT {
 
     /// CDF at `t`, via the regularized incomplete beta:
     /// `P(T ≤ t) = 1 − I_{ν/(ν+t²)}(ν/2, 1/2) / 2` for `t ≥ 0`.
-    pub fn cdf(&self, t: f64) -> f64 {
+    pub(crate) fn cdf(&self, t: f64) -> f64 {
         if t == 0.0 {
             return 0.5;
         }
@@ -161,12 +161,12 @@ impl StudentsT {
     }
 
     /// Survival function `P(T > t)`.
-    pub fn sf(&self, t: f64) -> f64 {
+    pub(crate) fn sf(&self, t: f64) -> f64 {
         1.0 - self.cdf(t)
     }
 
     /// Two-sided p-value `P(|T| ≥ |t|)`.
-    pub fn p_two_sided(&self, t: f64) -> f64 {
+    pub(crate) fn p_two_sided(&self, t: f64) -> f64 {
         let x = self.df / (self.df + t * t);
         // Same degrade-to-NaN policy as `cdf`.
         inc_beta(self.df / 2.0, 0.5, x).unwrap_or(f64::NAN)

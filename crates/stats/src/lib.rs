@@ -7,24 +7,23 @@
 //! treatment-effect analysis. This crate implements that machinery from
 //! scratch:
 //!
-//! * [`describe`] — means and variances (Welford).
-//! * [`dist`] — special functions (log-gamma, regularized incomplete beta)
-//!   and the Student-t distribution built on them.
 //! * [`ttest`] — Welch's two-sample t-test.
 //! * [`treatment`] — before/after treatment effects, as used for the
 //!   §5.2.2 production roll-out.
+//!
+//! Both rest on two private modules: `describe` (the mean, and Welford's
+//! streaming mean and variance) and `dist` (log-gamma, the regularized
+//! incomplete beta, and the Student-t distribution built on them).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod describe;
-pub mod dist;
+mod describe;
+mod dist;
 pub mod error;
 pub mod treatment;
 pub mod ttest;
 
-pub use describe::{mean, variance, Welford};
-pub use dist::StudentsT;
 pub use error::StatsError;
 pub use treatment::{treatment_effect, TreatmentEffect};
 pub use ttest::{t_test_welch, Alternative, TTestResult};

@@ -1,7 +1,7 @@
 //! Property-based tests for the statistics toolkit: invariants that must
 //! hold for *any* finite input, not just the unit-test fixtures.
 
-use kea_stats::{mean, t_test_welch, variance, Alternative, Welford};
+use kea_stats::{t_test_welch, Alternative};
 use proptest::prelude::*;
 
 fn finite_vec(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -9,18 +9,6 @@ fn finite_vec(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    #[test]
-    fn welford_matches_batch_moments(data in finite_vec(2)) {
-        let mut acc = Welford::new();
-        for &v in &data {
-            acc.push(v);
-        }
-        let m = mean(&data).unwrap();
-        let v = variance(&data).unwrap();
-        prop_assert!((acc.mean() - m).abs() <= 1e-6 * m.abs().max(1.0));
-        prop_assert!((acc.sample_variance() - v).abs() <= 1e-6 * v.abs().max(1.0));
-    }
-
     #[test]
     fn welch_t_is_antisymmetric(a in finite_vec(3), b in finite_vec(3)) {
         let ab = t_test_welch(&a, &b, Alternative::TwoSided);

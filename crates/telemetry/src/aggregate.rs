@@ -82,43 +82,40 @@ pub struct GroupUtilization {
     pub mean_running_containers: f64,
 }
 
-/// Runs `work(scratch, group_index)` over every group in `0..n_groups`,
-/// work-stealing across scoped threads: each worker owns one `scratch`
-/// (built by `make_scratch`, reused across the groups it claims) and
-/// pulls the next unclaimed group off a shared atomic cursor. One
-/// pathologically large group therefore pins exactly one worker while
-/// the others drain the rest — a contiguous count-based split would
-/// serialize everything sharing its partition. Per-group results land in
-/// per-group slots and are concatenated in ascending group order, so the
-/// output is identical to a serial loop for any worker count and any
-/// steal interleaving.
-pub(crate) fn run_group_partitions<T: Send, S>(
+/// Runs `work(scratch, group_index)` over every group in `0..n_groups`
+/// and returns the results in group order, work-stealing across at most
+/// `n_workers` scoped threads (a count of 0 or 1 runs the loop inline on
+/// the caller).
+/// Each worker owns one `scratch` (built by `make_scratch`, reused
+/// across the groups it claims) and pulls the next unclaimed group off a
+/// shared atomic cursor. One pathologically large group therefore pins
+/// exactly one worker while the others drain the rest — a contiguous
+/// count-based split would serialize everything sharing its partition.
+/// Results land in per-group slots, so the output is identical to a
+/// serial loop for any worker count and any steal interleaving, and a
+/// worker's panic is re-raised on the caller. The roll-ups here, the
+/// What-if Engine's per-group fits and the simulator's per-domain
+/// federated runs all fan out through it.
+pub fn run_group_partitions<T: Send, S>(
     n_groups: usize,
+    n_workers: usize,
     make_scratch: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, usize) -> Vec<T> + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
-    if n_groups == 0 {
-        return Vec::new();
-    }
-    let n_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(n_groups);
-    if n_workers <= 1 {
+    let n_workers = n_workers.clamp(1, n_groups.max(1));
+    if n_workers == 1 {
         let mut scratch = make_scratch();
-        return (0..n_groups)
-            .flat_map(|gi| work(&mut scratch, gi))
-            .collect();
+        return (0..n_groups).map(|gi| work(&mut scratch, gi)).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Vec<T>>> = Vec::new();
+    let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(n_groups, || None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut scratch = make_scratch();
-                    let mut claimed: Vec<(usize, Vec<T>)> = Vec::new();
+                    let mut claimed: Vec<(usize, T)> = Vec::new();
                     loop {
                         let gi = cursor.fetch_add(1, Ordering::Relaxed);
                         if gi >= n_groups {
@@ -137,13 +134,18 @@ pub(crate) fn run_group_partitions<T: Send, S>(
                         slots[gi] = Some(result);
                     }
                 }
-                // Surface worker panics (e.g. assertion failures in
-                // kernels under test) instead of swallowing them.
+                // A group whose worker panicked must not drop out of
+                // the output unnoticed.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
-    slots.into_iter().flatten().flatten().collect()
+    slots.into_iter().flatten().collect()
+}
+
+/// Worker count for the roll-ups: one per available core.
+fn roll_up_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// One group's presence across every side of the store: its row range in
@@ -274,6 +276,7 @@ fn daily_core(sides: &[&ColumnIndex], window: Option<(u64, u64)>) -> Vec<DailyAg
     let n_machines = machines.ids.len();
     run_group_partitions(
         groups.len(),
+        roll_up_workers(),
         || DailyScratch {
             counts: vec![0u32; n_machines],
             sums: vec![[0.0f64; Metric::ALL.len()]; n_machines],
@@ -309,6 +312,9 @@ fn daily_core(sides: &[&ColumnIndex], window: Option<(u64, u64)>) -> Vec<DailyAg
             out
         },
     )
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Drains every touched daily bucket into `out` and resets the scratch.
@@ -445,6 +451,7 @@ pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
     let identity = sides.len() == 1;
     run_group_partitions(
         groups.len(),
+        roll_up_workers(),
         || (vec![false; n_machines], Vec::<u32>::new()),
         |(seen, touched), gi| {
             let g = &groups[gi];
@@ -478,7 +485,7 @@ pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
                 seen[dense as usize] = false;
             }
             touched.clear();
-            vec![result]
+            result
         },
     )
 }
@@ -1096,17 +1103,20 @@ mod tests {
     fn work_stealing_covers_every_group_exactly_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         for n_groups in [0usize, 1, 2, 5, 16, 17, 64] {
-            let calls = AtomicUsize::new(0);
-            let out = run_group_partitions(
-                n_groups,
-                || (),
-                |_, gi| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    vec![gi]
-                },
-            );
-            assert_eq!(out, (0..n_groups).collect::<Vec<_>>());
-            assert_eq!(calls.load(Ordering::Relaxed), n_groups);
+            for n_workers in [0usize, 1, 2, 3, 8] {
+                let calls = AtomicUsize::new(0);
+                let out = run_group_partitions(
+                    n_groups,
+                    n_workers,
+                    || (),
+                    |_, gi| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        gi
+                    },
+                );
+                assert_eq!(out, (0..n_groups).collect::<Vec<_>>());
+                assert_eq!(calls.load(Ordering::Relaxed), n_groups);
+            }
         }
     }
 }

@@ -44,7 +44,9 @@
 //!   runs, and never rewrites an unchanged segment.
 //! * [`aggregate`] — fused single-pass aggregation kernels k-way merged
 //!   over the sealed runs + delta (hourly→daily roll-ups, fleet series,
-//!   group utilization), work-stealing parallel across groups, plus the
+//!   group utilization), work-stealing parallel across groups through
+//!   [`run_group_partitions`] (the fan-out the fitter and the federated
+//!   simulator share), plus the
 //!   scatter-view extraction that feeds model fitting and hour-windowed
 //!   variants ([`daily_group_aggregates_window`],
 //!   [`hourly_fleet_series_window`]) that ride the store's segment
@@ -69,7 +71,8 @@ pub mod store;
 
 pub use aggregate::{
     daily_group_aggregates, daily_group_aggregates_window, group_utilization, hourly_fleet_series,
-    hourly_fleet_series_window, scatter, DailyAggregate, GroupUtilization, ScatterPoint,
+    hourly_fleet_series_window, run_group_partitions, scatter, DailyAggregate, GroupUtilization,
+    ScatterPoint,
 };
 pub use csv::{read_csv, write_csv, CsvError};
 pub use persist::{PersistError, SyncStats};

@@ -9,11 +9,9 @@
 
 use kea_core::conceptualization::{validate_critical_path, validate_uniformity};
 use kea_core::methodology::{Approach, Phase, TuningProject};
-use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
-use kea_core::{optimize_max_containers, FlightingTool, OperatingPoint, PerformanceMonitor};
+use kea_core::{tune, FlightingTool, TunePolicy};
 use kea_sim::{run, ClusterSpec, ConfigPatch, ConfigPlan, SimConfig, WorkloadSpec, SC1};
 use kea_telemetry::Metric;
-use std::collections::BTreeMap;
 
 /// The cluster under study runs at realistic pressure: queues exist at
 /// peaks (Figure 12), which is also what makes container-cap pilots
@@ -60,17 +58,9 @@ fn main() {
 
     // ---- Phase II: modeling & optimization -----------------------------
     println!("Phase II: calibrating models and solving the LP...");
-    let monitor = PerformanceMonitor::new(&observed.telemetry);
-    let engine = WhatIfEngine::fit_at(&monitor, FitMethod::Huber, Granularity::Hourly, 24)
-        .expect("telemetry suffices");
-    let counts: BTreeMap<_, _> = monitor
-        .group_utilization()
-        .into_iter()
-        .map(|g| (g.group, g.machines))
-        .collect();
-    let plan = optimize_max_containers(&engine, &counts, 1.0, OperatingPoint::Median)
-        .expect("solvable");
-    let proposal = plan
+    let tuned = tune(&observed.telemetry, &TunePolicy::default()).expect("telemetry suffices");
+    let proposal = tuned
+        .plan
         .suggestions
         .iter()
         .map(|s| format!("sku{}:{:+}", s.group.sku.0, s.delta_step))

@@ -6,10 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
-use kea_core::{optimize_max_containers, OperatingPoint, PerformanceMonitor};
+use kea_core::{tune, TunePolicy};
 use kea_sim::{run, ClusterSpec, SimConfig};
-use std::collections::BTreeMap;
 
 fn main() {
     // 1. Observe: run the simulated cluster under its manual-tuning
@@ -24,15 +22,18 @@ fn main() {
         observed.counters.total
     );
 
-    // 2. Model: the Performance Monitor prepares group-level views and
-    //    the What-if Engine calibrates per-group Huber regressions.
-    //    Sealing compacts any pending delta into the sealed columnar run
-    //    (sorted rows, dense ids, hour index) up front; queries
-    //    would otherwise merge run + delta on the fly.
+    // 2. Model and optimize: one tuning pass. The Performance Monitor
+    //    prepares group-level views, the What-if Engine calibrates
+    //    per-group Huber regressions, and the LP of Equations (7)-(10)
+    //    maximizes containers subject to unchanged cluster-average
+    //    latency, stepping at most ±1 per group (the paper's
+    //    conservative roll-out). Sealing compacts any pending delta into
+    //    the sealed columnar run (sorted rows, dense ids, hour index) up
+    //    front; queries would otherwise merge run + delta on the fly.
     observed.telemetry.seal();
-    let monitor = PerformanceMonitor::new(&observed.telemetry);
-    let engine = WhatIfEngine::fit_at(&monitor, FitMethod::Huber, Granularity::Hourly, 24)
-        .expect("enough telemetry to calibrate");
+    let tuned = tune(&observed.telemetry, &TunePolicy::default())
+        .expect("enough telemetry to calibrate and solve");
+    let engine = &tuned.engine;
     println!("\ncalibrated models for {} machine groups:", engine.len());
     for models in engine.groups() {
         let sku = cluster.sku(models.group.sku);
@@ -54,16 +55,8 @@ fn main() {
         "\nwhat-if: Gen 4.1 at 25 containers → {util:.0}% CPU, {tasks:.0} tasks/h, {latency:.0}s task latency"
     );
 
-    // 4. Optimize: the LP of Equations (7)-(10) — maximize containers
-    //    subject to unchanged cluster-average latency, stepping at most
-    //    ±1 per group (the paper's conservative roll-out).
-    let counts: BTreeMap<_, _> = monitor
-        .group_utilization()
-        .into_iter()
-        .map(|g| (g.group, g.machines))
-        .collect();
-    let plan = optimize_max_containers(&engine, &counts, 1.0, OperatingPoint::Median)
-        .expect("solvable LP");
+    // 4. The suggestion the pass solved for.
+    let plan = &tuned.plan;
     println!("\nsuggested max-container steps (Figure 10):");
     for s in &plan.suggestions {
         println!(

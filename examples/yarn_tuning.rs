@@ -22,9 +22,9 @@ fn main() {
     );
     let outcome = run_yarn_tuning(&params).expect("pipeline runs");
 
-    println!("\ncalibrated groups (Figure 9): {}", outcome.engine.len());
+    println!("\ncalibrated groups (Figure 9): {}", outcome.tuned.engine.len());
     println!("\nsuggested steps (Figure 10):");
-    for s in &outcome.optimization.suggestions {
+    for s in &outcome.tuned.plan.suggestions {
         println!(
             "  {:<8} {:+}  (m' = {:.1}, gradient {:+.2})",
             cluster.sku(s.group.sku).name,
@@ -35,15 +35,15 @@ fn main() {
     }
     println!(
         "\npredicted: {:+.2}% capacity at unchanged latency",
-        outcome.optimization.predicted_capacity_gain * 100.0
+        outcome.tuned.plan.predicted_capacity_gain * 100.0
     );
 
     // Figure 10 sensitivity: re-linearize at progressively heavier
     // operating points and check the suggested directions still agree
     // with the median run.
     let sweep = optimize_sweep(
-        &outcome.engine,
-        &outcome.machine_counts,
+        &outcome.tuned.engine,
+        &outcome.tuned.machine_counts,
         1.0,
         &[
             OperatingPoint::Percentile(75.0),
@@ -54,7 +54,8 @@ fn main() {
     .expect("sensitivity sweep solvable");
     for (label, run) in ["p75", "p90", "p95"].iter().zip(&sweep) {
         let agree = outcome
-            .optimization
+            .tuned
+            .plan
             .suggestions
             .iter()
             .zip(&run.suggestions)

@@ -23,7 +23,7 @@ fn full_pipeline_is_deterministic() {
     params.eval_hours = 26;
     let a = run_yarn_tuning(&params).expect("runs");
     let b = run_yarn_tuning(&params).expect("runs");
-    assert_eq!(a.optimization.suggestions, b.optimization.suggestions);
+    assert_eq!(a.tuned.plan.suggestions, b.tuned.plan.suggestions);
     assert_eq!(a.throughput_change_pct, b.throughput_change_pct);
     assert_eq!(a.capacity_change_pct, b.capacity_change_pct);
 }

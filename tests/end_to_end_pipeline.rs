@@ -5,13 +5,11 @@
 
 use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
 use kea_core::{
-    evaluate_deployment, optimize_max_containers, Guardrail, OperatingPoint,
-    PerformanceMonitor,
+    evaluate_deployment, tune, Guardrail, OperatingPoint, PerformanceMonitor, TunePolicy,
 };
 use kea_ml::r2_score;
 use kea_sim::{run, ClusterSpec, ConfigPlan, SimConfig, WorkloadSpec, SC1};
 use kea_telemetry::Metric;
-use std::collections::BTreeMap;
 
 fn observe(hours: u64, seed: u64) -> kea_sim::SimOutput {
     let cluster = ClusterSpec::tiny();
@@ -65,16 +63,13 @@ fn models_generalize_to_held_out_telemetry() {
 #[test]
 fn lp_solution_is_feasible_against_the_nonlinear_check() {
     let out = observe(48, 901);
-    let monitor = PerformanceMonitor::new(&out.telemetry);
-    let engine = WhatIfEngine::fit_at(&monitor, FitMethod::Huber, Granularity::Hourly, 24)
-        .expect("fits");
-    let counts: BTreeMap<_, _> = monitor
-        .group_utilization()
-        .into_iter()
-        .map(|g| (g.group, g.machines))
-        .collect();
     for op in [OperatingPoint::Median, OperatingPoint::Percentile(90.0)] {
-        let opt = optimize_max_containers(&engine, &counts, 2.0, op).expect("solvable");
+        let policy = TunePolicy {
+            max_step: 2.0,
+            at: op,
+            ..TunePolicy::default()
+        };
+        let opt = tune(&out.telemetry, &policy).expect("fits and solves").plan;
         // Integer plan respects the latency budget via the full models.
         assert!(
             opt.predicted_latency <= opt.baseline_latency * (1.0 + 1e-9),

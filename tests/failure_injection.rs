@@ -2,7 +2,7 @@
 //! robustly (Huber shrugging off contamination), never silently.
 
 use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
-use kea_core::{analyze, KeaError, MachineSplit, PerformanceMonitor};
+use kea_core::{analyze, tune, KeaError, MachineSplit, PerformanceMonitor, TunePolicy};
 use kea_sim::{run, ClusterSpec, SimConfig};
 use kea_telemetry::{GroupKey, Metric, TelemetryStore};
 use std::collections::BTreeSet;
@@ -113,4 +113,50 @@ fn whatif_refuses_to_fit_on_starved_telemetry() {
         WhatIfEngine::fit_at(&monitor, FitMethod::Huber, Granularity::Hourly, 24),
         Err(KeaError::NoObservations { .. })
     ));
+}
+
+// ---- Tuning-pass refusals: each scenario names its typed outcome -----
+
+#[test]
+fn tune_refuses_a_single_group_fleet() {
+    // One machine group fits, but there is nothing to re-balance it
+    // against.
+    let (_, store) = contaminated_telemetry(0);
+    let only = store.groups().first().copied().expect("groups observed");
+    let mut one_group = TelemetryStore::new();
+    one_group.extend(store.iter().filter(|r| r.group == only).copied());
+    assert!(matches!(
+        tune(&one_group, &TunePolicy::default()),
+        Err(KeaError::Design(_))
+    ));
+}
+
+#[test]
+fn tune_refuses_a_window_under_the_row_floor() {
+    // Two hours of a 30-machine cluster: no group reaches a day of
+    // hourly rows.
+    let out = run(&SimConfig::baseline(ClusterSpec::tiny(), 2, 992));
+    for group in out.telemetry.groups() {
+        assert!(out.telemetry.by_group(group).count() < 24, "{group:?}");
+    }
+    assert!(matches!(
+        tune(&out.telemetry, &TunePolicy::default()),
+        Err(KeaError::NoObservations { .. })
+    ));
+}
+
+#[test]
+fn tune_refuses_an_invalid_step_bound() {
+    // Zero, NaN and a bound past what a plan's integer step can hold.
+    let (_, store) = contaminated_telemetry(0);
+    for max_step in [0.0, f64::NAN, 1e12] {
+        let policy = TunePolicy {
+            max_step,
+            ..TunePolicy::default()
+        };
+        assert!(
+            matches!(tune(&store, &policy), Err(KeaError::Opt(_))),
+            "max_step {max_step}"
+        );
+    }
 }
