@@ -5,14 +5,15 @@
 //! analysis." Our sources are the simulator's telemetry store; the monitor
 //! adds the derived views every downstream module consumes: fleet-level
 //! utilization series (Figure 1), per-group machine counts and utilization
-//! (Figure 2), the scatter view (Figure 8), and daily training aggregates
-//! (Figure 9).
+//! (Figure 2), the LP's machine counts `n_k`, the scatter view (Figure 8),
+//! and daily training aggregates (Figure 9).
 
 use crate::error::KeaError;
 use kea_telemetry::{
     daily_group_aggregates, scatter, DailyAggregate, GroupKey, Metric, ScatterPoint,
     TelemetryStore,
 };
+use std::collections::BTreeMap;
 
 pub use kea_telemetry::GroupUtilization;
 
@@ -59,6 +60,17 @@ impl<'a> PerformanceMonitor<'a> {
     /// dense-id seen-bitmap for the machine counts).
     pub fn group_utilization(&self) -> Vec<GroupUtilization> {
         kea_telemetry::group_utilization(self.store)
+    }
+
+    /// Machines per group, each counted once in the group of its latest
+    /// record: the LP's `n_k`. Unlike
+    /// [`group_utilization`](Self::group_utilization), a machine that a
+    /// flight moved between groups counts only where it ended up, and a
+    /// group it left behind is absent.
+    pub fn machine_counts(&self) -> BTreeMap<GroupKey, usize> {
+        kea_telemetry::latest_group_counts(self.store)
+            .into_iter()
+            .collect()
     }
 
     /// The scatter view of Figure 8 for one group.
@@ -158,6 +170,9 @@ mod tests {
         assert_eq!(groups[1].machines, 2);
         assert!(groups[1].mean_cpu_utilization > groups[0].mean_cpu_utilization);
         assert!((groups[0].mean_running_containers - 5.0).abs() < 1e-12);
+        let counts: Vec<(GroupKey, usize)> = mon.machine_counts().into_iter().collect();
+        let views: Vec<(GroupKey, usize)> = groups.iter().map(|g| (g.group, g.machines)).collect();
+        assert_eq!(counts, views, "no machine moved, so both counts agree");
     }
 
     #[test]

@@ -287,7 +287,7 @@ fn capacity_gain(total_delta: f64, total_current: f64) -> f64 {
 
 /// Checks the roll-out bound `δ`: finite, positive, and small enough
 /// that every rounded step fits the plan's `i32`.
-fn check_max_step(max_step: f64) -> Result<(), KeaError> {
+pub(crate) fn check_max_step(max_step: f64) -> Result<(), KeaError> {
     let invalid = |what| Err(KeaError::Opt(OptError::InvalidParameter(what)));
     if !max_step.is_finite() {
         Err(KeaError::Opt(OptError::NonFiniteInput))

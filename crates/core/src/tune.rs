@@ -2,16 +2,17 @@
 //! Monitor's views feed the What-if Engine, whose calibrated models feed
 //! the Optimizer.
 //!
-//! [`tune`] is the whole pass over a telemetry window: fit `g_k`, `h_k`,
-//! `f_k` per machine group, count each group's machines `n_k`, and solve
-//! the container-rebalancing LP with its integer repair. The returned
-//! [`TunedPlan`] keeps the engine and the counts, so a caller can
-//! re-solve at other operating points or step bounds without refitting
-//! (the Figure 10 sensitivity runs).
+//! [`tune`] is the whole pass over a telemetry window: check the policy,
+//! fit `g_k`, `h_k`, `f_k` per machine group, count each group's
+//! machines `n_k` (each machine once, in the group of its latest record),
+//! and solve the container-rebalancing LP with its integer repair. The
+//! returned [`TunedPlan`] keeps the engine and the counts, so a caller
+//! can re-solve at other operating points or step bounds without
+//! refitting (the Figure 10 sensitivity runs).
 
 use crate::error::KeaError;
 use crate::monitor::PerformanceMonitor;
-use crate::optimizer::{optimize_max_containers, OperatingPoint, YarnOptimization};
+use crate::optimizer::{check_max_step, optimize_max_containers, OperatingPoint, YarnOptimization};
 use crate::whatif::{FitMethod, Granularity, WhatIfEngine};
 use kea_telemetry::{GroupKey, TelemetryStore};
 use std::collections::BTreeMap;
@@ -55,7 +56,8 @@ impl Default for TunePolicy {
 pub struct TunedPlan {
     /// The calibrated What-if Engine (Figure 9).
     pub engine: WhatIfEngine,
-    /// Machines per group in the window: the LP's `n_k`.
+    /// Machines per group in the window, each counted once in the group
+    /// of its latest record: the LP's `n_k`.
     pub machine_counts: BTreeMap<GroupKey, usize>,
     /// The suggested per-group steps (Figure 10).
     pub plan: YarnOptimization,
@@ -63,20 +65,22 @@ pub struct TunedPlan {
 
 /// Runs one observational tuning pass over `store` under `policy`.
 ///
+/// A machine that a flight moved between groups inside the window counts
+/// once, in the group it ended up in, so a group that existed only while
+/// a flight was live drops out of the plan.
+///
 /// # Errors
+/// [`KeaError::Opt`] when `max_step` is not a finite step in
+/// `(0, i32::MAX]`, checked before any other work;
 /// [`KeaError::NoObservations`] when no group has enough usable rows to
 /// fit; [`KeaError::Model`] when a group's fit fails;
-/// [`KeaError::Design`] when fewer than two groups are fitted (one group
-/// has nothing to re-balance against); [`KeaError::Opt`] when
-/// `max_step` is not a finite step in `(0, i32::MAX]`.
+/// [`KeaError::Design`] when fewer than two groups are fitted and
+/// counted (one group has nothing to re-balance against).
 pub fn tune(store: &TelemetryStore, policy: &TunePolicy) -> Result<TunedPlan, KeaError> {
+    check_max_step(policy.max_step)?;
     let monitor = PerformanceMonitor::new(store);
     let engine = WhatIfEngine::fit_at(&monitor, policy.method, policy.granularity, MIN_ROWS)?;
-    let machine_counts: BTreeMap<GroupKey, usize> = monitor
-        .group_utilization()
-        .into_iter()
-        .map(|g| (g.group, g.machines))
-        .collect();
+    let machine_counts = monitor.machine_counts();
     let plan = optimize_max_containers(&engine, &machine_counts, policy.max_step, policy.at)?;
     Ok(TunedPlan {
         engine,

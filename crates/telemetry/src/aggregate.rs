@@ -7,7 +7,7 @@
 //! along with the fleet series (Figure 1) and per-group utilization
 //! (Figure 2) views the Performance Monitor serves.
 //!
-//! All four roll-ups are **fused single-pass kernels** over the store's
+//! The roll-ups are **fused single-pass kernels** over the store's
 //! sealed runs plus delta: each group is one contiguous slice per side,
 //! k-way merged on the fly, so streaming appends never force a rebuild
 //! before aggregation. Counts, sums, and distinct-machine membership
@@ -15,11 +15,19 @@
 //! side's dense ids remapped through a shared table — no `BTreeMap` entry
 //! lookup per record).
 //!
+//! The daily roll-up re-sums only what changed: each sealed run keeps a
+//! daily roll-up of its own rows, built on first use, and a day that one
+//! run alone holds is read from it. Only the delta's days, days a
+//! mid-day seal split between two sides, and a window's partial edge
+//! days go through the hourly kernel; the parts are k-way merged by key.
+//! Every `(machine, day)` is summed from the same rows in the same order
+//! either way, so the output is bit-identical to a from-scratch roll-up.
+//!
 //! The month-scale variants — [`daily_group_aggregates_window`] and
 //! [`hourly_fleet_series_window`] — take an `[start, end)` hour window
 //! and consult only the runs whose recorded hour bounds intersect it:
 //! against a long retained history, a one-day question touches the one
-//! or two segments holding that day and leaves the rest on disk.
+//! or two runs holding that day and leaves the rest alone.
 //!
 //! The per-group kernels parallelize by **work stealing**: scoped worker
 //! threads pull group indexes off a shared atomic cursor, so one giant
@@ -149,41 +157,44 @@ fn roll_up_workers() -> usize {
 }
 
 /// One group's presence across every side of the store: its row range in
-/// each side's sorted order (empty when absent from that side), plus —
-/// when the kernel is hour-windowed — the range already narrowed to the
-/// window (the group slice is hour-major, so narrowing is two binary
-/// searches per side).
+/// each side's sorted order (empty when absent from that side).
 struct MergedGroup {
     group: GroupKey,
     rows: Vec<Range<usize>>,
 }
 
-/// The merged group list across `sides`, ascending by group key, with
-/// per-side row ranges narrowed to `window` when given.
-fn merged_groups(sides: &[&ColumnIndex], window: Option<(u64, u64)>) -> Vec<MergedGroup> {
+impl MergedGroup {
+    /// This group's rows narrowed to hours `[start, end)`: each side's
+    /// group slice is hour-major, so narrowing is two binary searches per
+    /// side.
+    fn narrowed(&self, sides: &[&ColumnIndex], (start, end): (u64, u64)) -> MergedGroup {
+        let rows = sides
+            .iter()
+            .zip(&self.rows)
+            .map(|(s, full)| {
+                let slice = &s.sorted[full.clone()];
+                let lo = full.start + slice.partition_point(|r| r.hour < start);
+                let hi = full.start + slice.partition_point(|r| r.hour < end);
+                lo..hi
+            })
+            .collect();
+        MergedGroup {
+            group: self.group,
+            rows,
+        }
+    }
+}
+
+/// The merged group list across `sides`, ascending by group key.
+fn merged_groups(sides: &[&ColumnIndex]) -> Vec<MergedGroup> {
     let keys = sides
         .iter()
         .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups));
     keys.into_iter()
         .map(|group| MergedGroup {
             group,
-            rows: sides
-                .iter()
-                .map(|s| {
-                    let full = s.group_range(group);
-                    match window {
-                        None => full,
-                        Some((start, end)) => {
-                            let slice = &s.sorted[full.clone()];
-                            let lo = full.start + slice.partition_point(|r| r.hour < start);
-                            let hi = full.start + slice.partition_point(|r| r.hour < end);
-                            lo..hi
-                        }
-                    }
-                })
-                .collect(),
+            rows: sides.iter().map(|s| s.group_range(group)).collect(),
         })
-        .filter(|g| g.rows.iter().any(|r| !r.is_empty()))
         .collect()
 }
 
@@ -243,8 +254,21 @@ struct DailyScratch {
     touched: Vec<u32>,
 }
 
+/// Every hour a record may carry: the window of an unwindowed roll-up.
+pub(crate) const ALL_HOURS: (u64, u64) = (0, u64::MAX);
+
 /// Rolls the store up into per-machine, per-day aggregates (the training
 /// rows of §5.2.1), sorted by `(group, machine, day)`.
+///
+/// A retune re-sums only what changed: a day that one sealed run alone
+/// holds is read from that run's own cached daily roll-up, built the
+/// first time a roll-up needs it and dropped with the run when the
+/// ladder merges it. Every other day (the delta's, and a day that a
+/// mid-day seal split between two sides) is summed from the hourly rows
+/// by the kernel below, and the parts are k-way merged by key. Each
+/// `(machine, day)` is summed from the same rows in the same order either
+/// way, so the output is bit-identical to rolling up every side from
+/// scratch.
 ///
 /// Kernel shape: within a group every side's slice is hour-major, so the
 /// k-cursor merge delivers days as contiguous runs; each day's rows
@@ -252,27 +276,184 @@ struct DailyScratch {
 /// machine id, and only touched buckets are drained and reset at the day
 /// boundary. Groups are claimed by work-stealing workers.
 pub fn daily_group_aggregates(store: &TelemetryStore) -> Vec<DailyAggregate> {
-    daily_core(&store.sides(), None)
+    daily_rollup(store, ALL_HOURS)
 }
 
 /// [`daily_group_aggregates`] restricted to hours `[start_hour,
 /// end_hour)`. Sealed runs whose recorded hour bounds miss the window
 /// are skipped, so a day-scale question against a month-scale history
-/// touches only the sides that can answer it.
+/// touches only the sides that can answer it. A day lying whole inside
+/// the window comes from a run's cached roll-up under the same rule as
+/// the unwindowed roll-up; the window's partial edge days are summed
+/// from their hours inside the window.
 pub fn daily_group_aggregates_window(
     store: &TelemetryStore,
     start_hour: u64,
     end_hour: u64,
 ) -> Vec<DailyAggregate> {
-    daily_core(
-        &store.window_sides(start_hour, end_hour),
-        Some((start_hour, end_hour)),
-    )
+    daily_rollup(store, (start_hour, end_hour))
 }
 
-fn daily_core(sides: &[&ColumnIndex], window: Option<(u64, u64)>) -> Vec<DailyAggregate> {
+/// The cache-aware core of both daily roll-ups over hours `[start, end)`.
+fn daily_rollup(store: &TelemetryStore, (start, end): (u64, u64)) -> Vec<DailyAggregate> {
+    if end <= start {
+        return Vec::new();
+    }
+    let runs: Vec<&ColumnIndex> = store.window_runs(start, end).collect();
+    let delta = store.delta_index();
+    let plan = DayPlan::new(&runs, delta, (start, end));
+    let raw = if plan.raw.is_empty() {
+        Vec::new()
+    } else {
+        let raw_sides: Vec<&ColumnIndex> = runs
+            .iter()
+            .copied()
+            .chain(delta)
+            .filter(|s| {
+                hour_bounds(s)
+                    .is_some_and(|(lo, hi)| plan.raw.iter().any(|&(a, b)| lo < b && hi >= a))
+            })
+            .collect();
+        daily_core(&raw_sides, &plan.raw)
+    };
+    let every_day = [(0, u64::MAX)];
+    let mut parts: Vec<Part<'_>> = vec![(&raw, &every_day)];
+    for (run, days) in runs.iter().zip(&plan.cached) {
+        if !days.is_empty() {
+            parts.push((run.daily(), days));
+        }
+    }
+    merge_parts(&parts)
+}
+
+/// Inclusive `(first, last)` hour of a side; `None` when it is empty.
+fn hour_bounds(side: &ColumnIndex) -> Option<(u64, u64)> {
+    side.hours.first().copied().zip(side.hours.last().copied())
+}
+
+/// Where each day of a roll-up over an hour window comes from.
+struct DayPlan {
+    /// Per run, the half-open day ranges its cached roll-up serves: days
+    /// that lie whole inside the window and that no other side holds.
+    cached: Vec<Vec<(u64, u64)>>,
+    /// Ascending, disjoint hour windows for [`daily_core`] over the
+    /// sides: the delta's days, days two sides share, and the window's
+    /// partial edge days, each clipped to the window.
+    raw: Vec<(u64, u64)>,
+}
+
+impl DayPlan {
+    /// Splits the days of `[start, end)` between the runs' caches and
+    /// the raw kernel. A side's day span runs from its first hour's day
+    /// to its last hour's, so between two consecutive span edges the set
+    /// of sides holding a day does not change.
+    fn new(runs: &[&ColumnIndex], delta: Option<&ColumnIndex>, (start, end): (u64, u64)) -> Self {
+        let spans: Vec<(u64, u64)> = runs
+            .iter()
+            .copied()
+            .chain(delta)
+            .map(|s| hour_bounds(s).map_or((0, 0), |(lo, hi)| (lo / 24, hi / 24 + 1)))
+            .collect();
+        let whole = (start.div_ceil(24), end / 24);
+        let mut cuts: Vec<u64> = spans
+            .iter()
+            .flat_map(|&(lo, hi)| [lo, hi])
+            .chain([whole.0, whole.1])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut cached = vec![Vec::new(); runs.len()];
+        let mut raw_days = Vec::new();
+        for cut in cuts.windows(2) {
+            let days = (cut[0], cut[1]);
+            let mut holders =
+                (0..spans.len()).filter(|&i| spans[i].0 <= days.0 && days.0 < spans[i].1);
+            let Some(only) = holders.next() else {
+                continue;
+            };
+            let whole_days = whole.0 <= days.0 && days.1 <= whole.1;
+            // `cached` has no slot for the delta, the last span: its days
+            // are always summed from rows.
+            match (holders.next(), cached.get_mut(only)) {
+                (None, Some(run_days)) if whole_days => push_range(run_days, days),
+                _ => push_range(&mut raw_days, days),
+            }
+        }
+        let raw = raw_days
+            .into_iter()
+            .filter_map(|(lo, hi)| {
+                let hours = (
+                    lo.saturating_mul(24).max(start),
+                    hi.saturating_mul(24).min(end),
+                );
+                (hours.0 < hours.1).then_some(hours)
+            })
+            .collect();
+        DayPlan { cached, raw }
+    }
+}
+
+/// Appends the half-open range `r` to `ranges`, extending the last one
+/// when the two touch.
+fn push_range(ranges: &mut Vec<(u64, u64)>, r: (u64, u64)) {
+    match ranges.last_mut() {
+        Some(last) if last.1 == r.0 => last.1 = r.1,
+        _ => ranges.push(r),
+    }
+}
+
+/// One part of a roll-up: aggregates sorted by `(group, machine, day)`,
+/// and the half-open day ranges to keep from them.
+type Part<'a> = (&'a [DailyAggregate], &'a [(u64, u64)]);
+
+/// K-way merge of roll-up parts, keeping from each part the entries
+/// whose day lies in one of its day ranges. The parts hold disjoint
+/// days, so no key repeats and the merge needs no sort. A machine's
+/// days usually come from each part in one stretch (a run holds
+/// consecutive days), so each pick copies the whole stretch that sorts
+/// below every other part's head.
+fn merge_parts(parts: &[Part<'_>]) -> Vec<DailyAggregate> {
+    fn kept<'a>(&(rows, days): &Part<'a>) -> impl Iterator<Item = &'a DailyAggregate> + 'a {
+        rows.iter()
+            .filter(move |a| days.iter().any(|&(lo, hi)| lo <= a.day && a.day < hi))
+    }
+    type Key = (GroupKey, MachineId, u64);
+    let key = |a: &DailyAggregate| -> Key { (a.group, a.machine, a.day) };
+    // Every part's length bounds the output; counting exactly would cost
+    // another pass over the parts.
+    let mut out = Vec::with_capacity(parts.iter().map(|(rows, _)| rows.len()).sum());
+    let mut cursors: Vec<_> = parts.iter().map(|p| kept(p).peekable()).collect();
+    loop {
+        // The part with the smallest head, and the smallest other head.
+        let mut best: Option<(usize, Key)> = None;
+        let mut bound: Option<Key> = None;
+        for (i, c) in cursors.iter_mut().enumerate() {
+            let Some(k) = c.peek().map(|a| key(a)) else {
+                continue;
+            };
+            let other = match best {
+                Some((_, b)) if b < k => k,
+                _ => match best.replace((i, k)) {
+                    Some((_, b)) => b,
+                    None => continue,
+                },
+            };
+            bound = Some(bound.map_or(other, |b| b.min(other)));
+        }
+        let Some((i, _)) = best else { break };
+        while let Some(a) = cursors[i].next_if(|a| bound.is_none_or(|b| key(a) < b)) {
+            out.push(a.clone());
+        }
+    }
+    out
+}
+
+/// Rolls `sides` up over the hour `windows` (ascending and disjoint),
+/// from their hourly rows: the kernel behind both roll-ups' uncached
+/// days and behind each run's cached roll-up ([`ColumnIndex::daily`]).
+pub(crate) fn daily_core(sides: &[&ColumnIndex], windows: &[(u64, u64)]) -> Vec<DailyAggregate> {
     let machines = merged_machines(sides);
-    let groups = merged_groups(sides, window);
+    let groups = merged_groups(sides);
     let n_machines = machines.ids.len();
     run_group_partitions(
         groups.len(),
@@ -283,28 +464,31 @@ fn daily_core(sides: &[&ColumnIndex], window: Option<(u64, u64)>) -> Vec<DailyAg
             touched: Vec::new(),
         },
         |scratch, gi| {
-            let g = &groups[gi];
+            let group = groups[gi].group;
             let mut out: Vec<DailyAggregate> = Vec::new();
             let mut current_day = u64::MAX; // no day open yet
-            for_each_merged_row(sides, &machines, g, |r, dense| {
-                let day = r.hour / 24;
-                if day != current_day {
-                    if current_day != u64::MAX {
-                        drain_day(g.group, current_day, &machines.ids, scratch, &mut out);
+            for &window in windows {
+                let g = groups[gi].narrowed(sides, window);
+                for_each_merged_row(sides, &machines, &g, |r, dense| {
+                    let day = r.hour / 24;
+                    if day != current_day {
+                        if current_day != u64::MAX {
+                            drain_day(group, current_day, &machines.ids, scratch, &mut out);
+                        }
+                        current_day = day;
                     }
-                    current_day = day;
-                }
-                if scratch.counts[dense] == 0 {
-                    scratch.touched.push(dense as u32);
-                }
-                scratch.counts[dense] += 1;
-                let row_values = Metric::row_of(&r.metrics);
-                for (acc, v) in scratch.sums[dense].iter_mut().zip(row_values) {
-                    *acc += v;
-                }
-            });
+                    if scratch.counts[dense] == 0 {
+                        scratch.touched.push(dense as u32);
+                    }
+                    scratch.counts[dense] += 1;
+                    let row_values = Metric::row_of(&r.metrics);
+                    for (acc, v) in scratch.sums[dense].iter_mut().zip(row_values) {
+                        *acc += v;
+                    }
+                });
+            }
             if current_day != u64::MAX {
-                drain_day(g.group, current_day, &machines.ids, scratch, &mut out);
+                drain_day(group, current_day, &machines.ids, scratch, &mut out);
             }
             // Day-major production order → the documented (machine, day)
             // order within the group.
@@ -438,7 +622,7 @@ fn hourly_core(
 pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
     let sides = store.sides();
     let machines = merged_machines(&sides);
-    let groups = merged_groups(&sides, None);
+    let groups = merged_groups(&sides);
     let n_machines = machines.ids.len();
     let cpus: Vec<&[f64]> = sides.iter().map(|s| s.column(Metric::CpuUtilization)).collect();
     let containers: Vec<&[f64]> = sides
@@ -488,6 +672,48 @@ pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
             result
         },
     )
+}
+
+/// Machines per group with each machine counted once, in the group of
+/// its latest record (a tie on the hour goes to the greater group key):
+/// the `n_k` of the re-balancing LP. A machine that a flight moved
+/// between groups counts where it ended up, while [`group_utilization`]
+/// (Figure 2) counts it in every group it was seen in. Sorted by group
+/// key; a group whose machines all moved on is absent.
+///
+/// Kernel shape: one pass over every side's rows keeps the latest
+/// `(hour, group)` per merged dense machine id in a flat array (the
+/// group's rank is looked up once per side and group, never per
+/// record), then one pass over the machines counts them.
+pub fn latest_group_counts(store: &TelemetryStore) -> Vec<(GroupKey, usize)> {
+    let sides = store.sides();
+    let machines = merged_machines(&sides);
+    let groups = sides
+        .iter()
+        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups));
+    // Per merged dense id: the hour and 1 + group rank of its latest
+    // record; (0, 0) until one is seen.
+    let mut latest = vec![(0u64, 0usize); machines.ids.len()];
+    for (side, map) in sides.iter().zip(&machines.maps) {
+        for (group, rows) in side.groups.iter().zip(side.group_offsets.windows(2)) {
+            let rank = 1 + groups.partition_point(|g| g < group);
+            for row in rows[0]..rows[1] {
+                let seen = &mut latest[map[side.machine_dense[row] as usize] as usize];
+                *seen = (*seen).max((side.sorted[row].hour, rank));
+            }
+        }
+    }
+    let mut counts = vec![0usize; groups.len()];
+    for &(_, rank) in &latest {
+        if let Some(n) = rank.checked_sub(1).and_then(|gi| counts.get_mut(gi)) {
+            *n += 1;
+        }
+    }
+    groups
+        .into_iter()
+        .zip(counts)
+        .filter(|&(_, n)| n > 0)
+        .collect()
 }
 
 /// One point of a scatter view (Figure 8): an `(x, y)` metric pair for one
@@ -994,6 +1220,207 @@ mod tests {
     }
 
     #[test]
+    fn latest_group_counts_count_a_moved_machine_once() {
+        // Machine 1 moves from sku 0 to sku 1 at hour 5 and stays; machine
+        // 2 reports both groups in its last hour (the greater key wins);
+        // machine 3 stays in sku 0 throughout. The run/delta split puts
+        // machine 1's two groups on different sides.
+        let mut store = TelemetryStore::new();
+        let at = |m: u32, sku: u16, hour: u64| MachineHourRecord {
+            machine: MachineId(m),
+            group: GroupKey::new(SkuId(sku), ScId(0)),
+            hour,
+            metrics: MetricValues::default(),
+        };
+        for h in 0..5u64 {
+            store.extend([at(1, 0, h), at(2, 0, h), at(3, 0, h)]);
+        }
+        store.seal();
+        for h in 5..8u64 {
+            store.extend([at(1, 1, h), at(2, 0, h), at(3, 0, h)]);
+        }
+        store.push(at(2, 1, 7));
+        assert!(!store.is_sealed(), "the move must straddle run and delta");
+        let counts = latest_group_counts(&store);
+        assert_eq!(
+            counts,
+            vec![
+                (GroupKey::new(SkuId(0), ScId(0)), 1),
+                (GroupKey::new(SkuId(1), ScId(0)), 2),
+            ]
+        );
+        // Figure 2's view still sees every machine in every group it
+        // reported from.
+        let seen: Vec<usize> = group_utilization(&store)
+            .iter()
+            .map(|u| u.machines)
+            .collect();
+        assert_eq!(seen, vec![3, 2]);
+        assert!(latest_group_counts(&TelemetryStore::new()).is_empty());
+    }
+
+    /// `got` and `want` hold the same aggregates with every mean equal to
+    /// the bit.
+    fn assert_bit_identical(got: &[DailyAggregate], want: &[DailyAggregate], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: aggregate count");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(
+                (g.group, g.machine, g.day, g.hours_observed),
+                (w.group, w.machine, w.day, w.hours_observed),
+                "{what}"
+            );
+            assert_eq!(
+                g.means.map(f64::to_bits),
+                w.means.map(f64::to_bits),
+                "{what}: means of {:?} on day {}",
+                g.machine,
+                g.day
+            );
+        }
+    }
+
+    /// Both roll-ups of `store`, cached parts included, against the
+    /// hourly kernel over every side: the whole store and each window.
+    fn assert_rollups_match_kernel(store: &TelemetryStore, windows: &[(u64, u64)], step: &str) {
+        assert_bit_identical(
+            &daily_group_aggregates(store),
+            &daily_core(&store.sides(), &[ALL_HOURS]),
+            step,
+        );
+        for &(s, e) in windows {
+            assert_bit_identical(
+                &daily_group_aggregates_window(store, s, e),
+                &daily_core(&store.window_sides(s, e), &[(s, e)]),
+                &format!("{step}, window [{s}, {e})"),
+            );
+        }
+    }
+
+    /// A deterministic value stream spanning eight orders of magnitude,
+    /// so a sum taken in another order differs in its low bits.
+    fn noisy(state: &mut u64) -> f64 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let x = *state >> 33;
+        (x % 10_007) as f64 * 10f64.powi((x % 9) as i32 - 4) + 0.1
+    }
+
+    /// One machine-hour of noisy telemetry. Machine 3 sits in sku 1 on
+    /// even days and sku 0 on odd ones, so groups change across runs.
+    fn noisy_record(state: &mut u64, machine: u32, hour: u64) -> MachineHourRecord {
+        let sku = if machine == 3 {
+            (hour / 24).is_multiple_of(2) as u16
+        } else {
+            (machine % 2) as u16
+        };
+        MachineHourRecord {
+            machine: MachineId(machine),
+            group: GroupKey::new(SkuId(sku), ScId(0)),
+            hour,
+            metrics: MetricValues {
+                cpu_utilization: noisy(state),
+                tasks_finished: noisy(state),
+                avg_task_latency_s: noisy(state),
+                avg_running_containers: noisy(state),
+                total_data_read_gb: noisy(state),
+                ..Default::default()
+            },
+        }
+    }
+
+    fn push_hours(store: &mut TelemetryStore, state: &mut u64, hours: Range<u64>) {
+        for hour in hours {
+            for machine in 0..5u32 {
+                store.push(noisy_record(state, machine, hour));
+            }
+        }
+    }
+
+    /// Windows with mid-day edges, windows holding no whole day, whole
+    /// days, and degenerate ones.
+    const WINDOWS: [(u64, u64); 11] = [
+        (5, 40),
+        (30, 65),
+        (13, 20),
+        (50, 70),
+        (20, 100),
+        (0, 24),
+        (24, 72),
+        (0, u64::MAX),
+        (500, 600),
+        (40, 40),
+        (60, 30),
+    ];
+
+    #[test]
+    fn cached_rollups_are_bit_identical_through_seal_merge_and_append() {
+        let mut state = 7u64;
+        let mut store = TelemetryStore::new();
+
+        // Day 0 seals into a run; the first roll-up warms its cache.
+        push_hours(&mut store, &mut state, 0..24);
+        store.seal();
+        assert_eq!(store.warm_daily_runs(), 0);
+        assert_rollups_match_kernel(&store, &WINDOWS, "one sealed day");
+        assert_eq!(store.warm_daily_runs(), 1);
+
+        // Day 1 seals into a run of the same size: the ladder merges the
+        // warm run away, and the merged run starts cold.
+        push_hours(&mut store, &mut state, 24..48);
+        store.seal();
+        assert_eq!(store.run_count(), 1, "equal seals merge");
+        assert_eq!(store.warm_daily_runs(), 0);
+        assert_rollups_match_kernel(&store, &WINDOWS, "after the ladder merge");
+        assert_eq!(store.warm_daily_runs(), 1);
+
+        // Day 2 sealed at hour 66 and again at day close: the second run
+        // is the smaller, so the ladder keeps day 2 split across two runs.
+        push_hours(&mut store, &mut state, 48..66);
+        assert_rollups_match_kernel(&store, &WINDOWS, "a day open in the delta");
+        store.seal();
+        push_hours(&mut store, &mut state, 66..72);
+        assert_rollups_match_kernel(&store, &WINDOWS, "a day split by a seal and the delta");
+        store.seal();
+        assert_eq!(store.run_count(), 3, "day 2 spans two runs");
+        assert_rollups_match_kernel(&store, &WINDOWS, "a day split between two runs");
+        // The split day is summed from its hourly rows, so neither of its
+        // runs builds a cache.
+        assert_eq!(store.warm_daily_runs(), 1);
+
+        // Late rows for days a sealed run already covers land in the
+        // delta, duplicates of sealed (machine, hour) keys among them.
+        push_hours(&mut store, &mut state, 30..31);
+        store.push(noisy_record(&mut state, 9, 70));
+        assert_rollups_match_kernel(&store, &WINDOWS, "late rows in covered days");
+        push_hours(&mut store, &mut state, 72..80);
+        assert_rollups_match_kernel(&store, &WINDOWS, "late rows and a new day");
+        store.seal();
+        assert_rollups_match_kernel(&store, &WINDOWS, "late rows sealed");
+    }
+
+    #[test]
+    fn cached_rollups_are_bit_identical_under_random_interleavings() {
+        // Random batches of hours, old and new, random seals, and a query
+        // after every step, so caches are warmed, merged away and rebuilt
+        // at arbitrary points.
+        for seed in 0..24u64 {
+            let mut state = seed;
+            let mut store = TelemetryStore::new();
+            for step in 0..14 {
+                let r = noisy(&mut state) as u64;
+                if r.is_multiple_of(4) {
+                    store.seal();
+                } else {
+                    let start = r % 96;
+                    push_hours(&mut store, &mut state, start..start + 1 + r % 30);
+                }
+                assert_rollups_match_kernel(&store, &WINDOWS, &format!("seed {seed} step {step}"));
+            }
+        }
+    }
+
+    #[test]
     fn empty_store_empty_outputs() {
         let store = TelemetryStore::new();
         assert!(daily_group_aggregates(&store).is_empty());
@@ -1047,7 +1474,7 @@ mod tests {
         // Serial ground truth via the single-worker kernel shape.
         let sides = store.sides();
         let machines = merged_machines(&sides);
-        let groups = merged_groups(&sides, None);
+        let groups = merged_groups(&sides);
         let n_machines = machines.ids.len();
         let serial: Vec<DailyAggregate> = {
             let mut scratch = DailyScratch {

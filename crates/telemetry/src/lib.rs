@@ -18,6 +18,7 @@
 //!   sorted `(group, hour, machine)` rows, interned dense machine ids,
 //!   group and hour offset-range indexes over one `(hour, machine)`
 //!   permutation, struct-of-arrays metric columns built per metric on
+//!   first use, and a daily roll-up of the run's own rows, also built on
 //!   first use), each carrying its `[min_hour, max_hour]` bounds, plus
 //!   a **delta buffer** that absorbs streaming appends. Every filtered
 //!   view k-way merges the sorted sides; hour-windowed queries consult
@@ -44,13 +45,17 @@
 //!   runs, and never rewrites an unchanged segment.
 //! * [`aggregate`] — fused single-pass aggregation kernels k-way merged
 //!   over the sealed runs + delta (hourly→daily roll-ups, fleet series,
-//!   group utilization), work-stealing parallel across groups through
+//!   group utilization, each machine's latest group for the LP's `n_k`),
+//!   work-stealing parallel across groups through
 //!   [`run_group_partitions`] (the fan-out the fitter and the federated
 //!   simulator share), plus the
 //!   scatter-view extraction that feeds model fitting and hour-windowed
 //!   variants ([`daily_group_aggregates_window`],
-//!   [`hourly_fleet_series_window`]) that ride the store's segment
-//!   pruning. Pre-columnar roll-ups survive as [`aggregate::reference`].
+//!   [`hourly_fleet_series_window`]) that ride the store's run pruning.
+//!   The daily roll-ups re-sum only what changed: a day one sealed run
+//!   alone holds comes from that run's cached roll-up, bit-identical to
+//!   summing its hours again. Pre-columnar roll-ups survive as
+//!   [`aggregate::reference`].
 //!
 //! The key design decision mirrors the paper's Level-V abstraction: all
 //! analysis happens at the `(software configuration, SKU)` machine-group
@@ -71,8 +76,8 @@ pub mod store;
 
 pub use aggregate::{
     daily_group_aggregates, daily_group_aggregates_window, group_utilization, hourly_fleet_series,
-    hourly_fleet_series_window, run_group_partitions, scatter, DailyAggregate, GroupUtilization,
-    ScatterPoint,
+    hourly_fleet_series_window, latest_group_counts, run_group_partitions, scatter, DailyAggregate,
+    GroupUtilization, ScatterPoint,
 };
 pub use csv::{read_csv, write_csv, CsvError};
 pub use persist::{PersistError, SyncStats};

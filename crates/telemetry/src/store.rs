@@ -19,8 +19,12 @@
 //!   over groups and hours, and one secondary `(hour, machine)`
 //!   permutation. A run's struct-of-arrays metric columns are built per
 //!   metric on first use, so a decoded row holds its metric values once.
-//!   Every run carries its inclusive `[min_hour, max_hour]` bounds, so
-//!   hour-windowed queries skip runs that cannot contain the window.
+//!   So is the run's own daily roll-up, `(group, machine, day)`-sorted,
+//!   which the daily roll-ups read for every day that run alone holds;
+//!   it lives in memory only and goes with the run when the ladder
+//!   merges it. Every run carries its inclusive `[min_hour, max_hour]`
+//!   bounds, so hour-windowed queries skip runs that cannot contain the
+//!   window.
 //! * The **delta** is the tail of the record log appended since the last
 //!   seal. On first query it is sealed into a *mini* `ColumnIndex` of
 //!   its own (cost `O(d log d)` for `d` delta rows, at most 65,536),
@@ -57,6 +61,7 @@
 //! mutate/query sequences, and the baseline the
 //! `telemetry_scan`/`telemetry_stream` benches measure speedups over.
 
+use crate::aggregate::{daily_core, DailyAggregate, ALL_HOURS};
 use crate::metric::Metric;
 use crate::persist;
 use crate::record::{GroupKey, MachineHourRecord, MachineId};
@@ -167,6 +172,9 @@ pub(crate) struct ColumnIndex {
     /// Struct-of-arrays metric columns in `sorted` row order, one per
     /// metric, each built on first use by [`ColumnIndex::column`].
     columns: [OnceLock<Vec<f64>>; Metric::ALL.len()],
+    /// The daily roll-up of these rows alone, built on first use by
+    /// [`ColumnIndex::daily`].
+    daily: OnceLock<Vec<DailyAggregate>>,
 }
 
 impl ColumnIndex {
@@ -181,10 +189,25 @@ impl ColumnIndex {
     /// `sorted` on the first call per metric and kept for the index's
     /// lifetime; only the fleet-series and group-utilization kernels
     /// ask, for at most two metrics, so the other columns never cost
-    /// memory.
+    /// memory. (The daily roll-up reads whole rows, and caches its own
+    /// output instead: [`ColumnIndex::daily`].)
     pub(crate) fn column(&self, metric: Metric) -> &[f64] {
         self.columns[metric.index()]
             .get_or_init(|| self.sorted.iter().map(|r| metric.value(&r.metrics)).collect())
+    }
+
+    /// The daily roll-up of this index's rows alone, sorted by `(group,
+    /// machine, day)`: the per-run cache behind
+    /// [`daily_group_aggregates`](crate::aggregate::daily_group_aggregates).
+    /// Built by the roll-up kernel on the first call and kept for the
+    /// index's lifetime; a ladder merge builds a new index, so a merged
+    /// run starts cold and its inputs' caches go with them. Each entry is
+    /// summed from the same rows in the same order as the kernel over
+    /// every side sums it whenever this index is the only side holding
+    /// that day.
+    pub(crate) fn daily(&self) -> &[DailyAggregate] {
+        self.daily
+            .get_or_init(|| daily_core(std::slice::from_ref(&self), &[ALL_HOURS]))
     }
 
     /// Builds the index structures over records already sorted by
@@ -226,6 +249,7 @@ impl ColumnIndex {
             hour_order,
             hour_offsets,
             columns: Default::default(),
+            daily: OnceLock::new(),
         }
     }
 
@@ -304,6 +328,7 @@ impl ColumnIndex {
             hour_order,
             hour_offsets,
             columns: Default::default(),
+            daily: OnceLock::new(),
         }
     }
 
@@ -595,6 +620,7 @@ impl IndexLoader {
             hour_order: self.hour_order,
             hour_offsets,
             columns: Default::default(),
+            daily: OnceLock::new(),
         })
     }
 }
@@ -1006,17 +1032,26 @@ impl TelemetryStore {
         self.runs.iter().map(|r| &r.index).chain(self.delta_index()).collect()
     }
 
-    /// The sides that can contain hours `[start, end)`: runs whose
-    /// recorded `[min_hour, max_hour]` intersects the window (others
-    /// are skipped without a probe), plus the delta. Oldest first,
-    /// delta last.
-    pub(crate) fn window_sides(&self, start: u64, end: u64) -> Vec<&ColumnIndex> {
+    /// The sealed runs that can contain hours `[start, end)`: those whose
+    /// recorded `[min_hour, max_hour]` intersects the window (others are
+    /// skipped without a probe), oldest first.
+    pub(crate) fn window_runs(&self, start: u64, end: u64) -> impl Iterator<Item = &ColumnIndex> {
         self.runs
             .iter()
-            .filter(|r| end > start && r.bounds.0 < end && r.bounds.1 >= start)
+            .filter(move |r| end > start && r.bounds.0 < end && r.bounds.1 >= start)
             .map(|r| &r.index)
-            .chain(self.delta_index())
-            .collect()
+    }
+
+    /// The sides that can contain hours `[start, end)`: the
+    /// [`window_runs`](TelemetryStore::window_runs), then the delta.
+    pub(crate) fn window_sides(&self, start: u64, end: u64) -> Vec<&ColumnIndex> {
+        self.window_runs(start, end).chain(self.delta_index()).collect()
+    }
+
+    /// How many sealed runs hold a built daily roll-up.
+    #[cfg(test)]
+    pub(crate) fn warm_daily_runs(&self) -> usize {
+        self.runs.iter().filter(|r| r.index.daily.get().is_some()).count()
     }
 
     /// All records: each sealed run's rows (oldest run first, each in

@@ -12,8 +12,8 @@
 use kea_telemetry::aggregate::reference as ref_agg;
 use kea_telemetry::store::reference::TelemetryStore as RefStore;
 use kea_telemetry::{
-    daily_group_aggregates, group_utilization, hourly_fleet_series, GroupKey, MachineHourRecord,
-    MachineId, Metric, MetricValues, ScId, SkuId, TelemetryStore,
+    daily_group_aggregates, daily_group_aggregates_window, group_utilization, hourly_fleet_series,
+    GroupKey, MachineHourRecord, MachineId, Metric, MetricValues, ScId, SkuId, TelemetryStore,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -293,6 +293,26 @@ fn assert_agrees(reference: &RefStore, columnar: &TelemetryStore) {
             );
         }
     }
+    // Windows whose edges fall mid-day, two of them holding no whole day:
+    // whole days may come from a run's cached roll-up, edge days never.
+    for (start, end) in MID_DAY_WINDOWS {
+        let ref_window = ref_agg::daily_group_aggregates_window(reference, start, end);
+        let col_window = daily_group_aggregates_window(columnar, start, end);
+        prop_assert_eq!(ref_window.len(), col_window.len());
+        for (r, c) in ref_window.iter().zip(&col_window) {
+            prop_assert_eq!((r.group, r.machine, r.day), (c.group, c.machine, c.day));
+            prop_assert_eq!(r.hours_observed, c.hours_observed);
+            for m in METRICS {
+                prop_assert!(
+                    close(r.mean(m), c.mean(m)),
+                    "windowed daily mean of {} over [{}, {}) drifted",
+                    m,
+                    start,
+                    end
+                );
+            }
+        }
+    }
     let r_series = ref_agg::hourly_fleet_series(reference, Metric::CpuUtilization);
     let c_series = hourly_fleet_series(columnar, Metric::CpuUtilization);
     prop_assert_eq!(r_series.len(), c_series.len());
@@ -309,6 +329,11 @@ fn assert_agrees(reference: &RefStore, columnar: &TelemetryStore) {
         prop_assert!(close(r.mean_running_containers, c.mean_running_containers));
     }
 }
+
+/// Hour windows over [`HOURS`] with mid-day edges; `[12, 36)` and
+/// `[25, 47)` hold no whole day.
+const MID_DAY_WINDOWS: [(u64, u64); 6] =
+    [(1, 49), (3, 130), (12, 36), (25, 47), (47, 121), (100, 501)];
 
 proptest! {
     /// The run+delta store must agree with the reference at *every

@@ -878,6 +878,88 @@ fn ladder_runs_roundtrip_through_disk() {
     assert_agrees(&reference, &reopened);
 }
 
+/// Each sealed run's daily roll-up lives in memory only: a reopened
+/// store starts with every cache cold and rebuilds them, and its
+/// roll-ups equal the live store's, whose caches were warm, bit for bit.
+#[test]
+fn reopened_store_rolls_up_bit_identically_to_the_live_one() {
+    let scratch = Scratch::new();
+    let mut store = TelemetryStore::open(scratch.path()).expect("open");
+    // Metric values over eight orders of magnitude, so a sum taken in
+    // another order differs in its low bits.
+    let mut state = 11u64;
+    let mut noisy = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let x = state >> 33;
+        (x % 10_007) as f64 * 10f64.powi((x % 9) as i32 - 4)
+    };
+    let mut push_hours = |store: &mut TelemetryStore, hours: std::ops::Range<u64>| {
+        for hour in hours {
+            for m in 0..12u32 {
+                store.push(MachineHourRecord {
+                    machine: MachineId(m),
+                    group: GroupKey::new(SkuId((m % 3) as u16), ScId(1)),
+                    hour,
+                    metrics: MetricValues {
+                        cpu_utilization: noisy(),
+                        tasks_finished: noisy(),
+                        avg_running_containers: noisy(),
+                        total_data_read_gb: noisy(),
+                        ..MetricValues::default()
+                    },
+                });
+            }
+        }
+    };
+    // Four days sealed at day close, each roll-up warming the caches;
+    // day 4 sealed at hour 114 and at day close, so two runs share it;
+    // late rows for day 1 and the open day 5 left in the WAL.
+    for day in 0..4u64 {
+        push_hours(&mut store, day * 24..day * 24 + 24);
+        store.seal();
+        store.sync().expect("sync day");
+        assert!(!daily_group_aggregates(&store).is_empty());
+    }
+    push_hours(&mut store, 96..114);
+    store.seal();
+    push_hours(&mut store, 114..120);
+    store.seal();
+    store.sync().expect("sync split day");
+    push_hours(&mut store, 30..32);
+    push_hours(&mut store, 120..126);
+    store.sync().expect("sync the delta");
+    assert!(store.run_count() >= 2 && !store.is_sealed());
+
+    let bits = |rollup: Vec<kea_telemetry::DailyAggregate>| -> Vec<_> {
+        rollup
+            .iter()
+            .map(|a| {
+                let means: Vec<u64> = Metric::ALL.iter().map(|&m| a.mean(m).to_bits()).collect();
+                (a.group, a.machine, a.day, a.hours_observed, means)
+            })
+            .collect()
+    };
+    let windows = [(0, u64::MAX), (13, 61), (30, 40), (100, 125), (20, 200)];
+    let live: Vec<_> = windows
+        .iter()
+        .map(|&(s, e)| bits(daily_group_aggregates_window(&store, s, e)))
+        .collect();
+    let live_full = bits(daily_group_aggregates(&store));
+    drop(store);
+
+    let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
+    assert_eq!(bits(daily_group_aggregates(&reopened)), live_full);
+    for (&(s, e), want) in windows.iter().zip(&live) {
+        assert_eq!(
+            &bits(daily_group_aggregates_window(&reopened, s, e)),
+            want,
+            "window [{s}, {e})"
+        );
+    }
+}
+
 /// A service's steady state: hour batches under the auto-seal floor
 /// synced every hour, sealed at day close. A sync between seals appends
 /// one WAL frame and never rotates, and since the ladder is the only

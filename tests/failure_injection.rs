@@ -3,8 +3,8 @@
 
 use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
 use kea_core::{analyze, tune, KeaError, MachineSplit, PerformanceMonitor, TunePolicy};
-use kea_sim::{run, ClusterSpec, SimConfig};
-use kea_telemetry::{GroupKey, Metric, TelemetryStore};
+use kea_sim::{run, ClusterSpec, ConfigPatch, Flight, SimConfig, SC1, SC2};
+use kea_telemetry::{GroupKey, MachineId, Metric, TelemetryStore};
 use std::collections::BTreeSet;
 
 /// Simulated telemetry with a fraction of machine-hours corrupted the way
@@ -148,15 +148,62 @@ fn tune_refuses_a_window_under_the_row_floor() {
 #[test]
 fn tune_refuses_an_invalid_step_bound() {
     // Zero, NaN and a bound past what a plan's integer step can hold.
+    // The policy is checked before any work: on an empty store the fit
+    // would refuse with `NoObservations`, but the step bound's typed
+    // error comes first.
     let (_, store) = contaminated_telemetry(0);
-    for max_step in [0.0, f64::NAN, 1e12] {
-        let policy = TunePolicy {
-            max_step,
-            ..TunePolicy::default()
-        };
-        assert!(
-            matches!(tune(&store, &policy), Err(KeaError::Opt(_))),
-            "max_step {max_step}"
-        );
+    for store in [store, TelemetryStore::new()] {
+        for max_step in [0.0, f64::NAN, 1e12] {
+            let policy = TunePolicy {
+                max_step,
+                ..TunePolicy::default()
+            };
+            assert!(
+                matches!(tune(&store, &policy), Err(KeaError::Opt(_))),
+                "max_step {max_step} on {} records",
+                store.len()
+            );
+        }
     }
+}
+
+#[test]
+fn tune_counts_a_flighted_machine_once() {
+    // A flight moves every 4th machine of the 150 (38 in all) to SC2 for
+    // hours 12–36 of 48. Each machine counts once, in the group of its
+    // latest record, so the SC2 groups, which existed only while the
+    // flight was live, drop out of the counts and the plan.
+    let mut cfg = SimConfig::baseline(ClusterSpec::small(), 48, 7);
+    let moved: BTreeSet<MachineId> = cfg
+        .cluster
+        .machines
+        .iter()
+        .step_by(4)
+        .map(|m| m.id)
+        .collect();
+    assert_eq!((cfg.cluster.machines.len(), moved.len()), (150, 38));
+    cfg.plan.add_flight(Flight {
+        label: "move-to-sc2".to_string(),
+        machines: moved,
+        start_hour: 12,
+        end_hour: 36,
+        patch: ConfigPatch {
+            sc: Some(SC2),
+            ..ConfigPatch::default()
+        },
+    });
+    let out = run(&cfg);
+    let sc2_groups = out
+        .telemetry
+        .groups()
+        .iter()
+        .filter(|g| g.sc == SC2)
+        .count();
+    assert_eq!(sc2_groups, 6, "the flight reports from six SC2 groups");
+
+    let tuned = tune(&out.telemetry, &TunePolicy::default()).expect("tunes");
+    assert_eq!(tuned.machine_counts.values().sum::<usize>(), 150);
+    assert_eq!(tuned.machine_counts.len(), 6);
+    assert!(tuned.machine_counts.keys().all(|g| g.sc == SC1));
+    assert!(tuned.plan.steps().keys().all(|g| g.sc == SC1));
 }
