@@ -179,9 +179,11 @@ pub fn analyze_time_slices(
 /// Extracts per-machine-hour samples of `metric` for a machine set in a
 /// window — the unit of analysis for all experiment comparisons.
 ///
-/// Served by the store's hour index: the window is a binary-searched
-/// contiguous run of hour-ordered rows, with membership tested against a
-/// dense-id bitmap, so cost scales with the window rather than the store.
+/// Served by the store's `(group, hour)` block table: each group's part
+/// of the window is one contiguous slice, with membership tested against
+/// a dense-id bitmap, so cost scales with the window rather than the
+/// store. The samples come side by side and group by group, not in hour
+/// order; every comparison here reduces them to means and a t-test.
 pub fn machine_hour_samples(
     store: &TelemetryStore,
     machines: &BTreeSet<MachineId>,

@@ -139,8 +139,9 @@ pub fn evaluate_deployment(
     metrics: &[Metric],
     guardrails: &[Guardrail],
 ) -> Result<DeploymentReport, KeaError> {
-    // Whole-fleet comparison: read the hour-indexed windows directly
-    // instead of probing a machine bitmap that would admit every row.
+    // Whole-fleet comparison: read each group's hour-window slices
+    // directly instead of probing a machine bitmap that would admit
+    // every row. Their order is not hour order; the t-test ignores it.
     let fleet_samples = |start: u64, end: u64, metric: Metric| -> Vec<f64> {
         store
             .by_hours(start, end)

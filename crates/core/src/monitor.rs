@@ -40,7 +40,8 @@ impl<'a> PerformanceMonitor<'a> {
     }
 
     /// Fleet-wide mean of `metric` per hour — the Figure 1 series,
-    /// served by the hour-indexed column kernel.
+    /// served by the column kernel that sums each `(group, hour)`
+    /// block's slice.
     ///
     /// # Errors
     /// The store must be non-empty.

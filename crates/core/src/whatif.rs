@@ -39,7 +39,6 @@ pub enum Granularity {
 /// One training observation for a group's models.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct TrainRow {
-    machine: u32,
     containers: f64,
     util: f64,
     tasks: f64,
@@ -66,8 +65,6 @@ pub struct GroupModels {
     pub h_util_to_tasks: LinearModel1D,
     /// `f_k`: CPU utilization (%) → mean task latency (s).
     pub f_util_to_latency: LinearModel1D,
-    /// Number of distinct machines observed.
-    pub n_machines: usize,
     /// Median observed running containers (the paper's `m'_k`).
     pub current_containers: f64,
     /// Median observed CPU utilization (the large dot of Figure 9).
@@ -167,7 +164,6 @@ impl WhatIfEngine {
                 for agg in monitor.daily_aggregates() {
                     if agg.mean(Metric::NumberOfTasks) > 0.0 {
                         push_row(agg.group, TrainRow {
-                            machine: agg.machine.0,
                             containers: agg.mean(Metric::AverageRunningContainers),
                             util: agg.mean(Metric::CpuUtilization),
                             tasks: agg.mean(Metric::NumberOfTasks),
@@ -181,7 +177,6 @@ impl WhatIfEngine {
                     for rec in monitor.store().by_group(group) {
                         if rec.metrics.tasks_finished > 0.0 {
                             push_row(group, TrainRow {
-                                machine: rec.machine.0,
                                 containers: rec.metrics.avg_running_containers,
                                 util: rec.metrics.cpu_utilization,
                                 tasks: rec.metrics.tasks_finished,
@@ -258,8 +253,6 @@ impl WhatIfEngine {
             let pred: Vec<f64> = x.iter().map(|&v| m.predict(v)).collect();
             r2_score(y, &pred).unwrap_or(f64::NAN)
         };
-        let machines: std::collections::BTreeSet<u32> =
-            rows.iter().map(|r| r.machine).collect();
         // Sort each observation column once; the median (and, for
         // containers, every later percentile lookup) reads the sorted
         // copy instead of re-sorting per call.
@@ -269,7 +262,6 @@ impl WhatIfEngine {
         util_sorted.sort_by(f64::total_cmp);
         Ok(GroupModels {
             group,
-            n_machines: machines.len(),
             current_containers: median_of_sorted(&containers_sorted),
             current_util: median_of_sorted(&util_sorted),
             r2: (
@@ -384,7 +376,6 @@ mod tests {
         assert!((g.h_util_to_tasks.slope() - 2.0).abs() < 0.05);
         assert!((g.f_util_to_latency.slope() - 3.0).abs() < 0.05);
         assert!(g.r2.0 > 0.99 && g.r2.1 > 0.99 && g.r2.2 > 0.99);
-        assert_eq!(g.n_machines, 10);
     }
 
     #[test]
@@ -430,7 +421,9 @@ mod tests {
         let mon = PerformanceMonitor::new(&store);
         let engine = WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5).unwrap();
         let g = engine.group(GroupKey::new(SkuId(0), ScId(1))).unwrap();
-        assert_eq!(g.n_machines, 6, "idle machines excluded");
+        // 6 working machines × 2 days; the 10 idle machines' 20 daily
+        // rows are excluded.
+        assert_eq!(g.n_rows, 12, "idle machines' rows excluded");
         assert!((g.g_containers_to_util.slope() - 4.0).abs() < 0.05);
     }
 
@@ -481,7 +474,6 @@ mod tests {
                         let containers = 4.0 + (i % 5) as f64 + ((i % 7) as f64) * 0.5;
                         let util = 5.0 + slope * containers;
                         TrainRow {
-                            machine: i % 4,
                             containers,
                             util,
                             tasks: 2.0 * util,
@@ -530,7 +522,6 @@ mod tests {
                     let containers = 4.0 + (i % 5) as f64 + ((i % 7) as f64) * 0.5;
                     let util = 5.0 + slope * containers;
                     TrainRow {
-                        machine: i % 16,
                         containers,
                         util,
                         tasks: 2.0 * util,

@@ -10,10 +10,13 @@
 //! The roll-ups are **fused single-pass kernels** over the store's
 //! sealed runs plus delta: each group is one contiguous slice per side,
 //! k-way merged on the fly, so streaming appends never force a rebuild
-//! before aggregation. Counts, sums, and distinct-machine membership
-//! accumulate in flat arrays indexed by *merged* dense machine ids (each
-//! side's dense ids remapped through a shared table — no `BTreeMap` entry
-//! lookup per record).
+//! before aggregation. A side has one sort order, `(group, hour,
+//! machine)`, and one block table over its `(group, hour)` prefixes: a
+//! group's hour window is two binary searches on it, and the fleet
+//! series sums each block's contiguous column slice. Counts, sums, and
+//! distinct-machine membership accumulate in flat arrays indexed by
+//! *merged* dense machine ids (each side's dense ids remapped through a
+//! shared table — no `BTreeMap` entry lookup per record).
 //!
 //! The daily roll-up re-sums only what changed: each sealed run keeps a
 //! daily roll-up of its own rows, built on first use, and a day that one
@@ -164,23 +167,12 @@ struct MergedGroup {
 }
 
 impl MergedGroup {
-    /// This group's rows narrowed to hours `[start, end)`: each side's
-    /// group slice is hour-major, so narrowing is two binary searches per
-    /// side.
+    /// This group's rows narrowed to hours `[start, end)`: two binary
+    /// searches on each side's block table.
     fn narrowed(&self, sides: &[&ColumnIndex], (start, end): (u64, u64)) -> MergedGroup {
-        let rows = sides
-            .iter()
-            .zip(&self.rows)
-            .map(|(s, full)| {
-                let slice = &s.sorted[full.clone()];
-                let lo = full.start + slice.partition_point(|r| r.hour < start);
-                let hi = full.start + slice.partition_point(|r| r.hour < end);
-                lo..hi
-            })
-            .collect();
         MergedGroup {
             group: self.group,
-            rows,
+            rows: sides.iter().map(|s| s.group_window(self.group, start, end)).collect(),
         }
     }
 }
@@ -189,7 +181,7 @@ impl MergedGroup {
 fn merged_groups(sides: &[&ColumnIndex]) -> Vec<MergedGroup> {
     let keys = sides
         .iter()
-        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups));
+        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups()));
     keys.into_iter()
         .map(|group| MergedGroup {
             group,
@@ -310,7 +302,7 @@ fn daily_rollup(store: &TelemetryStore, (start, end): (u64, u64)) -> Vec<DailyAg
             .copied()
             .chain(delta)
             .filter(|s| {
-                hour_bounds(s)
+                s.hour_bounds()
                     .is_some_and(|(lo, hi)| plan.raw.iter().any(|&(a, b)| lo < b && hi >= a))
             })
             .collect();
@@ -324,11 +316,6 @@ fn daily_rollup(store: &TelemetryStore, (start, end): (u64, u64)) -> Vec<DailyAg
         }
     }
     merge_parts(&parts)
-}
-
-/// Inclusive `(first, last)` hour of a side; `None` when it is empty.
-fn hour_bounds(side: &ColumnIndex) -> Option<(u64, u64)> {
-    side.hours.first().copied().zip(side.hours.last().copied())
 }
 
 /// Where each day of a roll-up over an hour window comes from.
@@ -352,7 +339,7 @@ impl DayPlan {
             .iter()
             .copied()
             .chain(delta)
-            .map(|s| hour_bounds(s).map_or((0, 0), |(lo, hi)| (lo / 24, hi / 24 + 1)))
+            .map(|s| s.hour_bounds().map_or((0, 0), |(lo, hi)| (lo / 24, hi / 24 + 1)))
             .collect();
         let whole = (start.div_ceil(24), end / 24);
         let mut cuts: Vec<u64> = spans
@@ -533,10 +520,11 @@ fn drain_day(
 /// `(hour, mean)` point for every hour of the store's span (0.0 for hours
 /// no machine reported). Empty when the store is empty.
 ///
-/// Kernel shape: each side's hour CSR index yields that hour's rows
-/// directly; one distinct-hour cursor per side walks the combined span,
-/// and the mean is a gather-sum over the metric columns — no per-record
-/// map lookups and no predicate scans.
+/// Kernel shape: every `(group, hour)` block of every side is one
+/// contiguous slice of that side's metric column, so each hour's sum is
+/// the sum of its blocks' slice sums (side by side, group by group) and
+/// its count the sum of their lengths — no per-record map lookups, no
+/// gathers and no predicate scans.
 pub fn hourly_fleet_series(store: &TelemetryStore, metric: Metric) -> Vec<(u64, f64)> {
     let Some((start, end)) = store.hour_span() else {
         return Vec::new();
@@ -585,30 +573,23 @@ fn hourly_core(
     start: u64,
     end_inclusive: u64,
 ) -> Vec<(u64, f64)> {
-    let columns: Vec<&[f64]> = sides.iter().map(|s| s.column(metric)).collect();
-    // Distinct-hour cursor per side, positioned at the span start.
-    let mut cursors: Vec<usize> = sides
-        .iter()
-        .map(|s| s.hours.partition_point(|&h| h < start))
-        .collect();
-    let mut out = Vec::with_capacity((end_inclusive - start + 1) as usize);
-    for hour in start..=end_inclusive {
-        let mut sum = 0.0f64;
-        let mut n = 0usize;
-        for ((s, p), column) in sides.iter().zip(cursors.iter_mut()).zip(&columns) {
-            if s.hours.get(*p) == Some(&hour) {
-                let positions = s.hour_offsets[*p]..s.hour_offsets[*p + 1];
-                n += positions.len();
-                sum += s.hour_order[positions]
-                    .iter()
-                    .map(|&row| column[row])
-                    .sum::<f64>();
-                *p += 1;
+    // Per hour of the span: the metric's sum and row count.
+    let mut acc = vec![(0.0f64, 0usize); (end_inclusive - start + 1) as usize];
+    for s in sides {
+        let column = s.column(metric);
+        for (&(_, hour), rows) in s.blocks.iter().zip(s.block_offsets.windows(2)) {
+            if hour < start || hour > end_inclusive {
+                continue;
             }
+            let (sum, n) = &mut acc[(hour - start) as usize];
+            *sum += column[rows[0]..rows[1]].iter().sum::<f64>();
+            *n += rows[1] - rows[0];
         }
-        out.push((hour, if n == 0 { 0.0 } else { sum / n as f64 }));
     }
-    out
+    (start..=end_inclusive)
+        .zip(acc)
+        .map(|(hour, (sum, n))| (hour, if n == 0 { 0.0 } else { sum / n as f64 }))
+        .collect()
 }
 
 /// Machine counts and mean utilization per group — Figure 2's two panels,
@@ -690,14 +671,14 @@ pub fn latest_group_counts(store: &TelemetryStore) -> Vec<(GroupKey, usize)> {
     let machines = merged_machines(&sides);
     let groups = sides
         .iter()
-        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups));
+        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups()));
     // Per merged dense id: the hour and 1 + group rank of its latest
     // record; (0, 0) until one is seen.
     let mut latest = vec![(0u64, 0usize); machines.ids.len()];
     for (side, map) in sides.iter().zip(&machines.maps) {
-        for (group, rows) in side.groups.iter().zip(side.group_offsets.windows(2)) {
-            let rank = 1 + groups.partition_point(|g| g < group);
-            for row in rows[0]..rows[1] {
+        for (group, rows) in side.group_slices() {
+            let rank = 1 + groups.partition_point(|g| *g < group);
+            for row in rows {
                 let seen = &mut latest[map[side.machine_dense[row] as usize] as usize];
                 *seen = (*seen).max((side.sorted[row].hour, rank));
             }

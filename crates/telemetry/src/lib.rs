@@ -14,15 +14,16 @@
 //!   the paper's scatter view (Figure 8: "each point corresponding to one
 //!   observation for a machine during one hour").
 //! * [`store`] — an in-memory append-only store shaped like an LSM
-//!   tree: N immutable **sealed runs** (columnar, indexed layout —
-//!   sorted `(group, hour, machine)` rows, interned dense machine ids,
-//!   group and hour offset-range indexes over one `(hour, machine)`
-//!   permutation, struct-of-arrays metric columns built per metric on
-//!   first use, and a daily roll-up of the run's own rows, also built on
-//!   first use), each carrying its `[min_hour, max_hour]` bounds, plus
-//!   a **delta buffer** that absorbs streaming appends. Every filtered
-//!   view k-way merges the sorted sides; hour-windowed queries consult
-//!   only the runs whose bounds intersect the window. The delta seals
+//!   tree: N immutable **sealed runs** (columnar, indexed layout — one
+//!   sort order, `(group, hour, machine)`, interned dense machine ids,
+//!   one offset table over the `(group, hour)` blocks of that order,
+//!   struct-of-arrays metric columns built per metric on first use, and
+//!   a daily roll-up of the run's own rows, also built on first use),
+//!   each carrying its `[min_hour, max_hour]` bounds, plus a **delta
+//!   buffer** that absorbs streaming appends. `by_group` k-way merges
+//!   the sorted sides; the hour-window views chain each side's
+//!   per-group window slices, and consult only the runs whose bounds
+//!   intersect the window. The delta seals
 //!   into a new run past 65,536 rows (or on explicit `seal()`, e.g. at
 //!   day close), and a binary-counter ladder compaction — the only
 //!   compaction rule — bounds both the live run count (logarithmic)
@@ -33,9 +34,10 @@
 //!   rejection of non-finite metric values.
 //! * [`persist`] — durable storage mirroring the LSM shape on disk: a
 //!   checksummed write-ahead log for the delta tail, one immutable
-//!   segment file per sealed run (three checksummed sections, ~131
-//!   bytes/row), and an atomically-flipped manifest naming the live
-//!   file set with per-segment row counts and hour bounds.
+//!   segment file per sealed run (two checksummed sections, records and
+//!   machines, 127 bytes/row), and an atomically-flipped manifest
+//!   naming the live file set with per-segment row counts and hour
+//!   bounds.
 //!   [`TelemetryStore::open`] recovers a directory (every segment
 //!   loaded and checked before it returns, torn WAL tails truncated,
 //!   a corrupt file quarantined and the open refused, never a panic)
@@ -60,7 +62,8 @@
 //! The key design decision mirrors the paper's Level-V abstraction: all
 //! analysis happens at the `(software configuration, SKU)` machine-group
 //! level, so every record carries a [`record::GroupKey`] and the store
-//! indexes groups and hours, never a single machine's time series.
+//! indexes `(group, hour)` blocks, never a single machine's time series:
+//! an hour window is an hour range inside each group.
 //!
 //! The crate depends on no other crate of the workspace.
 

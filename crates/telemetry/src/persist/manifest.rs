@@ -6,17 +6,19 @@
 //! windowed queries can prune segments without opening them:
 //!
 //! ```text
-//! kea-telemetry-manifest v3
+//! kea-telemetry-manifest v4
 //! segment seg-000001.kseg rows 86016 hours 0 335
 //! segment seg-000003.kseg rows 6144 hours 336 359
 //! wal wal-000004.wal
 //! ```
 //!
 //! The header line names the on-disk format of the whole directory:
-//! **v3** is the three-section segment format (see `segment`). The
-//! reader accepts exactly that header, so a directory written by an
-//! older build (v1 or v2) is refused as corrupt at its first line,
-//! before any segment is opened, quarantined, or swept.
+//! **v4** is the two-section segment format (see `segment`: the records
+//! in their one sort order and the machine table). The reader accepts
+//! exactly that header, so a directory written by an older build (v1,
+//! v2, or v3, whose segments also held an `(hour, machine)` row
+//! permutation) is refused as corrupt at its first line, before any
+//! segment is opened, quarantined, or swept.
 //!
 //! Every update writes `MANIFEST.tmp`, fsyncs it, renames over
 //! `MANIFEST`, and fsyncs the directory — so the manifest flips
@@ -34,7 +36,7 @@ pub const MANIFEST_NAME: &str = "MANIFEST";
 
 /// First line of every manifest this build writes, and the only one it
 /// reads.
-const MANIFEST_HEADER: &str = "kea-telemetry-manifest v3";
+const MANIFEST_HEADER: &str = "kea-telemetry-manifest v4";
 
 /// One live segment: file name, the row count the loader must find, and
 /// the inclusive `[min_hour, max_hour]` the segment covers.
@@ -201,7 +203,7 @@ mod tests {
         };
         write_manifest(&dir, &m).unwrap();
         let text = std::fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap();
-        assert!(text.starts_with("kea-telemetry-manifest v3\n"), "{text}");
+        assert!(text.starts_with("kea-telemetry-manifest v4\n"), "{text}");
         assert_eq!(read_manifest(&dir).unwrap(), m);
         assert!(!dir.join("MANIFEST.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
@@ -217,27 +219,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Each malformed manifest is refused for its own fault: the body
+    /// cases sit under the current header, so none is refused at line 1.
     #[test]
     fn malformed_lines_are_corrupt() {
         let dir = tmpdir("malformed");
         let cases = [
-            "",
-            "wrong header\nwal a.wal\n",
-            "kea-telemetry-manifest v3\n",                       // no wal
-            "kea-telemetry-manifest v3\nwal a\nwal b\n",        // two wals
-            "kea-telemetry-manifest v3\nsegment x rows z hours 0 4\nwal a\n",
-            "kea-telemetry-manifest v3\nsegment x rows 3\nwal a\n", // no bounds
-            "kea-telemetry-manifest v3\nsegment ../x rows 3 hours 0 4\nwal a\n",
-            "kea-telemetry-manifest v3\nsegment x rows 3 hours z 4\nwal a\n",
-            "kea-telemetry-manifest v3\nsegment x rows 3 hours 9 4\nwal a\n", // inverted
-            "kea-telemetry-manifest v3\nsegment x rows 3 hours 1\nwal a\n",   // truncated
-            "kea-telemetry-manifest v3\nwal ../../etc/passwd\n",
-            "kea-telemetry-manifest v3\nmystery line\nwal a\n",
+            ("", "unsupported format"),
+            ("wrong header\nwal a.wal\n", "unsupported format"),
+            ("\n", "names no WAL"),
+            ("\nwal a\nwal b\n", "names two WALs"),
+            ("\nsegment x rows z hours 0 4\nwal a\n", "bad row count on line 2"),
+            ("\nsegment x rows 3\nwal a\n", "unrecognized manifest line 2"), // no bounds
+            ("\nsegment ../x rows 3 hours 0 4\nwal a\n", "bad segment name on line 2"),
+            ("\nsegment x rows 3 hours z 4\nwal a\n", "bad hour bound on line 2"),
+            ("\nsegment x rows 3 hours 9 4\nwal a\n", "inverted hour bounds on line 2"),
+            ("\nsegment x rows 3 hours 1\nwal a\n", "unrecognized manifest line 2"), // truncated
+            (
+                "\nwal a\nsegment x rows 3 hours 0 4\nsegment a\\b rows 1 hours 0 0\n",
+                "bad segment name on line 4",
+            ),
+            ("\nwal ../../etc/passwd\n", "bad wal name on line 2"),
+            ("\nmystery line\nwal a\n", "unrecognized manifest line 2"),
         ];
-        for (i, text) in cases.iter().enumerate() {
-            std::fs::write(dir.join(MANIFEST_NAME), text).unwrap();
-            let err = read_manifest(&dir).unwrap_err();
-            assert!(matches!(err, PersistError::Corrupt { .. }), "case {i}: {err}");
+        for (i, (body, reason)) in cases.iter().enumerate() {
+            // A body starting with a newline goes under the current header.
+            let text = match body.strip_prefix('\n') {
+                Some(rest) => format!("{MANIFEST_HEADER}\n{rest}"),
+                None => body.to_string(),
+            };
+            std::fs::write(dir.join(MANIFEST_NAME), &text).unwrap();
+            match read_manifest(&dir).unwrap_err() {
+                PersistError::Corrupt { reason: got, .. } => {
+                    assert!(got.contains(reason), "case {i}: want {reason:?}, got {got:?}")
+                }
+                other => panic!("case {i}: expected Corrupt, got {other}"),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -248,6 +265,7 @@ mod tests {
     fn older_format_headers_are_corrupt() {
         let dir = tmpdir("older");
         for text in [
+            "kea-telemetry-manifest v3\nsegment x rows 3 hours 0 4\nwal a\n",
             "kea-telemetry-manifest v2\nsegment x rows 3 hours 0 4\nwal a\n",
             "kea-telemetry-manifest v1\nsegment x rows 3\nwal a\n",
         ] {

@@ -1,13 +1,13 @@
 //! Durable storage for [`TelemetryStore`]: WAL + segment spill + manifest.
 //!
 //! The on-disk layout mirrors the in-memory LSM shape. Each sealed run
-//! lives in its own immutable *segment* file (`segment.rs`: records,
-//! machine table and hour permutation, each checksummed, ~131
-//! bytes/row); the insertion-order delta tail lives in a *write-ahead
-//! log* (`wal.rs`); a tiny *manifest* (`manifest.rs`) names the live
-//! file set — in run order, with per-segment row counts and hour bounds
-//! — and is the only file ever updated in place (atomically, via
-//! temp-file + rename).
+//! lives in its own immutable *segment* file (`segment.rs`: the records
+//! in their one sort order and the machine table, each checksummed,
+//! 127 bytes/row); the insertion-order delta tail lives in a
+//! *write-ahead log* (`wal.rs`); a tiny *manifest* (`manifest.rs`)
+//! names the live file set — in run order, with per-segment row counts
+//! and hour bounds — and is the only file ever updated in place
+//! (atomically, via temp-file + rename).
 //!
 //! ## Durability contract
 //!
@@ -31,12 +31,12 @@
 //! [`TelemetryStore::open`] reads the manifest, then loads every named
 //! segment in run order, each in one streaming pass (`segment.rs`):
 //! ~1 MiB chunks are read into one reused buffer, each chunk is
-//! checksummed on a second core while the first decodes it and checks
-//! the index invariants, and every section checksum, the row count and
-//! the hour bounds are compared against the header and manifest before
-//! the run is kept. The WAL is replayed into the delta tail (truncating
-//! a torn tail from a mid-write crash), and orphan files left by an
-//! interrupted rotation are swept. Every crash point therefore lands in
+//! checksummed on a second core while the first decodes it, derives
+//! the block table and checks the index invariants, and every section
+//! checksum, the row count and the hour bounds are compared against the
+//! header and manifest before the run is kept. The WAL is replayed into
+//! the delta tail (truncating a torn tail from a mid-write crash), and
+//! orphan files left by an interrupted rotation are swept. Every crash point therefore lands in
 //! one of two states: the old file set or the new one, both complete.
 //! A corrupt segment is quarantined and fails the open typed, before
 //! the WAL is replayed or anything is swept, so a store that opens
@@ -45,7 +45,7 @@
 //! ## Format policy
 //!
 //! This build reads only the format it writes: manifest header
-//! `kea-telemetry-manifest v3` over version-2 segments. A directory
+//! `kea-telemetry-manifest v4` over version-3 segments. A directory
 //! written by an older build is refused with [`PersistError::Corrupt`]
 //! at its manifest's first line, before any segment is quarantined or
 //! any file swept, so its bytes stay exactly as they were.
@@ -407,8 +407,7 @@ impl Backing {
                     bounds: *bounds,
                 }),
                 RunRef::Dirty { index } => {
-                    let (Some(&lo), Some(&hi)) = (index.hours.first(), index.hours.last())
-                    else {
+                    let Some((lo, hi)) = index.hour_bounds() else {
                         continue; // An empty run has nothing to persist.
                     };
                     let name = format!("seg-{next_gen:06}.kseg");

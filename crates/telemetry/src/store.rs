@@ -14,11 +14,13 @@
 //! The store is an LSM-shaped structure:
 //!
 //! * The **sealed runs** are immutable `ColumnIndex`es, oldest first:
-//!   each is a compacted slice of history, sorted by `(group, hour,
-//!   machine)` with interned dense machine ids, CSR offset-range indexes
-//!   over groups and hours, and one secondary `(hour, machine)`
-//!   permutation. A run's struct-of-arrays metric columns are built per
-//!   metric on first use, so a decoded row holds its metric values once.
+//!   each is a compacted slice of history in one sort order, `(group,
+//!   hour, machine)`, with interned dense machine ids and one CSR offset
+//!   table over the `(group, hour)` prefix of that key. A group's rows
+//!   and any hour window of them are therefore one contiguous slice, in
+//!   `(hour, machine)` order, found by binary search on that table. A
+//!   run's struct-of-arrays metric columns are built per metric on first
+//!   use, so a decoded row holds its metric values once.
 //!   So is the run's own daily roll-up, `(group, machine, day)`-sorted,
 //!   which the daily roll-ups read for every day that run alone holds;
 //!   it lives in memory only and goes with the run when the ladder
@@ -30,11 +32,15 @@
 //!   its own (cost `O(d log d)` for `d` delta rows, at most 65,536),
 //!   cached until the next mutation.
 //!
-//! Every view ([`by_group`](TelemetryStore::by_group),
-//! [`by_hours`](TelemetryStore::by_hours), …) and every fused kernel in
-//! [`crate::aggregate`] answers by **k-way merging** the relevant runs
-//! plus the delta — sorted sources, one key-ordered merge, no re-sort.
-//! When the delta outgrows its 65,536-row floor (checked once per
+//! [`by_group`](TelemetryStore::by_group) and the fused kernels in
+//! [`crate::aggregate`] answer by **k-way merging** each group's slice
+//! across the relevant runs plus the delta: sorted sources, one
+//! key-ordered merge, no re-sort. The hour-window views
+//! ([`by_hours`](TelemetryStore::by_hours),
+//! [`by_machines_and_hours`](TelemetryStore::by_machines_and_hours))
+//! chain each side's per-group window slices without merging, since
+//! every caller reduces the rows to sums, means or a t-test. When the
+//! delta outgrows its 65,536-row floor (checked once per
 //! mutating call) or on an explicit [`seal`](TelemetryStore::seal), it
 //! becomes a new sealed run; a *ladder* compaction then merges the
 //! newest runs while each is no larger than its elder neighbour — the
@@ -97,7 +103,7 @@ impl SealedRun {
     /// A run over `index`, persisted as segment `seg` if named; `None`
     /// when `index` is empty.
     fn new(index: ColumnIndex, seg: Option<String>) -> Option<SealedRun> {
-        let bounds = index.hours.first().copied().zip(index.hours.last().copied())?;
+        let bounds = index.hour_bounds()?;
         Some(SealedRun { bounds, seg, index })
     }
 
@@ -143,32 +149,28 @@ impl Clone for TelemetryStore {
 /// [`ColumnIndex::merge`] (linear compaction of two sorted runs) or
 /// [`IndexLoader`] (a segment streaming off disk); immutable
 /// afterwards, except that each metric column is filled once, on first
-/// use ([`ColumnIndex::column`]). All `Vec<usize>` offset
-/// tables follow the CSR convention: `offsets.len() == keys.len() + 1`
-/// and key `i` owns rows `offsets[i]..offsets[i + 1]`.
+/// use ([`ColumnIndex::column`]). The block table follows the CSR
+/// convention: `block_offsets.len() == blocks.len() + 1` and block `i`
+/// owns rows `block_offsets[i]..block_offsets[i + 1]`.
 //
 // kea-lint: allow-file(index-in-library) — dense index kernel: every row
 // position is produced by this module's own sort/merge/partition passes and
 // every offset table is constructed with the CSR invariant checked in tests.
 #[derive(Debug, Clone)]
 pub(crate) struct ColumnIndex {
-    /// All records sorted by `(group, hour, machine)`.
+    /// All records sorted by `(group, hour, machine)`: the run's one
+    /// sort order.
     pub(crate) sorted: Vec<MachineHourRecord>,
-    /// Distinct groups, ascending.
-    pub(crate) groups: Vec<GroupKey>,
-    /// CSR offsets into `sorted` per group.
-    pub(crate) group_offsets: Vec<usize>,
+    /// Distinct `(group, hour)` prefixes of the sort key, ascending: one
+    /// *block* of rows each. Derived from `sorted`, never persisted.
+    pub(crate) blocks: Vec<(GroupKey, u64)>,
+    /// CSR offsets into `sorted` per block.
+    pub(crate) block_offsets: Vec<usize>,
     /// Distinct machines, ascending. A machine's position here is its
     /// *dense id*.
     pub(crate) machines: Vec<MachineId>,
     /// Dense machine id of each row of `sorted`.
     pub(crate) machine_dense: Vec<u32>,
-    /// Distinct hours, ascending.
-    pub(crate) hours: Vec<u64>,
-    /// Row positions of `sorted`, re-ordered by `(hour, machine)`.
-    pub(crate) hour_order: Vec<usize>,
-    /// CSR offsets into `hour_order` per distinct hour.
-    pub(crate) hour_offsets: Vec<usize>,
     /// Struct-of-arrays metric columns in `sorted` row order, one per
     /// metric, each built on first use by [`ColumnIndex::column`].
     columns: [OnceLock<Vec<f64>>; Metric::ALL.len()],
@@ -214,10 +216,7 @@ impl ColumnIndex {
     /// `(group, hour, machine)` — the shared tail of [`ColumnIndex::build`]
     /// and the merge fallback paths.
     fn from_sorted(sorted: Vec<MachineHourRecord>) -> Self {
-        let n = sorted.len();
-
-        // Group runs → CSR offsets (sorted is group-major).
-        let (groups, group_offsets) = group_runs(&sorted);
+        let (blocks, block_offsets) = block_runs(&sorted);
 
         // Machine interning: distinct sorted ids, then a dense id per row.
         let mut machines: Vec<MachineId> = sorted.iter().map(|r| r.machine).collect();
@@ -232,32 +231,23 @@ impl ColumnIndex {
             })
             .collect();
 
-        // Secondary ordering by (hour, machine): a permutation of row
-        // positions into `sorted`, so the heavy record payload is stored
-        // exactly once.
-        let mut hour_order: Vec<usize> = (0..n).collect();
-        hour_order.sort_unstable_by_key(|&row| (sorted[row].hour, sorted[row].machine));
-        let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
-
         ColumnIndex {
             sorted,
-            groups,
-            group_offsets,
+            blocks,
+            block_offsets,
             machines,
             machine_dense,
-            hours,
-            hour_order,
-            hour_offsets,
             columns: Default::default(),
             daily: OnceLock::new(),
         }
     }
 
-    /// Compacts two sealed indexes into one in `O(n + d)`: every table is
-    /// produced by a linear two-way merge of the already-sorted inputs —
-    /// no re-sort of the combined row set. `a` rows win ties, so merging
-    /// an older run with a newer one keeps arrival order among duplicate
-    /// `(group, hour, machine)` keys.
+    /// Compacts two sealed indexes into one in `O(n + d)`: one linear
+    /// two-way merge of the already-sorted inputs yields the records and
+    /// their remapped dense ids, and the block table is derived from the
+    /// result; the combined row set is never re-sorted. `a` rows win
+    /// ties, so merging an older run with a newer one keeps arrival
+    /// order among duplicate `(group, hour, machine)` keys.
     pub(crate) fn merge(a: &ColumnIndex, b: &ColumnIndex) -> ColumnIndex {
         if a.sorted.is_empty() {
             return b.clone();
@@ -266,87 +256,87 @@ impl ColumnIndex {
             return a.clone();
         }
         let (an, bn) = (a.sorted.len(), b.sorted.len());
-        let n = an + bn;
 
-        // Primary merge by (group, hour, machine): records, plus the
-        // source of every output row so dense ids and the permutation
-        // can be gathered without re-comparing.
-        let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
-        let mut sorted = Vec::with_capacity(n);
-        // from_b[out] says which side output row `out` came from;
-        // a_to_out/b_to_out map each side's row to its output position.
-        let mut from_b = Vec::with_capacity(n);
-        let mut a_to_out = vec![0usize; an];
-        let mut b_to_out = vec![0usize; bn];
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < an || j < bn {
-            let take_a = j >= bn || (i < an && key(&a.sorted[i]) <= key(&b.sorted[j]));
-            if take_a {
-                a_to_out[i] = sorted.len();
-                sorted.push(a.sorted[i]);
-                i += 1;
-            } else {
-                b_to_out[j] = sorted.len();
-                sorted.push(b.sorted[j]);
-                j += 1;
-            }
-            from_b.push(!take_a);
-        }
-
-        let (groups, group_offsets) = group_runs(&sorted);
-
-        // Machine space: merge-dedup the two distinct lists, then remap
-        // each side's dense ids into the merged space.
+        // Machine space: merge-dedup the two distinct lists; each side's
+        // dense ids are remapped into it as its rows are taken.
         let machines = merge_dedup(&a.machines, &b.machines);
         let a_remap = remap_into(&a.machines, &machines);
         let b_remap = remap_into(&b.machines, &machines);
-        let mut machine_dense = Vec::with_capacity(n);
-        let (mut i, mut j) = (0usize, 0usize);
-        for &fb in &from_b {
-            if fb {
-                machine_dense.push(b_remap[b.machine_dense[j] as usize]);
-                j += 1;
-            } else {
-                machine_dense.push(a_remap[a.machine_dense[i] as usize]);
-                i += 1;
-            }
-        }
 
-        // Secondary ordering: each side's permutation is already sorted
-        // by `(hour, machine)`, so the merged permutation is a two-way
-        // merge mapped through the row position maps.
-        let hour_order = merge_hour_order(a, b, &a_to_out, &b_to_out);
-        let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
+        let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
+        let mut sorted = Vec::with_capacity(an + bn);
+        let mut machine_dense = Vec::with_capacity(an + bn);
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < an || j < bn {
+            let take_a = j >= bn || (i < an && key(&a.sorted[i]) <= key(&b.sorted[j]));
+            let (side, row, remap) = if take_a {
+                i += 1;
+                (a, i - 1, &a_remap)
+            } else {
+                j += 1;
+                (b, j - 1, &b_remap)
+            };
+            sorted.push(side.sorted[row]);
+            machine_dense.push(remap[side.machine_dense[row] as usize]);
+        }
+        let (blocks, block_offsets) = block_runs(&sorted);
 
         ColumnIndex {
             sorted,
-            groups,
-            group_offsets,
+            blocks,
+            block_offsets,
             machines,
             machine_dense,
-            hours,
-            hour_order,
-            hour_offsets,
             columns: Default::default(),
             daily: OnceLock::new(),
         }
     }
 
-    /// Row range of one group in `sorted`, empty when absent.
-    pub(crate) fn group_range(&self, group: GroupKey) -> Range<usize> {
-        let gi = self.groups.partition_point(|g| *g < group);
-        if self.groups.get(gi) == Some(&group) {
-            self.group_offsets[gi]..self.group_offsets[gi + 1]
-        } else {
-            0..0
-        }
+    /// Inclusive `(first, last)` hour of the rows, read off the block
+    /// table; `None` when the index is empty.
+    pub(crate) fn hour_bounds(&self) -> Option<(u64, u64)> {
+        let hours = self.blocks.iter().map(|&(_, hour)| hour);
+        hours.clone().min().zip(hours.max())
     }
 
-    /// Position range in `hour_order` covering hours `[start, end)`.
-    pub(crate) fn hour_position_range(&self, start: u64, end: u64) -> Range<usize> {
-        let lo = self.hours.partition_point(|&h| h < start);
-        let hi = self.hours.partition_point(|&h| h < end);
-        self.hour_offsets[lo]..self.hour_offsets[hi]
+    /// Each group present, ascending, with its row range in `sorted`.
+    pub(crate) fn group_slices(&self) -> impl Iterator<Item = (GroupKey, Range<usize>)> + '_ {
+        let mut at = 0;
+        self.blocks.chunk_by(|x, y| x.0 == y.0).map(move |blocks| {
+            let rows = self.block_offsets[at]..self.block_offsets[at + blocks.len()];
+            at += blocks.len();
+            (blocks[0].0, rows)
+        })
+    }
+
+    /// The distinct groups present, ascending.
+    pub(crate) fn groups(&self) -> Vec<GroupKey> {
+        self.group_slices().map(|(group, _)| group).collect()
+    }
+
+    /// Row range of one group in `sorted`, empty when absent.
+    pub(crate) fn group_range(&self, group: GroupKey) -> Range<usize> {
+        let lo = self.blocks.partition_point(|&(g, _)| g < group);
+        let hi = self.blocks.partition_point(|&(g, _)| g <= group);
+        self.block_offsets[lo]..self.block_offsets[hi]
+    }
+
+    /// Row range of one group's hours `[start, end)` in `sorted`, in
+    /// `(hour, machine)` order: two binary searches on the block table.
+    pub(crate) fn group_window(&self, group: GroupKey, start: u64, end: u64) -> Range<usize> {
+        let lo = self.blocks.partition_point(|&k| k < (group, start));
+        let hi = self.blocks.partition_point(|&k| k < (group, end)).max(lo);
+        self.block_offsets[lo]..self.block_offsets[hi]
+    }
+
+    /// The rows of hours `[start, end)`, group by group, each group's in
+    /// `(hour, machine)` order: the blocks whose hour lies in the window.
+    fn window_rows(&self, start: u64, end: u64) -> impl Iterator<Item = usize> + '_ {
+        self.blocks
+            .iter()
+            .zip(self.block_offsets.windows(2))
+            .filter(move |&(&(_, hour), _)| start <= hour && hour < end)
+            .flat_map(|(_, rows)| rows[0]..rows[1])
     }
 
     /// Dense id of `machine`, if present.
@@ -358,33 +348,6 @@ impl ColumnIndex {
     /// One group's records, sorted by `(hour, machine)`.
     pub(crate) fn group_rows(&self, group: GroupKey) -> std::slice::Iter<'_, MachineHourRecord> {
         self.sorted[self.group_range(group)].iter()
-    }
-
-    /// Records within `[start, end)` hours, sorted by `(hour, machine)`.
-    pub(crate) fn hour_window(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> impl Iterator<Item = &MachineHourRecord> {
-        self.hour_order[self.hour_position_range(start, end)]
-            .iter()
-            .map(move |&row| &self.sorted[row])
-    }
-
-    /// Records of a machine set within `[start, end)` hours, sorted by
-    /// `(hour, machine)`; membership is one dense-id bitmap probe per
-    /// candidate row.
-    pub(crate) fn machines_hour_window(
-        &self,
-        machines: &BTreeSet<MachineId>,
-        start: u64,
-        end: u64,
-    ) -> impl Iterator<Item = &MachineHourRecord> {
-        let bitmap = MachineBitmap::from_set(self, machines);
-        self.hour_order[self.hour_position_range(start, end)]
-            .iter()
-            .filter(move |&&row| bitmap.contains(self.machine_dense[row]))
-            .map(move |&row| &self.sorted[row])
     }
 }
 
@@ -419,49 +382,38 @@ impl<K: Copy + PartialEq> Runs<K> {
     }
 }
 
-/// Distinct-group list and CSR offsets of group-major sorted records.
-fn group_runs(sorted: &[MachineHourRecord]) -> (Vec<GroupKey>, Vec<usize>) {
+/// The block table of `(group, hour, machine)`-sorted records: each
+/// distinct `(group, hour)` and its CSR offsets.
+fn block_runs(sorted: &[MachineHourRecord]) -> (Vec<(GroupKey, u64)>, Vec<usize>) {
     let mut runs = Runs::new();
     for (row, r) in sorted.iter().enumerate() {
-        runs.push(row, r.group);
+        runs.push(row, (r.group, r.hour));
     }
     runs.finish(sorted.len())
 }
 
-/// Distinct-hour list and CSR offsets of an `(hour, machine)`-ordered
-/// row permutation.
-fn hour_runs(sorted: &[MachineHourRecord], hour_order: &[usize]) -> (Vec<u64>, Vec<usize>) {
-    let mut runs = Runs::new();
-    for (pos, &row) in hour_order.iter().enumerate() {
-        runs.push(pos, sorted[row].hour);
-    }
-    runs.finish(hour_order.len())
-}
-
-/// Rebuilds a [`ColumnIndex`] from the three tables a segment persists
-/// — the sorted records, the machine table and the hour permutation —
-/// as they stream off disk, deriving every other table and checking
-/// every structural invariant the query paths rely on in the same
-/// pass. A segment that decodes byte-exactly but encodes an
-/// inconsistent index (hand-edited, or written by a buggy future
-/// version) is refused, never queried.
+/// Rebuilds a [`ColumnIndex`] from the two tables a segment persists
+/// — the sorted records and the machine table — as they stream off
+/// disk, deriving the block table and dense ids and checking every
+/// structural invariant the query paths rely on in the same pass. A
+/// segment that decodes byte-exactly but encodes an inconsistent index
+/// (hand-edited, or written by a buggy future version) is refused,
+/// never queried.
 ///
-/// Persisting only those three tables keeps a segment near-dump-speed
-/// to write, and the derivation is one O(n) pass, far cheaper than the
-/// sorts of [`ColumnIndex::build`]: group runs and dense machine ids as
-/// the records arrive, hour runs as the permutation arrives.
+/// Persisting only those two tables keeps a segment near-dump-speed to
+/// write, and the derivation is one O(n) pass as the records arrive, far
+/// cheaper than the sort of [`ColumnIndex::build`].
 ///
 /// Feed it the machine table ([`IndexLoader::new`]), then every record
-/// in file order ([`IndexLoader::push_records`]), then every
-/// permutation entry ([`IndexLoader::push_hour_rows`]), in chunks of
-/// any size. The first violation is kept and later pushes are ignored,
-/// so the caller can finish reading (and checksumming) the file before
+/// in file order ([`IndexLoader::push_records`]), in chunks of any size.
+/// The first violation is kept and later pushes are ignored, so the
+/// caller can finish reading (and checksumming) the file before
 /// [`IndexLoader::finish`] reports it.
 pub(crate) struct IndexLoader {
     /// Row count the segment header promises.
     n: usize,
     sorted: Vec<MachineHourRecord>,
-    groups: Runs<GroupKey>,
+    blocks: Runs<(GroupKey, u64)>,
     machines: Vec<MachineId>,
     machine_dense: Vec<u32>,
     /// Dense id of the previous row's machine. Within a `(group, hour)`
@@ -471,10 +423,6 @@ pub(crate) struct IndexLoader {
     /// Which interned machines some row references, and how many.
     machine_seen: Vec<bool>,
     machines_seen: usize,
-    hour_order: Vec<usize>,
-    hours: Runs<u64>,
-    /// Which rows the permutation has listed.
-    row_seen: Vec<bool>,
     /// The first violation found.
     fault: Option<String>,
 }
@@ -489,22 +437,20 @@ impl IndexLoader {
         IndexLoader {
             n,
             sorted: Vec::with_capacity(n),
-            groups: Runs::new(),
+            blocks: Runs::new(),
             machine_seen: vec![false; machines.len()],
             machines,
             machine_dense: Vec::with_capacity(n),
             cursor: 0,
             machines_seen: 0,
-            hour_order: Vec::with_capacity(n),
-            hours: Runs::new(),
-            row_seen: vec![false; n],
             fault,
         }
     }
 
     /// Takes the next records of `sorted`: each must not sort before its
-    /// predecessor by `(group, hour, machine)`, and its machine must be
-    /// in the machine table.
+    /// predecessor by `(group, hour, machine)`, its hour must be one
+    /// ingest accepts (at most [`MAX_HOUR`]), and its machine must be in
+    /// the machine table.
     pub(crate) fn push_records(&mut self, records: impl IntoIterator<Item = MachineHourRecord>) {
         if self.fault.is_some() {
             return;
@@ -514,6 +460,10 @@ impl IndexLoader {
             let row = self.sorted.len();
             if self.sorted.last().is_some_and(|prev| key(prev) > key(&r)) {
                 self.fault = Some(format!("row {row} out of (group, hour, machine) order"));
+                return;
+            }
+            if r.hour > MAX_HOUR {
+                self.fault = Some(format!("row {row}'s hour {} is one ingest refuses", r.hour));
                 return;
             }
             let dense = if self.machines.get(self.cursor) == Some(&r.machine) {
@@ -541,60 +491,18 @@ impl IndexLoader {
             // Dense ids fit u32 because MachineId wraps a u32 and the
             // table is strictly ascending.
             self.machine_dense.push(dense as u32);
-            self.groups.push(row, r.group);
+            self.blocks.push(row, (r.group, r.hour));
             self.sorted.push(r);
         }
     }
 
-    /// Takes the next entries of the hour permutation, after every
-    /// record: each must name a row not listed before, in `(hour,
-    /// machine)` order.
-    pub(crate) fn push_hour_rows(&mut self, rows: impl IntoIterator<Item = usize>) {
-        if self.fault.is_some() {
-            return;
-        }
-        for row in rows {
-            let pos = self.hour_order.len();
-            let Some(r) = self.sorted.get(row) else {
-                self.fault = Some(format!(
-                    "hour permutation entry {row} past the {} rows",
-                    self.sorted.len()
-                ));
-                return;
-            };
-            match self.row_seen.get_mut(row) {
-                Some(seen) if !*seen => *seen = true,
-                _ => {
-                    self.fault = Some(format!("hour permutation lists row {row} twice"));
-                    return;
-                }
-            }
-            if let Some(p) = self.hour_order.last().and_then(|&prev| self.sorted.get(prev)) {
-                if (p.hour, p.machine) > (r.hour, r.machine) {
-                    self.fault = Some(format!(
-                        "hour permutation out of (hour, machine) order at position {pos}"
-                    ));
-                    return;
-                }
-            }
-            self.hours.push(pos, r.hour);
-            self.hour_order.push(row);
-        }
-    }
-
     /// The index, or the first violation: besides what the pushes
-    /// checked, every row and every permutation entry must have arrived,
-    /// and every interned machine must be referenced by some row (no
-    /// phantom machines).
+    /// checked, every row must have arrived, and every interned machine
+    /// must be referenced by some row (no phantom machines).
     pub(crate) fn finish(self) -> Result<ColumnIndex, String> {
         let fault = self.fault.or_else(|| {
-            if self.sorted.len() != self.n || self.hour_order.len() != self.n {
-                Some(format!(
-                    "{} rows and {} permutation entries, header says {}",
-                    self.sorted.len(),
-                    self.hour_order.len(),
-                    self.n
-                ))
+            if self.sorted.len() != self.n {
+                Some(format!("{} rows, header says {}", self.sorted.len(), self.n))
             } else if self.machines_seen != self.machines.len() {
                 Some(format!(
                     "{} of {} interned machines referenced by no row",
@@ -608,17 +516,13 @@ impl IndexLoader {
         if let Some(fault) = fault {
             return Err(format!("index invariants violated: {fault}"));
         }
-        let (groups, group_offsets) = self.groups.finish(self.n);
-        let (hours, hour_offsets) = self.hours.finish(self.n);
+        let (blocks, block_offsets) = self.blocks.finish(self.n);
         Ok(ColumnIndex {
             sorted: self.sorted,
-            groups,
-            group_offsets,
+            blocks,
+            block_offsets,
             machines: self.machines,
             machine_dense: self.machine_dense,
-            hours,
-            hour_order: self.hour_order,
-            hour_offsets,
             columns: Default::default(),
             daily: OnceLock::new(),
         })
@@ -668,33 +572,6 @@ pub(crate) fn remap_into(sub: &[MachineId], all: &[MachineId]) -> Vec<u32> {
             pos += 1;
         }
         out.push(pos as u32);
-    }
-    out
-}
-
-/// Merge the two sides' `(hour, machine)` permutations into one over
-/// the merged row space: compare on each side's own records, map
-/// through the row position maps. `a` wins ties (older before newer).
-fn merge_hour_order(
-    a: &ColumnIndex,
-    b: &ColumnIndex,
-    a_to_out: &[usize],
-    b_to_out: &[usize],
-) -> Vec<usize> {
-    let key = |idx: &ColumnIndex, row: usize| (idx.sorted[row].hour, idx.sorted[row].machine);
-    let (a_order, b_order) = (&a.hour_order, &b.hour_order);
-    let mut out = Vec::with_capacity(a_order.len() + b_order.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a_order.len() || j < b_order.len() {
-        let take_a = j >= b_order.len()
-            || (i < a_order.len() && key(a, a_order[i]) <= key(b, b_order[j]));
-        if take_a {
-            out.push(a_to_out[a_order[i]]);
-            i += 1;
-        } else {
-            out.push(b_to_out[b_order[j]]);
-            j += 1;
-        }
     }
     out
 }
@@ -1075,46 +952,55 @@ impl TelemetryStore {
         )
     }
 
-    /// Records within `[start_hour, end_hour)`, sorted by
-    /// `(hour, machine)`. Runs whose hour bounds miss the window are
-    /// skipped.
+    /// Records within `[start_hour, end_hour)`, side by side (sealed
+    /// runs oldest first, the delta last), and within a side group by
+    /// group, each group's slice in `(hour, machine)` order. The sides
+    /// are chained, not merged, so a `(machine, hour)` key held by two
+    /// sides yields the elder side's row first, but the whole is not in
+    /// `(hour, machine)` order: every caller reduces the rows to sums,
+    /// means or a t-test. Runs whose hour bounds miss the window are
+    /// skipped, and within a side each group's window is found on its
+    /// block table.
     pub fn by_hours(
         &self,
         start_hour: u64,
         end_hour: u64,
     ) -> impl Iterator<Item = &MachineHourRecord> {
-        merge_k_by_hour_machine(
-            self.window_sides(start_hour, end_hour)
-                .into_iter()
-                .map(|s| s.hour_window(start_hour, end_hour))
-                .collect(),
-        )
+        self.window_sides(start_hour, end_hour)
+            .into_iter()
+            .flat_map(move |s| s.window_rows(start_hour, end_hour).map(|row| &s.sorted[row]))
     }
 
     /// Records for a set of machines within `[start_hour, end_hour)` —
-    /// the shape of a flighting measurement query. Hour-bound pruning
-    /// first, then the hour range is an index probe on each surviving
-    /// side and machine membership is one bitmap test per candidate row
-    /// (dense ids, no `BTreeSet` lookup per record).
+    /// the shape of a flighting measurement query — in the order of
+    /// [`by_hours`](TelemetryStore::by_hours): side by side, elder
+    /// first, then group by group, each group's slice in `(hour,
+    /// machine)` order. Hour-bound pruning first, then each surviving
+    /// side's window rows are tested for machine membership with one
+    /// dense-id bitmap probe per row (no `BTreeSet` lookup per record).
     pub fn by_machines_and_hours<'a>(
         &'a self,
         machines: &BTreeSet<MachineId>,
         start_hour: u64,
         end_hour: u64,
     ) -> impl Iterator<Item = &'a MachineHourRecord> {
-        merge_k_by_hour_machine(
-            self.window_sides(start_hour, end_hour)
-                .into_iter()
-                .map(|s| s.machines_hour_window(machines, start_hour, end_hour))
-                .collect(),
-        )
+        let probes: Vec<_> = self
+            .window_sides(start_hour, end_hour)
+            .into_iter()
+            .map(|s| (s, MachineBitmap::from_set(s, machines)))
+            .collect();
+        probes.into_iter().flat_map(move |(s, bitmap)| {
+            s.window_rows(start_hour, end_hour)
+                .filter(move |&row| bitmap.contains(s.machine_dense[row]))
+                .map(|row| &s.sorted[row])
+        })
     }
 
     /// The distinct machine groups present, sorted.
     pub fn groups(&self) -> Vec<GroupKey> {
         self.sides()
             .into_iter()
-            .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups))
+            .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups()))
     }
 
     /// The distinct machines present, sorted.
@@ -1136,11 +1022,7 @@ impl TelemetryStore {
             Some((lo, hi)) => Some((lo.min(r.bounds.0), hi.max(r.bounds.1))),
         });
         let delta_span = match self.delta.get() {
-            Some(delta) => delta
-                .hours
-                .first()
-                .zip(delta.hours.last())
-                .map(|(&lo, &hi)| (lo, hi)),
+            Some(delta) => delta.hour_bounds(),
             None => self
                 .tail
                 .iter()
@@ -1510,26 +1392,62 @@ mod tests {
     #[test]
     fn merged_views_interleave_runs_and_delta() {
         let mut store = TelemetryStore::new();
-        // Run: hours 0, 2, 4 on machine 1; delta: hours 1, 2, 3 on
-        // machines 2/1/1 — merged views must interleave by (hour, machine).
-        for h in [0u64, 2, 4] {
-            store.push(rec(1, 0, h, 1.0));
+        // Run (cpu 1): sku 0 holds machine 1 at hours 0, 2, 4; sku 1
+        // holds machine 2 at hour 0 and machine 3 at hours 1, 2. Delta
+        // (cpu 2): machine 2 has moved to sku 0 (hour 1), machine 1
+        // repeats hour 2 and adds hour 3; sku 1 gains hours 2 and 3.
+        let run = [(1u32, 0u16, 4u64), (3, 1, 2), (1, 0, 0), (2, 1, 0), (3, 1, 1), (1, 0, 2)];
+        for (m, sku, h) in run {
+            store.push(rec(m, sku, h, 1.0));
         }
         store.seal();
-        store.push(rec(2, 0, 1, 2.0));
-        store.push(rec(1, 0, 2, 2.0));
-        store.push(rec(1, 0, 3, 2.0));
-        let hours: Vec<(u64, u32)> = store
-            .by_group(GroupKey::new(SkuId(0), ScId(0)))
-            .map(|r| (r.hour, r.machine.0))
-            .collect();
-        assert_eq!(hours, vec![(0, 1), (1, 2), (2, 1), (2, 1), (3, 1), (4, 1)]);
-        // Duplicate (machine, hour) keys: run rows come first.
-        let dup: Vec<f64> = store
-            .by_hours(2, 3)
-            .map(|r| r.metrics.cpu_utilization)
-            .collect();
-        assert_eq!(dup, vec![1.0, 2.0]);
+        for (m, sku, h) in [(3u32, 1u16, 3u64), (1, 0, 3), (2, 0, 1), (4, 1, 2), (1, 0, 2)] {
+            store.push(rec(m, sku, h, 2.0));
+        }
+        assert_eq!((store.run_count(), store.delta_len()), (1, 5));
+        // (sku, hour, machine, cpu) of each row, in view order.
+        type Key = (u16, u64, u32, f64);
+        let keys = |rows: &mut dyn Iterator<Item = &MachineHourRecord>| -> Vec<Key> {
+            rows.map(|r| (r.group.sku.0, r.hour, r.machine.0, r.metrics.cpu_utilization))
+                .collect()
+        };
+
+        // by_group k-way merges the sides by (hour, machine); the run's
+        // row of a duplicated key comes first.
+        assert_eq!(
+            keys(&mut store.by_group(GroupKey::new(SkuId(0), ScId(0)))),
+            vec![
+                (0, 0, 1, 1.0), (0, 1, 2, 2.0), (0, 2, 1, 1.0),
+                (0, 2, 1, 2.0), (0, 3, 1, 2.0), (0, 4, 1, 1.0),
+            ]
+        );
+
+        // The hour-window views chain the sides, elder first, and within
+        // a side go group by group, each group in (hour, machine) order.
+        assert_eq!(
+            keys(&mut store.by_hours(0, 5)),
+            vec![
+                (0, 0, 1, 1.0), (0, 2, 1, 1.0), (0, 4, 1, 1.0), // run, sku 0
+                (1, 0, 2, 1.0), (1, 1, 3, 1.0), (1, 2, 3, 1.0), // run, sku 1
+                (0, 1, 2, 2.0), (0, 2, 1, 2.0), (0, 3, 1, 2.0), // delta, sku 0
+                (1, 2, 4, 2.0), (1, 3, 3, 2.0), // delta, sku 1
+            ]
+        );
+        // Duplicate (machine, hour) keys: the run's row still comes first.
+        assert_eq!(
+            keys(&mut store.by_hours(2, 3)),
+            vec![(0, 2, 1, 1.0), (1, 2, 3, 1.0), (0, 2, 1, 2.0), (1, 2, 4, 2.0)]
+        );
+        // Machine 2 is found in both of its groups, in the same order.
+        let moved: BTreeSet<MachineId> = [MachineId(1), MachineId(2)].into_iter().collect();
+        assert_eq!(
+            keys(&mut store.by_machines_and_hours(&moved, 0, 4)),
+            vec![
+                (0, 0, 1, 1.0), (0, 2, 1, 1.0), // run, sku 0
+                (1, 0, 2, 1.0), // run, sku 1
+                (0, 1, 2, 2.0), (0, 2, 1, 2.0), (0, 3, 1, 2.0), // delta, sku 0
+            ]
+        );
     }
 
     #[test]
@@ -1644,21 +1562,45 @@ mod tests {
         rebuilt.seal();
         let (a, b) = (single_run(&merged), single_run(&rebuilt));
         assert_eq!(a.sorted, b.sorted);
-        assert_eq!(a.groups, b.groups);
-        assert_eq!(a.group_offsets, b.group_offsets);
+        assert_eq!(a.blocks, b.blocks);
+        assert_eq!(a.block_offsets, b.block_offsets);
         assert_eq!(a.machines, b.machines);
         assert_eq!(a.machine_dense, b.machine_dense);
-        assert_eq!(a.hours, b.hours);
-        assert_eq!(a.hour_offsets, b.hour_offsets);
         for m in Metric::ALL {
             assert_eq!(a.column(m), b.column(m), "{m}");
         }
-        // The hour permutations may order duplicate (hour, machine) keys
-        // differently; they must agree after mapping to records.
-        let gather = |idx: &ColumnIndex| -> Vec<MachineHourRecord> {
-            idx.hour_order.iter().map(|&row| idx.sorted[row]).collect()
-        };
-        assert_eq!(gather(a), gather(b));
+    }
+
+    /// The block table of `idx` is a CSR over the `(group, hour)` prefix
+    /// of its rows: strictly ascending keys, each owning a non-empty,
+    /// adjacent row range whose every row carries that key, together
+    /// covering all `n` rows.
+    fn assert_block_table(idx: &ColumnIndex, n: usize) {
+        assert_eq!(idx.block_offsets.len(), idx.blocks.len() + 1);
+        assert_eq!(idx.block_offsets.first(), Some(&0));
+        assert_eq!(*idx.block_offsets.last().unwrap(), n);
+        assert!(idx.blocks.windows(2).all(|w| w[0] < w[1]));
+        assert!(idx.block_offsets.windows(2).all(|w| w[0] < w[1]));
+        for (&key, rows) in idx.blocks.iter().zip(idx.block_offsets.windows(2)) {
+            assert!(idx.sorted[rows[0]..rows[1]].iter().all(|r| (r.group, r.hour) == key));
+        }
+        assert!(idx.sorted.windows(2).all(|w| {
+            (w[0].group, w[0].hour, w[0].machine) <= (w[1].group, w[1].hour, w[1].machine)
+        }));
+        // A group's window is its blocks in the window, on every cut.
+        for (group, rows) in idx.group_slices() {
+            assert_eq!(idx.group_range(group), rows);
+            for (start, end) in [(0, u64::MAX), (1, 3), (2, 3), (3, 9), (8, 100)] {
+                let want: Vec<usize> = rows
+                    .clone()
+                    .filter(|&row| (start..end).contains(&idx.sorted[row].hour))
+                    .collect();
+                let got: Vec<usize> = idx.group_window(group, start, end).collect();
+                assert_eq!(got, want, "group {group:?}, hours [{start}, {end})");
+            }
+        }
+        let hours = idx.sorted.iter().map(|r| r.hour);
+        assert_eq!(idx.hour_bounds(), hours.clone().min().zip(hours.max()));
     }
 
     #[test]
@@ -1671,12 +1613,10 @@ mod tests {
         }
         store.seal();
         let idx = single_run(&store);
-        assert_eq!(idx.group_offsets.len(), idx.groups.len() + 1);
-        assert_eq!(idx.hour_offsets.len(), idx.hours.len() + 1);
-        assert_eq!(*idx.group_offsets.last().unwrap(), store.len());
-        assert_eq!(*idx.hour_offsets.last().unwrap(), store.len());
-        assert!(idx.group_offsets.windows(2).all(|w| w[0] <= w[1]));
-        assert!(idx.hour_offsets.windows(2).all(|w| w[0] <= w[1]));
+        assert_block_table(idx, store.len());
+        // Two groups × three hours.
+        assert_eq!(idx.blocks.len(), 6);
+        assert_eq!(idx.groups().len(), 2);
         // Columns are per-metric and full-length.
         assert!(Metric::ALL.iter().all(|&m| idx.column(m).len() == store.len()));
         // Dense ids round-trip.
@@ -1704,13 +1644,10 @@ mod tests {
         }
         store.seal();
         let idx = single_run(&store);
-        assert_eq!(idx.group_offsets.len(), idx.groups.len() + 1);
-        assert_eq!(idx.hour_offsets.len(), idx.hours.len() + 1);
-        assert_eq!(*idx.group_offsets.last().unwrap(), store.len());
-        assert_eq!(*idx.hour_offsets.last().unwrap(), store.len());
-        assert!(idx.sorted.windows(2).all(|w| {
-            (w[0].group, w[0].hour, w[0].machine) <= (w[1].group, w[1].hour, w[1].machine)
-        }));
+        assert_block_table(idx, store.len());
+        // Hour 2 appears on both sides of sku 0 and sku 1: one block each.
+        assert_eq!(idx.groups().len(), 3);
+        assert_eq!(idx.blocks.iter().filter(|&&(_, h)| h == 2).count(), 3);
         for (row, r) in idx.sorted.iter().enumerate() {
             assert_eq!(idx.machines[idx.machine_dense[row] as usize], r.machine);
         }
@@ -1733,7 +1670,7 @@ mod tests {
         // One empty side → the other side, on either hand.
         for one in [ColumnIndex::merge(&empty, &idx), ColumnIndex::merge(&idx, &empty)] {
             assert_eq!(one.sorted, idx.sorted);
-            assert_eq!(one.hour_order, idx.hour_order);
+            assert_eq!(one.blocks, idx.blocks);
         }
     }
 

@@ -499,19 +499,30 @@ fn garbage_manifest_is_corrupt_not_panic() {
     ));
 }
 
+/// A manifest naming a file outside the store directory is refused for
+/// that name, under the header this build writes (read off a fresh
+/// store's MANIFEST), so the case cannot pass by failing at line 1.
 #[test]
 fn manifest_path_traversal_is_rejected() {
     let scratch = Scratch::new();
-    std::fs::create_dir_all(scratch.path()).expect("mkdir");
-    std::fs::write(
-        scratch.path().join("MANIFEST"),
-        "kea-telemetry-manifest v3\nsegment ../../escape.kseg rows 5 hours 0 1\nwal w.wal\n",
-    )
-    .expect("write");
-    assert!(matches!(
-        TelemetryStore::open(scratch.path()),
-        Err(PersistError::Corrupt { .. })
-    ));
+    drop(TelemetryStore::open(scratch.path()).expect("fresh store"));
+    let manifest = scratch.path().join("MANIFEST");
+    let fresh = std::fs::read_to_string(&manifest).expect("read manifest");
+    let header = fresh.lines().next().expect("header line");
+    for (body, fault) in [
+        ("segment ../../escape.kseg rows 5 hours 0 1\nwal w.wal\n", "bad segment name on line 2"),
+        ("segment /tmp/escape.kseg rows 5 hours 0 1\nwal w.wal\n", "bad segment name on line 2"),
+        ("wal ../w.wal\n", "bad wal name on line 2"),
+    ] {
+        std::fs::write(&manifest, format!("{header}\n{body}")).expect("write");
+        match TelemetryStore::open(scratch.path()) {
+            Err(PersistError::Corrupt { path, reason }) => {
+                assert_eq!(path, manifest);
+                assert!(reason.contains(fault), "{body:?}: want {fault:?}, got {reason:?}");
+            }
+            other => panic!("{body:?}: expected Corrupt, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -718,15 +729,17 @@ fn quarantine_only_directory_is_missing_manifest_not_fresh() {
 // ---- format policy ------------------------------------------------------
 
 /// This build reads only the format it writes. A directory whose
-/// MANIFEST carries an older header — v2, what the build before the
-/// three-section segment format wrote, or v1 — is refused as corrupt at
+/// MANIFEST carries an older header — v3, what the build before the
+/// two-section segment format wrote, v2 or v1 — is refused as corrupt at
 /// that file, and nothing in the directory changes: no segment is
 /// quarantined and no orphan swept.
 #[test]
 fn older_format_directories_are_refused_untouched() {
-    for (header, with_bounds) in
-        [("kea-telemetry-manifest v2", true), ("kea-telemetry-manifest v1", false)]
-    {
+    for (header, with_bounds) in [
+        ("kea-telemetry-manifest v3", true),
+        ("kea-telemetry-manifest v2", true),
+        ("kea-telemetry-manifest v1", false),
+    ] {
         let scratch = Scratch::new();
         let mut store = TelemetryStore::open(scratch.path()).expect("open");
         store.extend((0..200u64).map(|i| rec_at(i, i / 4)));

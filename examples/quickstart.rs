@@ -28,7 +28,7 @@ fn main() {
     //    maximizes containers subject to unchanged cluster-average
     //    latency, stepping at most ±1 per group (the paper's
     //    conservative roll-out). Sealing compacts any pending delta into
-    //    the sealed columnar run (sorted rows, dense ids, hour index) up
+    //    the sealed columnar run (sorted rows, dense ids, block table) up
     //    front; queries would otherwise merge run + delta on the fly.
     observed.telemetry.seal();
     let tuned = tune(&observed.telemetry, &TunePolicy::default())
