@@ -66,8 +66,8 @@ mod tests {
         assert!(e.to_string().contains("singular"));
         let e: KeaError = kea_stats::StatsError::EmptyInput.into();
         assert!(e.to_string().contains("empty"));
-        let e: KeaError = kea_opt::OptError::Infeasible.into();
-        assert!(e.to_string().contains("infeasible"));
+        let e: KeaError = kea_opt::OptError::NonFiniteInput.into();
+        assert!(e.to_string().contains("NaN or infinite"));
         let e = KeaError::NoObservations {
             what: "group (0,1)".to_string(),
         };

@@ -309,8 +309,7 @@ pub(crate) fn check_max_step(max_step: f64) -> Result<(), KeaError> {
 /// Gradient evaluation and rounding repair run in O(G) total via a
 /// per-cluster latency cache, and [`kea_opt::knapsack::solve`] solves the
 /// LP in closed form. [`reference::optimize_max_containers`] is the
-/// O(G²) full-recompute baseline they are verified against; it solves
-/// the same LP with the general simplex.
+/// O(G²) full-recompute baseline they are verified against.
 ///
 /// # Errors
 /// Needs at least two calibrated groups (with one group there is nothing
@@ -478,15 +477,15 @@ pub mod reference {
     //! specification: every `cluster_latency` evaluation recomputes all G
     //! group contributions (with two full `BTreeMap` clones per gradient
     //! component), so gradients cost 2G·O(G) and every rounding-repair
-    //! probe another O(G). It solves the LP with the general simplex
-    //! [`kea_opt::simplex::reference::solve`], not the closed form, so
-    //! agreement with it also checks the closed form against an
-    //! independent solver. `crates/core/tests/proptest_optimizer.rs`
-    //! asserts the incremental path matches this one, and the
-    //! `optimizer_scale` bench measures the gap. Not for production use.
+    //! probe another O(G). It solves the LP with the same
+    //! [`kea_opt::knapsack::solve`], whose optimality kea-opt's tests
+    //! certify against the LP's exact dual bound, so agreement with it
+    //! checks the latency cache and the repair.
+    //! `crates/core/tests/proptest_optimizer.rs` asserts the incremental
+    //! path matches this one, and the `optimizer_scale` bench measures
+    //! the gap. Not for production use.
 
     use super::*;
-    use kea_opt::{simplex, LpProblem, Relation};
 
     /// Full-recompute central-difference latency gradients at the
     /// operating point (the quantity the incremental cache must match).
@@ -521,7 +520,7 @@ pub mod reference {
     /// The original `optimize_max_containers`: identical contract and
     /// (up to floating-point noise well below any decision threshold)
     /// identical output, but every latency evaluation is a full O(G)
-    /// recompute and the LP goes through the dense simplex.
+    /// recompute.
     ///
     /// # Errors
     /// Same conditions as [`super::optimize_max_containers`].
@@ -542,18 +541,9 @@ pub mod reference {
         let baseline_latency = cluster_latency(engine, machine_counts, &current)?;
         let gradients = latency_gradients(engine, machine_counts, at)?;
 
-        let mut lp = LpProblem::maximize(n_machines.clone()).constraint(
-            gradients.clone(),
-            Relation::Le,
-            0.0,
-        )?;
-        for i in 0..groups.len() {
-            lp = lp.bounds(i, -max_step, Some(max_step))?;
-        }
-        let sol = simplex::reference::solve(&lp)?;
+        let continuous = knapsack::solve(&n_machines, &gradients, max_step)?;
 
-        let mut steps: Vec<i32> = sol
-            .x
+        let mut steps: Vec<i32> = continuous
             .iter()
             .map(|&d| d.round().clamp(-max_step, max_step) as i32)
             .collect();
@@ -635,7 +625,7 @@ pub mod reference {
                 group: g,
                 n_machines: machine_counts[&g],
                 current_containers: current_vec[i],
-                delta_continuous: sol.x[i],
+                delta_continuous: continuous[i],
                 delta_step: steps[i],
                 latency_gradient: gradients[i],
             })

@@ -82,8 +82,9 @@ proptest! {
             plan.predicted_latency,
             plan.baseline_latency
         );
-        // Steps bounded by the conservative roll-out limit.
-        let bound = max_step.floor() as i32 + 1;
+        // Steps bounded by the conservative roll-out limit: rounded,
+        // clamped to ±δ and truncated to i32, a step is at most ⌊δ⌋.
+        let bound = max_step.floor() as i32;
         for s in &plan.suggestions {
             prop_assert!(s.delta_step.abs() <= bound, "step {} vs δ {}", s.delta_step, max_step);
         }

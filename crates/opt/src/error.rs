@@ -5,10 +5,6 @@ use std::fmt;
 /// Errors raised by the optimizers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptError {
-    /// The LP has no feasible point (phase-1 artificials stayed positive).
-    Infeasible,
-    /// The LP objective is unbounded in the optimization direction.
-    Unbounded,
     /// A problem was constructed with inconsistent dimensions.
     DimensionMismatch {
         /// Expected number of variables.
@@ -27,8 +23,6 @@ pub enum OptError {
 impl fmt::Display for OptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            OptError::Infeasible => write!(f, "linear program is infeasible"),
-            OptError::Unbounded => write!(f, "linear program is unbounded"),
             OptError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
             }
@@ -47,8 +41,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(OptError::Infeasible.to_string().contains("infeasible"));
-        assert!(OptError::Unbounded.to_string().contains("unbounded"));
         assert!(OptError::DimensionMismatch {
             expected: 3,
             actual: 2

@@ -8,9 +8,11 @@
 //!
 //! one latency row plus a box per group: a continuous knapsack. Its
 //! optimum gives up objective value where it buys the most row relief
-//! per unit, so a single sort by `|v_k / w_k|` solves it exactly. The
-//! general two-phase simplex in [`simplex::reference`](crate::simplex::reference)
-//! solves the same LP and is what the tests compare this solver against.
+//! per unit, so a single sort by `|v_k / w_k|` solves it exactly. By LP
+//! duality the optimum equals `min_{λ≥0} δ·Σ_k |v_k − λ·w_k|`, a convex
+//! piecewise-linear function of λ whose minimum sits at `λ = 0` or at a
+//! breakpoint `v_k / w_k > 0`; the tests evaluate that bound exactly and
+//! hold this solver's objective to it.
 
 // kea-lint: allow-file(index-in-library) — every index is below the one length `values` and `weights` were checked to share
 

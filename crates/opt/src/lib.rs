@@ -7,10 +7,9 @@
 //!   of §5.2 (Equations 7–10: maximize total running containers subject
 //!   to the cluster-wide average-latency constraint, linearized into one
 //!   row, with a `[−δ, δ]` step box per group). One sort solves that
-//!   continuous knapsack where the paper used "commercial solvers".
-//!   [`simplex`] keeps a general dense two-phase simplex over the
-//!   [`LpProblem`] builder as the independent solver the tests and
-//!   benches check the closed form against.
+//!   continuous knapsack where the paper used "commercial solvers". The
+//!   tests certify each solution optimal against the LP's exact dual
+//!   bound.
 //! * [`monte_carlo`] — the Monte-Carlo expected-cost minimizer of §6.1,
 //!   used to choose SSD/RAM sizes for future SKUs (Figure 14).
 
@@ -20,8 +19,6 @@
 pub mod error;
 pub mod knapsack;
 pub mod monte_carlo;
-pub mod simplex;
 
 pub use error::OptError;
 pub use monte_carlo::{minimize_expected_cost, CandidateCost, MonteCarloReport};
-pub use simplex::{LpProblem, LpSolution, Relation};

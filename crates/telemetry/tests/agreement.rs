@@ -6,8 +6,8 @@
 //!
 //! The reference store ([`kea_telemetry::store::reference`]) and reference
 //! roll-ups ([`kea_telemetry::aggregate::reference`]) are the executable
-//! specification here, the same pattern as `optimizer::reference` /
-//! `simplex::reference` in the optimizer crates.
+//! specification here, the same pattern as `optimizer::reference` in
+//! kea-core.
 
 use kea_telemetry::aggregate::reference as ref_agg;
 use kea_telemetry::store::reference::TelemetryStore as RefStore;
