@@ -1,4 +1,4 @@
-//! Diagnostic type and the human/JSON/SARIF renderers.
+//! The diagnostic type and its one-line human form.
 
 /// One lint finding, anchored to a file and 1-based line/column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,109 +41,4 @@ pub fn sort(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule))
     });
-}
-
-/// Render diagnostics as a stable JSON document (no external deps).
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    render_json_timed(diags, None)
-}
-
-/// [`render_json`] with an optional wall-clock measurement, so bench
-/// tooling can scrape lint cost from the same artifact CI archives.
-pub fn render_json_timed(diags: &[Diagnostic], elapsed_ms: Option<f64>) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n");
-    if let Some(ms) = elapsed_ms {
-        out.push_str(&format!("  \"elapsed_ms\": {ms:.3},\n"));
-    }
-    out.push_str(&format!("  \"count\": {},\n", diags.len()));
-    out.push_str("  \"diagnostics\": [\n");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}{}\n",
-            escape(&d.rule),
-            escape(&d.file),
-            d.line,
-            d.col,
-            escape(&d.message),
-            if i + 1 < diags.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Render diagnostics as a SARIF 2.1.0 document — one run, one driver,
-/// the full rule catalog under `tool.driver.rules`, one `result` per
-/// diagnostic with a `physicalLocation` region. Kept to the shape GitHub
-/// code scanning and the schemastore schema both accept; still zero
-/// dependencies, so the JSON is assembled by hand like [`render_json`].
-pub fn render_sarif(diags: &[Diagnostic]) -> String {
-    let rules = crate::rules::ALL_RULES;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"kea-lint\",\n");
-    out.push_str(&format!(
-        "          \"version\": \"{}\",\n",
-        env!("CARGO_PKG_VERSION")
-    ));
-    out.push_str("          \"informationUri\": \"https://example.invalid/kea/CONTRIBUTING.md\",\n");
-    out.push_str("          \"rules\": [\n");
-    for (i, r) in rules.iter().enumerate() {
-        out.push_str(&format!(
-            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \
-             \"defaultConfiguration\": {{\"level\": \"error\"}}}}{}\n",
-            escape(r),
-            escape(crate::rules::describe(r)),
-            if i + 1 < rules.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("          ]\n        }\n      },\n");
-    out.push_str("      \"results\": [\n");
-    for (i, d) in diags.iter().enumerate() {
-        let rule_index = rules.iter().position(|r| *r == d.rule);
-        out.push_str("        {\n");
-        out.push_str(&format!("          \"ruleId\": \"{}\",\n", escape(&d.rule)));
-        if let Some(ri) = rule_index {
-            out.push_str(&format!("          \"ruleIndex\": {ri},\n"));
-        }
-        out.push_str("          \"level\": \"error\",\n");
-        out.push_str(&format!(
-            "          \"message\": {{\"text\": \"{}\"}},\n",
-            escape(&d.message)
-        ));
-        out.push_str(&format!(
-            "          \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-             {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]\n",
-            escape(&d.file),
-            d.line,
-            d.col
-        ));
-        out.push_str(&format!(
-            "        }}{}\n",
-            if i + 1 < diags.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      ]\n    }\n  ]\n}\n");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

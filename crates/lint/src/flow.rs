@@ -318,7 +318,7 @@ fn nan_accumulation(
             }
             open += 1;
         }
-        let Some(close) = crate::rules::matching_brace(toks, open) else {
+        let Some(close) = crate::rules::matching_close(toks, open, "{", "}") else {
             i = open + 1;
             continue;
         };

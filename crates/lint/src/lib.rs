@@ -30,14 +30,12 @@
 //! the offline build environment rules out registry deps). The rules
 //! are documented heuristics, not type-checked facts; the suppression
 //! directives in [`suppress`] exist precisely to record the cases a
-//! human has judged safe, and [`fix`] mechanically applies the rewrites
-//! that need no judgment at all.
+//! human has judged safe.
 
 #![forbid(unsafe_code)]
 
 pub mod conc;
 pub mod diag;
-pub mod fix;
 pub mod flow;
 pub mod lexer;
 pub mod rules;
@@ -48,10 +46,9 @@ pub mod walk;
 use diag::Diagnostic;
 use std::path::Path;
 
-/// Full analysis of one file: final diagnostics plus the post-filter
-/// suppression state (which knows which directives went stale). The
-/// `--fix` planner needs both; [`lint_source`] keeps the simple shape.
-pub(crate) fn analyze(file: &str, src: &str) -> (Vec<Diagnostic>, suppress::Suppressions) {
+/// Lint one file's source as library code. `file` is the label used in
+/// diagnostics (conventionally workspace-relative).
+pub fn lint_source(file: &str, src: &str) -> Vec<Diagnostic> {
     let lexed = lexer::lex(src);
     let spans = rules::test_line_spans(&lexed.toks);
     let mut sup = suppress::parse(file, &lexed.line_comments, rules::ALL_RULES);
@@ -61,16 +58,10 @@ pub(crate) fn analyze(file: &str, src: &str) -> (Vec<Diagnostic>, suppress::Supp
     // enclosing body; identical findings collapse to one.
     diags.dedup();
     sup.filter(&mut diags);
-    diags.extend(sup.bad.iter().cloned());
+    diags.append(&mut sup.bad);
     diags.extend(sup.stale(file));
     diag::sort(&mut diags);
-    (diags, sup)
-}
-
-/// Lint one file's source as library code. `file` is the label used in
-/// diagnostics (conventionally workspace-relative).
-pub fn lint_source(file: &str, src: &str) -> Vec<Diagnostic> {
-    analyze(file, src).0
+    diags
 }
 
 /// Lint every library-crate source file under the workspace at `root`.

@@ -1,10 +1,8 @@
 //! `kea-lint` CLI.
 //!
 //! ```text
-//! kea-lint --workspace [--format human|json|sarif]
-//! kea-lint [--format human|json|sarif] <file.rs>...
-//! kea-lint --workspace --fix [--scaffold-allows]
-//! kea-lint --workspace --fix-dry-run
+//! kea-lint --workspace
+//! kea-lint <file.rs>...
 //! ```
 //!
 //! `--workspace` locates the workspace root from the current directory
@@ -13,65 +11,19 @@
 //! code* regardless of where they live — this is how the fixture corpus
 //! under `crates/lint/tests/fixtures/` is exercised.
 //!
-//! `--fix` applies the mechanical rewrites from [`kea_lint::fix`] in
-//! place (idempotent — a second run is a no-op), then reports what
-//! remains. `--fix-dry-run` prints the planned edits without writing;
-//! CI runs it as a non-blocking drift check. `--scaffold-allows`
-//! additionally inserts `FIXME`-reasoned allow directives above the
-//! findings no rewrite covers — a burn-down aid, not a way to ship.
-//!
-//! `--format json` includes `elapsed_ms` (lint wall-clock, for the
-//! bench artifacts); `--format sarif` emits SARIF 2.1.0 for code
-//! scanning upload.
-//!
-//! Exit codes: `0` clean (or dry-run with nothing to do), `1`
-//! diagnostics reported (or dry-run with pending edits), `2` usage or
-//! I/O error.
+//! Exit codes: `0` clean, `1` diagnostics reported, `2` usage or I/O
+//! error.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
 
 fn main() -> ExitCode {
-    let mut format = Format::Human;
     let mut workspace = false;
-    let mut fix = false;
-    let mut fix_dry_run = false;
-    let mut scaffold = false;
     let mut files: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--fix" => fix = true,
-            "--fix-dry-run" => fix_dry_run = true,
-            "--scaffold-allows" => scaffold = true,
-            "--format" => match args.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("human") => format = Format::Human,
-                Some("sarif") => format = Format::Sarif,
-                other => {
-                    eprintln!(
-                        "kea-lint: --format expects `human`, `json`, or `sarif`, got {:?}",
-                        other.unwrap_or("<none>")
-                    );
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: kea-lint --workspace [--format human|json|sarif]\n       \
-                     kea-lint [--format human|json|sarif] <file.rs>...\n       \
-                     kea-lint --workspace --fix [--scaffold-allows]\n       \
-                     kea-lint --workspace --fix-dry-run\n\nRules:"
-                );
+                eprintln!("usage: kea-lint --workspace\n       kea-lint <file.rs>...\n\nRules:");
                 for r in kea_lint::rules::ALL_RULES {
                     eprintln!("  {r:<26} {}", kea_lint::rules::describe(r));
                 }
@@ -84,17 +36,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    if scaffold && !(fix || fix_dry_run) {
-        eprintln!("kea-lint: --scaffold-allows requires --fix or --fix-dry-run");
-        return ExitCode::from(2);
-    }
-    if fix && fix_dry_run {
-        eprintln!("kea-lint: --fix and --fix-dry-run are mutually exclusive");
-        return ExitCode::from(2);
-    }
 
-    // Resolve the file set: (diagnostic label, absolute path).
-    let targets: Vec<(String, PathBuf)> = if workspace {
+    let diags = if workspace {
         let cwd = match std::env::current_dir() {
             Ok(d) => d,
             Err(e) => {
@@ -106,16 +49,10 @@ fn main() -> ExitCode {
             eprintln!("kea-lint: no workspace Cargo.toml above {}", cwd.display());
             return ExitCode::from(2);
         };
-        match kea_lint::walk::library_sources(&root) {
-            Ok(rels) => rels
-                .into_iter()
-                .map(|rel| {
-                    let label = rel.to_string_lossy().replace('\\', "/");
-                    (label, root.join(rel))
-                })
-                .collect(),
+        match kea_lint::lint_workspace(&root) {
+            Ok(diags) => diags,
             Err(e) => {
-                eprintln!("kea-lint: walking {}: {e}", root.display());
+                eprintln!("kea-lint: {e}");
                 return ExitCode::from(2);
             }
         }
@@ -123,90 +60,33 @@ fn main() -> ExitCode {
         eprintln!("kea-lint: nothing to lint — pass --workspace or file paths (try --help)");
         return ExitCode::from(2);
     } else {
-        files.iter().map(|f| (f.clone(), PathBuf::from(f))).collect()
-    };
-
-    // Fix modes plan per file; `--fix` writes the result back.
-    if fix || fix_dry_run {
-        let mut planned = 0usize;
-        for (label, path) in &targets {
-            let src = match std::fs::read_to_string(path) {
+        let mut diags = Vec::new();
+        for f in &files {
+            let src = match std::fs::read_to_string(f) {
                 Ok(s) => s,
                 Err(e) => {
-                    eprintln!("kea-lint: reading {label}: {e}");
+                    eprintln!("kea-lint: reading {f}: {e}");
                     return ExitCode::from(2);
                 }
             };
-            let edits = kea_lint::fix::plan(label, &src, scaffold);
-            if edits.is_empty() {
-                continue;
-            }
-            planned += edits.len();
-            for e in &edits {
-                println!("{}", e.human(label));
-            }
-            if fix {
-                let out = kea_lint::fix::apply(&src, &edits);
-                if let Err(e) = std::fs::write(path, out) {
-                    eprintln!("kea-lint: writing {label}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            diags.extend(kea_lint::lint_source(f, &src));
         }
-        let verb = if fix { "applied" } else { "would apply" };
-        println!(
-            "kea-lint: {verb} {planned} edit{}",
-            if planned == 1 { "" } else { "s" }
-        );
-        if fix_dry_run {
-            return if planned == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
-        // fall through: lint the (now fixed) files and report what's left
-    }
+        kea_lint::diag::sort(&mut diags);
+        diags
+    };
 
-    let started = Instant::now();
-    let mut diags = Vec::new();
-    for (label, path) in &targets {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("kea-lint: reading {label}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        diags.extend(kea_lint::lint_source(label, &src));
-    }
-    kea_lint::diag::sort(&mut diags);
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    match format {
-        Format::Json => print!(
-            "{}",
-            kea_lint::diag::render_json_timed(&diags, Some(elapsed_ms))
-        ),
-        Format::Sarif => print!("{}", kea_lint::diag::render_sarif(&diags)),
-        Format::Human => {
-            for d in &diags {
-                println!("{}", d.human());
-            }
-            if diags.is_empty() {
-                println!("kea-lint: clean");
-            } else {
-                println!(
-                    "kea-lint: {} diagnostic{} — the tuning loop must not panic",
-                    diags.len(),
-                    if diags.len() == 1 { "" } else { "s" }
-                );
-            }
-        }
+    for d in &diags {
+        println!("{}", d.human());
     }
     if diags.is_empty() {
+        println!("kea-lint: clean");
         ExitCode::SUCCESS
     } else {
+        println!(
+            "kea-lint: {} diagnostic{} — the tuning loop must not panic",
+            diags.len(),
+            if diags.len() == 1 { "" } else { "s" }
+        );
         ExitCode::FAILURE
     }
 }

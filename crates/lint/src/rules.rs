@@ -46,8 +46,7 @@ pub const ALL_RULES: &[&str] = &[
     crate::suppress::BAD_SUPPRESSION,
 ];
 
-/// One-line description per rule id — the catalog SARIF exports and
-/// `--help` prints.
+/// One-line description per rule id — the catalog `--help` prints.
 pub fn describe(rule: &str) -> &'static str {
     match rule {
         PANIC_IN_LIBRARY => "unwrap/expect/panic!-family call in library code",
@@ -210,16 +209,17 @@ pub(crate) fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
     spans.iter().any(|&(a, b)| line >= a && line <= b)
 }
 
-/// Index of the `}` matching the `{` at `open`, if any.
-pub(crate) fn matching_brace(toks: &[Tok], open: usize) -> Option<usize> {
-    if open >= toks.len() || !toks[open].is_sym("{") {
+/// Index of the `cl` matching the `op` at `open`; `None` unless
+/// `toks[open]` is `op` and the bracket closes.
+pub(crate) fn matching_close(toks: &[Tok], open: usize, op: &str, cl: &str) -> Option<usize> {
+    if !toks.get(open)?.is_sym(op) {
         return None;
     }
     let mut depth = 0i32;
     for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.is_sym("{") {
+        if t.is_sym(op) {
             depth += 1;
-        } else if t.is_sym("}") {
+        } else if t.is_sym(cl) {
             depth -= 1;
             if depth == 0 {
                 return Some(i);
@@ -229,22 +229,10 @@ pub(crate) fn matching_brace(toks: &[Tok], open: usize) -> Option<usize> {
     None
 }
 
-/// Index of the token after the `)` matching the `(` at `open`.
+/// Index of the token after the `)` matching the `(` at `open`, or
+/// `toks.len()` when there is none.
 pub(crate) fn skip_parens(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < toks.len() {
-        if toks[i].is_sym("(") {
-            depth += 1;
-        } else if toks[i].is_sym(")") {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    toks.len()
+    matching_close(toks, open, "(", ")").map_or(toks.len(), |close| close + 1)
 }
 
 /// Index of the `(` matching the `)` at `close`, scanning backwards.

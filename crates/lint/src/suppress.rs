@@ -13,7 +13,7 @@
 //!   is itself reported as `bad-suppression` and cannot be silenced.
 //! * A **stale** directive — one that suppresses zero diagnostics — is
 //!   also a `bad-suppression`: dead allows hide real regressions behind
-//!   a wall of noise and must be deleted (`--fix` removes them).
+//!   a wall of noise and must be deleted.
 
 use crate::diag::Diagnostic;
 
@@ -40,12 +40,6 @@ pub struct Suppressions {
 }
 
 impl Suppressions {
-    /// Does a directive cover `rule` at `line`? (Read-only form — does
-    /// not mark usage; [`Suppressions::filter`] does.)
-    pub fn allows(&self, rule: &str, line: u32) -> bool {
-        self.directive_for(rule, line).is_some()
-    }
-
     /// Index of `(directive, rule-slot)` covering `rule` at `line`.
     ///
     /// Line-scoped allows cover the directive's own line and the next
@@ -108,22 +102,12 @@ impl Suppressions {
                     1,
                     format!(
                         "stale suppression: `{scope}({rule})` suppresses no diagnostic — \
-                         delete it (or run `kea-lint --fix`)"
+                         delete it"
                     ),
                 ));
             }
         }
         out
-    }
-
-    /// Lines whose directive is stale for *every* rule it names — the
-    /// mechanically removable set `--fix` deletes.
-    pub fn fully_stale_lines(&self) -> Vec<u32> {
-        self.directives
-            .iter()
-            .filter(|d| d.rules.iter().all(|(_, used)| !used))
-            .map(|d| d.line)
-            .collect()
     }
 }
 

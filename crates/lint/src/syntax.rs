@@ -26,6 +26,7 @@
 //!   the enclosing function.
 
 use crate::lexer::{Tok, TokKind};
+use crate::rules::matching_close;
 use std::ops::Range;
 
 /// Coarse nominal type buckets for local bindings and parameters.
@@ -116,17 +117,8 @@ impl FnInfo {
             .unwrap_or(VarType::Unknown)
     }
 
-    /// The innermost closure whose body contains token `idx`.
-    pub fn enclosing_closure(&self, idx: usize) -> Option<&Closure> {
-        self.closures
-            .iter()
-            .filter(|c| c.body.contains(&idx))
-            .min_by_key(|c| c.body.end - c.body.start)
-    }
-
     /// Was `name` declared (as a closure parameter or a `let`) inside
-    /// the closure that encloses token `idx`? Captured state is state
-    /// this returns `false` for.
+    /// `closure`? Captured state is state this returns `false` for.
     pub fn declared_in_closure(&self, closure: &Closure, name: &str) -> bool {
         if closure.params.iter().any(|p| p == name) {
             return true;
@@ -268,22 +260,6 @@ fn parse_fn(toks: &[Tok], at: usize) -> Option<FnInfo> {
         bindings,
         closures,
     })
-}
-
-/// Index of the closer matching the opener at `open`.
-fn matching_close(toks: &[Tok], open: usize, op: &str, cl: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.is_sym(op) {
-            depth += 1;
-        } else if t.is_sym(cl) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
 }
 
 /// Split a parameter-list token slice on top-level commas and extract

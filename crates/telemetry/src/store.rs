@@ -213,8 +213,8 @@ impl ColumnIndex {
     }
 
     /// Builds the index structures over records already sorted by
-    /// `(group, hour, machine)` — the shared tail of [`ColumnIndex::build`]
-    /// and the merge fallback paths.
+    /// `(group, hour, machine)`: the tail of [`ColumnIndex::build`], its
+    /// only caller ([`ColumnIndex::merge`] derives its own tables).
     fn from_sorted(sorted: Vec<MachineHourRecord>) -> Self {
         let (blocks, block_offsets) = block_runs(&sorted);
 
