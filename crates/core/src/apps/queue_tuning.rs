@@ -105,9 +105,11 @@ pub struct QueueTuningOutcome {
 /// Runs the queue-tuning study.
 ///
 /// # Errors
-/// The observation window must actually contain queueing (raise
-/// `target_occupancy` otherwise) in at least two groups.
+/// [`KeaError::Design`] when the window or the occupancy fails
+/// [`kea_sim::check_run`]. The observation window must actually contain
+/// queueing (raise `target_occupancy` otherwise) in at least two groups.
 pub fn run_queue_tuning(params: &QueueTuningParams) -> Result<QueueTuningOutcome, KeaError> {
+    kea_sim::check_run(params.window_hours, params.target_occupancy).map_err(KeaError::Design)?;
     let cluster = &params.cluster;
     let workload = WorkloadSpec::default_for(cluster, params.target_occupancy);
     let baseline = ConfigPlan::baseline(&cluster.skus, kea_sim::SC1);

@@ -99,9 +99,11 @@ pub struct YarnTuningOutcome {
 /// Runs the full pipeline.
 ///
 /// # Errors
-/// Propagates model-fitting, optimization, and analysis errors; fails if
-/// the observation window is too short to calibrate any group.
+/// [`KeaError::Design`] for an empty observation window; propagates
+/// model-fitting, optimization, and analysis errors; fails if the
+/// observation window is too short to calibrate any group.
 pub fn run_yarn_tuning(params: &YarnTuningParams) -> Result<YarnTuningOutcome, KeaError> {
+    kea_sim::check_run(params.observe_hours, TARGET_OCCUPANCY).map_err(KeaError::Design)?;
     // ---- Phase: observe under the manual baseline -------------------
     let workload = WorkloadSpec::default_for(&params.cluster, TARGET_OCCUPANCY);
     let baseline_plan = ConfigPlan::baseline(&params.cluster.skus, kea_sim::SC1);

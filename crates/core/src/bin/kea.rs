@@ -24,7 +24,7 @@ use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
 use kea_core::{
     capacity_gain_value, tune, FleetCostModel, OperatingPoint, PerformanceMonitor, TunePolicy,
 };
-use kea_sim::{run, ClusterSpec, SimConfig, WorkloadSpec, SC1};
+use kea_sim::{check_run, run, ClusterSpec, SimConfig, WorkloadSpec, SC1};
 use kea_telemetry::{read_csv, write_csv, GroupKey, SkuId, TelemetryStore};
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -171,6 +171,7 @@ fn cmd_observe(raw: &[String]) -> Result<(), String> {
     let occupancy: f64 = args.get("occupancy", 0.95)?;
     let seed: u64 = args.get("seed", 1)?;
     let out_path = args.get_str("out", "telemetry.csv");
+    check_run(hours, occupancy)?;
     let sim = run(&SimConfig {
         cluster: cluster.clone(),
         workload: WorkloadSpec::default_for(&cluster, occupancy),

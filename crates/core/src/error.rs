@@ -19,8 +19,6 @@ pub enum KeaError {
     /// An experiment design could not be realised (e.g. not enough
     /// machines in a rack for the ideal setting).
     Design(String),
-    /// A guardrail rejected a deployment.
-    GuardrailViolated(String),
 }
 
 impl fmt::Display for KeaError {
@@ -31,7 +29,6 @@ impl fmt::Display for KeaError {
             KeaError::Stats(e) => write!(f, "statistical analysis failed: {e}"),
             KeaError::Opt(e) => write!(f, "optimization failed: {e}"),
             KeaError::Design(msg) => write!(f, "experiment design infeasible: {msg}"),
-            KeaError::GuardrailViolated(msg) => write!(f, "guardrail violated: {msg}"),
         }
     }
 }

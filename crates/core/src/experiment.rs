@@ -66,7 +66,8 @@ pub fn ideal_setting(cluster: &ClusterSpec, racks: &[RackId]) -> Result<MachineS
 /// `group_size`, all drawn from one SKU so hardware is controlled.
 ///
 /// # Errors
-/// The SKU must have at least `n_groups × group_size` machines.
+/// `group_size` must be positive, and the SKU must have at least
+/// `n_groups × group_size` machines.
 pub fn hybrid_groups<R: Rng + ?Sized>(
     cluster: &ClusterSpec,
     sku: SkuId,
@@ -74,8 +75,11 @@ pub fn hybrid_groups<R: Rng + ?Sized>(
     group_size: usize,
     rng: &mut R,
 ) -> Result<Vec<BTreeSet<MachineId>>, KeaError> {
+    if group_size == 0 {
+        return Err(KeaError::Design("group_size must be positive".to_string()));
+    }
     let mut pool: Vec<MachineId> = cluster.machines_of_sku(sku).map(|m| m.id).collect();
-    let needed = n_groups * group_size;
+    let needed = n_groups.saturating_mul(group_size);
     if pool.len() < needed {
         return Err(KeaError::Design(format!(
             "SKU {sku:?} has {} machines, need {needed}",

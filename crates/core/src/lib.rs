@@ -22,12 +22,7 @@
 //!   windowed config overrides, before/after evaluation, guardrails.
 //! * [`conceptualization`] — Phase I validations of the abstraction
 //!   ladder (Figures 4–6).
-//! * [`methodology`] — the Phase I→II→III project state machine of
-//!   Figure 3, with the gates the paper's process implies.
 //! * [`slo`] — implicit-SLO validation at the job level (§3.2 Level II).
-//! * [`anomaly`] — model-based screening of machines that drift off
-//!   their group's calibrated line (the Griffon-adjacent hygiene the
-//!   Huber choice of §5.2.1 implies).
 //! * [`economics`] — converting capacity gains into dollars (§5.3's
 //!   "monetary values").
 //! * [`apps`] — the four production applications of Table 3, plus the
@@ -59,24 +54,20 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod anomaly;
 pub mod apps;
 pub mod conceptualization;
 pub mod economics;
 pub mod error;
 pub mod experiment;
 pub mod flighting;
-pub mod methodology;
 pub mod monitor;
 pub mod optimizer;
 pub mod slo;
 pub mod tune;
 pub mod whatif;
 
-pub use anomaly::{screen_machines, MachineAnomaly};
 pub use economics::{capacity_gain_value, AnnualValue, FleetCostModel};
 pub use error::KeaError;
-pub use methodology::{Approach, Phase, TuningProject};
 pub use slo::{check_implicit_slos, SloReport};
 pub use experiment::{
     analyze, analyze_time_slices, hybrid_groups, ideal_setting, time_slices, MachineSplit,

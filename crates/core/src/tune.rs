@@ -73,9 +73,10 @@ pub struct TunedPlan {
 /// [`KeaError::Opt`] when `max_step` is not a finite step in
 /// `(0, i32::MAX]`, checked before any other work;
 /// [`KeaError::NoObservations`] when no group has enough usable rows to
-/// fit; [`KeaError::Model`] when a group's fit fails;
-/// [`KeaError::Design`] when fewer than two groups are fitted and
-/// counted (one group has nothing to re-balance against).
+/// fit or no group's fit succeeds; [`KeaError::Design`] when fewer than
+/// two groups are fitted and counted (one group has nothing to
+/// re-balance against). A group whose fit fails is left out of the plan,
+/// as a group under the row floor is.
 pub fn tune(store: &TelemetryStore, policy: &TunePolicy) -> Result<TunedPlan, KeaError> {
     check_max_step(policy.max_step)?;
     let monitor = PerformanceMonitor::new(store);

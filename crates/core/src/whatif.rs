@@ -137,11 +137,12 @@ impl WhatIfEngine {
     ///
     /// Rows with no completed tasks (cold machines) are dropped: their
     /// latency is undefined. Groups with fewer than `min_rows` usable
-    /// rows are skipped rather than fitted badly.
+    /// rows are skipped rather than fitted badly, and so is a group whose
+    /// fit fails (a singular system when its load never varies).
     ///
     /// # Errors
-    /// Fails if *no* group could be fitted, or on estimator failure for a
-    /// group that had enough data.
+    /// [`KeaError::NoObservations`] when no group has `min_rows` usable
+    /// rows or no group's fit succeeds.
     pub fn fit_at(
         monitor: &PerformanceMonitor<'_>,
         method: FitMethod,
@@ -201,11 +202,27 @@ impl WhatIfEngine {
             .unwrap_or(1);
         let results = Self::fit_groups(&groups, method, n_workers);
 
+        // A group whose fit fails (its load never varies, say) is skipped
+        // like a group under the floor, so it does not sink the groups
+        // that did fit.
         let mut models = BTreeMap::new();
+        let mut first_failure = None;
         for ((group, _), result) in groups.iter().zip(results) {
-            models.insert(*group, result?);
+            match result {
+                Ok(m) => {
+                    models.insert(*group, m);
+                }
+                Err(e) => {
+                    first_failure.get_or_insert(e);
+                }
+            }
         }
-        Ok(WhatIfEngine { models })
+        match first_failure {
+            Some(e) if models.is_empty() => Err(KeaError::NoObservations {
+                what: format!("no group's models could be fitted ({e})"),
+            }),
+            _ => Ok(WhatIfEngine { models }),
+        }
     }
 
     /// Fits every group, work-stealing across at most `n_workers` scoped

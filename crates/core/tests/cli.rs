@@ -130,3 +130,26 @@ fn unknown_commands_and_flags_fail_loudly() {
     let out = kea(&["models", "--telemetry", "/nonexistent/file.csv"]);
     assert!(!out.status.success());
 }
+
+/// Flag values outside what the simulator or an experiment design can
+/// run are refused as errors (exit 2), never a panic (exit 101).
+#[test]
+fn out_of_range_flags_are_errors_not_panics() {
+    for args in [
+        &["observe", "--hours", "0"][..],
+        &["queues", "--hours", "0"],
+        &["yarn", "--observe-hours", "0"],
+        &["observe", "--occupancy", "0"],
+        &["observe", "--occupancy", "3"],
+        &["observe", "--occupancy", "NaN"],
+        &["queues", "--occupancy", "0"],
+        &["power", "--group-size", "0"],
+        // 4 groups of 2^62 machines: the machine count overflows usize.
+        &["power", "--group-size", "4611686018427387904"],
+    ] {
+        let out = kea(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}

@@ -9,7 +9,7 @@
 //!
 //! | rule | catches |
 //! |------|---------|
-//! | `panic-in-library`       | `.unwrap()`, `.expect(…)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` |
+//! | `panic-in-library`       | `.unwrap()`, `.expect(…)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, `assert!`, `assert_eq!`, `assert_ne!` (not `debug_assert*!`) |
 //! | `index-in-library`       | `xs[i]`-style indexing (out-of-bounds panics) |
 //! | `panic-method-in-library`| positional panicking methods (`remove(i)`, `split_at`, `Vec::insert`) |
 //! | `nan-unsafe-ordering`    | `partial_cmp(..).unwrap()`, exact float equality, `== NAN` |

@@ -10,7 +10,8 @@ use crate::lexer::{Tok, TokKind};
 use crate::syntax::{self, Syntax, VarType};
 use std::collections::HashSet;
 
-/// Rule id: `unwrap`/`expect`/`panic!`-family in library code.
+/// Rule id: `unwrap`/`expect`/`panic!`-family/`assert!`-family in
+/// library code.
 pub const PANIC_IN_LIBRARY: &str = "panic-in-library";
 /// Rule id: slice/array/map indexing in library code. Split from
 /// [`PANIC_IN_LIBRARY`] so dense numeric kernels can `allow-file` the
@@ -49,7 +50,7 @@ pub const ALL_RULES: &[&str] = &[
 /// One-line description per rule id — the catalog `--help` prints.
 pub fn describe(rule: &str) -> &'static str {
     match rule {
-        PANIC_IN_LIBRARY => "unwrap/expect/panic!-family call in library code",
+        PANIC_IN_LIBRARY => "unwrap/expect/panic!- or assert!-family call in library code",
         INDEX_IN_LIBRARY => "slice/array/map `[...]` indexing in library code",
         PANIC_METHOD_IN_LIBRARY => {
             "panicking position-taking method (remove, split_at, Vec::insert, ...)"
@@ -307,9 +308,20 @@ fn panic_in_library(
                 ),
             ));
         }
-        // `panic!` / `unreachable!` / `todo!` / `unimplemented!`
+        // `panic!` / `unreachable!` / `todo!` / `unimplemented!`, and the
+        // `assert!` family, which stays in release builds (its
+        // `debug_assert!` cousins do not).
         if t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "panic" | "unreachable" | "todo" | "unimplemented")
+            && matches!(
+                t.text.as_str(),
+                "panic"
+                    | "unreachable"
+                    | "todo"
+                    | "unimplemented"
+                    | "assert"
+                    | "assert_eq"
+                    | "assert_ne"
+            )
             && i + 1 < toks.len()
             && toks[i + 1].is_sym("!")
         {

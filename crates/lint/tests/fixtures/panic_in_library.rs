@@ -23,3 +23,16 @@ pub fn todo_site() {
 pub fn unimplemented_site() {
     unimplemented!()
 }
+
+pub fn assert_sites(a: u32, b: u32) {
+    assert!(a > 0);
+    assert_eq!(a, b);
+    assert_ne!(a, 0);
+}
+
+/// Compiled out of release builds, so never an outage: must not fire.
+pub fn debug_assert_sites(a: u32, b: u32) {
+    debug_assert!(a > 0);
+    debug_assert_eq!(a, b);
+    debug_assert_ne!(a, 0);
+}

@@ -31,11 +31,24 @@ fn rules_of(diags: &[Diagnostic]) -> Vec<&str> {
 #[test]
 fn panic_fixture_catches_every_macro_and_method() {
     let diags = lint_fixture("panic_in_library.rs");
-    assert_eq!(rules_of(&diags), vec!["panic-in-library"; 6], "{diags:#?}");
+    assert_eq!(rules_of(&diags), vec!["panic-in-library"; 9], "{diags:#?}");
     let msgs: String = diags.iter().map(|d| d.message.as_str()).collect();
-    for needle in ["unwrap", "expect", "panic", "unreachable", "todo", "unimplemented"] {
+    for needle in [
+        "unwrap",
+        "expect",
+        "panic",
+        "unreachable",
+        "todo",
+        "unimplemented",
+        "`assert!`",
+        "`assert_eq!`",
+        "`assert_ne!`",
+    ] {
         assert!(msgs.contains(needle), "missing `{needle}` in {msgs}");
     }
+    // `debug_assert*!` is compiled out of release builds: no finding in
+    // `debug_assert_sites`, the fixture's last function.
+    assert!(diags.iter().all(|d| d.line < 35), "{diags:#?}");
 }
 
 #[test]

@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn golden_bits_match_the_p_feature_solver() {
         assert_fit_bits(
-            "1,000-row line, 10% outliers (the components bench)",
+            "1,000-row line, 10% outliers",
             line_with(
                 1000,
                 |i| i as f64 * 0.1,

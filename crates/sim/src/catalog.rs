@@ -143,7 +143,11 @@ pub fn default_scs_static(id: ScId) -> &'static ScSpec {
 /// counts so tests can run miniature clusters (scale = 1 is the headline
 /// ~1,500-machine cluster, a 1:30 scale model of the paper's 45k-machine
 /// cluster).
+///
+/// # Panics
+/// `scale` must be at least 1.
 pub fn default_skus(scale: u32) -> Vec<SkuSpec> {
+    // kea-lint: allow(panic-in-library) — documented `# Panics` contract; every library caller passes a literal scale (the `ClusterSpec` presets, `kea value`)
     assert!(scale >= 1, "scale must be at least 1");
     let scaled = |n: u32| (n / scale).max(2);
     vec![

@@ -55,7 +55,9 @@ impl ClusterSpec {
     /// # Panics
     /// `n_subclusters` must be ≥ 1 and the catalog non-empty.
     pub fn build(skus: Vec<SkuSpec>, n_subclusters: u32) -> Self {
+        // kea-lint: allow(panic-in-library) — documented `# Panics` contract; every library caller passes `default_skus`, which is never empty
         assert!(!skus.is_empty(), "catalog must be non-empty");
+        // kea-lint: allow(panic-in-library) — documented `# Panics` contract; every library caller passes a literal sub-cluster count
         assert!(n_subclusters >= 1, "need at least one sub-cluster");
         let total: u32 = skus.iter().map(|s| s.machine_count).sum();
         let mut machines = Vec::with_capacity(total as usize);

@@ -92,6 +92,39 @@ impl SimConfig {
     }
 }
 
+/// Checks the simulator's two preconditions on a run: it lasts at least
+/// one hour, and its workload's target occupancy (demand pressure; values
+/// above ~1 saturate the cluster) is finite, in (0, 2].
+///
+/// [`run`] asserts the first and [`WorkloadSpec::default_for`] the
+/// second, each through this check's own half. A caller that takes
+/// either value from its user checks both here first and reports the
+/// violation instead of panicking.
+///
+/// # Errors
+/// Names the violated precondition.
+pub fn check_run(duration_hours: u64, target_occupancy: f64) -> Result<(), String> {
+    check_duration(duration_hours)?;
+    check_occupancy(target_occupancy)
+}
+
+pub(crate) fn check_duration(duration_hours: u64) -> Result<(), String> {
+    if duration_hours == 0 {
+        return Err("duration must be at least 1 hour".to_string());
+    }
+    Ok(())
+}
+
+pub(crate) fn check_occupancy(target_occupancy: f64) -> Result<(), String> {
+    // NaN fails both comparisons, and +∞ the upper bound.
+    if target_occupancy > 0.0 && target_occupancy <= 2.0 {
+        return Ok(());
+    }
+    Err(format!(
+        "target_occupancy {target_occupancy} must be finite, in (0, 2]"
+    ))
+}
+
 /// Runs a simulation to completion on the fleet-scale engine with
 /// default execution (single global scheduling domain, daily telemetry
 /// windows) — bit-identical to [`reference::run`].
@@ -99,6 +132,7 @@ impl SimConfig {
 /// # Panics
 /// Panics on nonsensical configs (zero duration, zero-`max_containers`
 /// baselines) — these indicate caller bugs, not runtime conditions.
+/// [`check_run`] refuses a zero duration without panicking.
 pub fn run(cfg: &SimConfig) -> SimOutput {
     run_with_exec(cfg, ExecConfig::default())
 }
@@ -114,18 +148,26 @@ pub fn run(cfg: &SimConfig) -> SimOutput {
 /// # Panics
 /// Same contract as [`run`].
 pub fn run_with_exec(cfg: &SimConfig, exec: ExecConfig) -> SimOutput {
-    assert!(cfg.duration_hours > 0, "duration must be positive");
-    for (sku, mc) in &cfg.plan.base {
-        assert!(
-            mc.max_running_containers > 0,
-            "max_running_containers must be positive for {sku:?}"
-        );
-    }
+    assert_preconditions(cfg);
     if exec.shards == 1 {
         let rng = StdRng::seed_from_u64(cfg.seed);
         Fleet::new(cfg, &cfg.cluster.machines, &cfg.workload, rng, exec.emit_window_hours).run()
     } else {
         run_federated(cfg, exec)
+    }
+}
+
+/// The `# Panics` contract of [`run`] and [`reference::run`].
+pub(crate) fn assert_preconditions(cfg: &SimConfig) {
+    if let Err(e) = check_duration(cfg.duration_hours) {
+        panic!("{e}"); // kea-lint: allow(panic-in-library) — documented `# Panics` contract; callers taking a duration from a user refuse it first with `check_run`
+    }
+    for (sku, mc) in &cfg.plan.base {
+        // kea-lint: allow(panic-in-library) — documented `# Panics` contract; every base config comes from `ConfigPlan::baseline`, whose catalog defaults are positive
+        assert!(
+            mc.max_running_containers > 0,
+            "max_running_containers must be positive for {sku:?}"
+        );
     }
 }
 
@@ -559,6 +601,7 @@ impl<'a, R: RngCore> Fleet<'a, R> {
             .enumerate()
             .map(|(i, m)| {
                 let sku_idx = cfg.cluster.skus.iter().position(|s| s.id == m.sku);
+                // kea-lint: allow(panic-in-library) — `ClusterSpec::build` makes every machine from its own catalog
                 assert!(sku_idx.is_some(), "machine SKU in catalog");
                 MachState {
                     sku_idx: sku_idx.unwrap_or(0),

@@ -39,13 +39,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Panics on nonsensical configs (zero duration, zero-`max_containers`
 /// baselines) — these indicate caller bugs, not runtime conditions.
 pub fn run(cfg: &SimConfig) -> SimOutput {
-    assert!(cfg.duration_hours > 0, "duration must be positive");
-    for (sku, mc) in &cfg.plan.base {
-        assert!(
-            mc.max_running_containers > 0,
-            "max_running_containers must be positive for {sku:?}"
-        );
-    }
+    super::assert_preconditions(cfg);
     Engine::new(cfg).run()
 }
 

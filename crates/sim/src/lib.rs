@@ -51,6 +51,6 @@ pub use calendar::CalendarQueue;
 pub use catalog::{default_scs, default_skus, ScSpec, SkuSpec, SC1, SC2};
 pub use cluster::{ClusterSpec, Machine, RackId, SubClusterId, MACHINES_PER_RACK};
 pub use config::{ConfigPatch, ConfigPlan, ExecConfig, Flight, MachineConfig};
-pub use engine::{run, run_with_exec, SimConfig};
+pub use engine::{check_run, run, run_with_exec, SimConfig};
 pub use output::{JobRecord, SimOutput, TaskCounters, TaskRecord};
 pub use workload::{JobTemplate, Schedule, Seasonality, StageSpec, TaskType, WorkloadSpec};

@@ -189,13 +189,12 @@ impl WorkloadSpec {
     /// of Figure 11.
     ///
     /// # Panics
-    /// `target_occupancy` must be in (0, 1].
+    /// `target_occupancy` must be finite, in (0, 2];
+    /// [`crate::check_run`] refuses it without panicking.
     pub fn default_for(cluster: &ClusterSpec, target_occupancy: f64) -> Self {
-        assert!(
-            target_occupancy > 0.0 && target_occupancy <= 2.0,
-            "target_occupancy must be in (0, 2]: it is demand pressure, \
-             and values above ~1 saturate the cluster"
-        );
+        if let Err(e) = crate::engine::check_occupancy(target_occupancy) {
+            panic!("{e}"); // kea-lint: allow(panic-in-library) — documented `# Panics` contract; callers taking an occupancy from a user refuse it first with `check_run`
+        }
         // Capacity under the manual-tuning baseline.
         let total_slots: f64 = cluster
             .skus

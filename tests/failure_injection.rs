@@ -4,7 +4,9 @@
 use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
 use kea_core::{analyze, tune, KeaError, MachineSplit, PerformanceMonitor, TunePolicy};
 use kea_sim::{run, ClusterSpec, ConfigPatch, Flight, SimConfig, SC1, SC2};
-use kea_telemetry::{GroupKey, MachineId, Metric, TelemetryStore};
+use kea_telemetry::{
+    GroupKey, MachineHourRecord, MachineId, Metric, MetricValues, ScId, SkuId, TelemetryStore,
+};
 use std::collections::BTreeSet;
 
 /// Simulated telemetry with a fraction of machine-hours corrupted the way
@@ -206,4 +208,70 @@ fn tune_counts_a_flighted_machine_once() {
     assert_eq!(tuned.machine_counts.len(), 6);
     assert!(tuned.machine_counts.keys().all(|g| g.sc == SC1));
     assert!(tuned.plan.steps().keys().all(|g| g.sc == SC1));
+}
+
+/// Three SC1 groups of 6 machines × 60 hours, each machine spreading its
+/// load over the hours (the shape of `build_store` in
+/// `crates/core/tests/proptest_optimizer.rs`), except that the groups in
+/// `pegged` run 12 containers on every machine every hour.
+fn three_groups_pegging(pegged: &[u16]) -> TelemetryStore {
+    let mut store = TelemetryStore::new();
+    for sku in 0..3u16 {
+        let group = GroupKey::new(SkuId(sku), ScId(1));
+        for m in 0..6u32 {
+            for h in 0..60u64 {
+                let containers = if pegged.contains(&sku) {
+                    12.0
+                } else {
+                    5.0 + (m % 4) as f64 + (h % 8) as f64 * 0.5
+                };
+                let util = 2.0 + 4.0 * containers;
+                store.push(MachineHourRecord {
+                    machine: MachineId(u32::from(sku) * 6 + m),
+                    group,
+                    hour: h,
+                    metrics: MetricValues {
+                        avg_running_containers: containers,
+                        cpu_utilization: util,
+                        tasks_finished: 5.0 + 1.5 * util,
+                        avg_task_latency_s: 80.0 + 2.0 * util,
+                        ..Default::default()
+                    },
+                });
+            }
+        }
+    }
+    store
+}
+
+#[test]
+fn tune_plans_around_a_group_that_cannot_be_fitted() {
+    // Group 0 never varies its load, so its fit is a singular system. It
+    // drops out of the plan as a group under the row floor does, and the
+    // other two groups are planned.
+    let tuned = tune(&three_groups_pegging(&[0]), &TunePolicy::default()).expect("tunes");
+    let planned: Vec<u16> = tuned.plan.steps().keys().map(|g| g.sku.0).collect();
+    assert_eq!(planned, vec![1, 2]);
+    let fitted: Vec<u16> = tuned.engine.groups().map(|g| g.group.sku.0).collect();
+    assert_eq!(fitted, vec![1, 2]);
+    assert_eq!(
+        tuned.machine_counts.len(),
+        3,
+        "every group's machines are counted"
+    );
+}
+
+#[test]
+fn tune_refuses_when_one_fittable_group_is_left() {
+    // Two of the three groups are pegged: one group fits, with nothing to
+    // re-balance it against.
+    assert!(matches!(
+        tune(&three_groups_pegging(&[0, 1]), &TunePolicy::default()),
+        Err(KeaError::Design(_))
+    ));
+    // None fits: the window holds no usable observations.
+    assert!(matches!(
+        tune(&three_groups_pegging(&[0, 1, 2]), &TunePolicy::default()),
+        Err(KeaError::NoObservations { .. })
+    ));
 }
