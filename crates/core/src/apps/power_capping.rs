@@ -123,7 +123,8 @@ impl PowerCappingOutcome {
 ///
 /// # Errors
 /// The SKU must have `4 × group_size` machines; rounds must be longer
-/// than the warm-up.
+/// than the warm-up; every capping level must be a finite fraction in
+/// (0, 1).
 pub fn run_power_capping(params: &PowerCappingParams) -> Result<PowerCappingOutcome, KeaError> {
     if params.warmup_hours >= params.hours_per_round {
         return Err(KeaError::Design(
@@ -132,6 +133,13 @@ pub fn run_power_capping(params: &PowerCappingParams) -> Result<PowerCappingOutc
     }
     if params.cap_levels.is_empty() {
         return Err(KeaError::Design("no capping levels given".to_string()));
+    }
+    // A cap at or past either end of (0, 1) cannot engage as a cap below
+    // provisioned power, and NaN compares false everywhere.
+    if let Some(cap) = params.cap_levels.iter().find(|c| !(**c > 0.0 && **c < 1.0)) {
+        return Err(KeaError::Design(format!(
+            "capping level {cap} is not a fraction in (0, 1)"
+        )));
     }
     let mut rng = StdRng::seed_from_u64(params.seed);
     let groups = hybrid_groups(&params.cluster, params.sku, 4, params.group_size, &mut rng)?;
@@ -310,6 +318,12 @@ mod tests {
         let mut p = quick_params();
         p.cap_levels.clear();
         assert!(matches!(run_power_capping(&p), Err(KeaError::Design(_))));
+        for cap in [f64::NAN, -1.0, 0.0, 1.0, f64::INFINITY] {
+            let mut p = quick_params();
+            p.cap_levels.push(cap);
+            let refused = matches!(run_power_capping(&p), Err(KeaError::Design(_)));
+            assert!(refused, "{cap}");
+        }
         let mut p = quick_params();
         p.group_size = 10_000;
         assert!(matches!(run_power_capping(&p), Err(KeaError::Design(_))));

@@ -119,13 +119,17 @@ pub struct SkuDesignOutcome {
 ///
 /// # Errors
 /// Needs enough observations with non-trivial core usage in the source
-/// group, non-empty candidate lists, and positive draw count.
+/// group, non-empty candidate lists, a future SKU with at least one
+/// core, and positive draw count.
 pub fn run_sku_design(
     monitor: &PerformanceMonitor<'_>,
     params: &SkuDesignParams,
 ) -> Result<SkuDesignOutcome, KeaError> {
     if params.candidate_ssd_gb.is_empty() || params.candidate_ram_gb.is_empty() {
         return Err(KeaError::Design("no candidate designs".to_string()));
+    }
+    if params.future_cores == 0 {
+        return Err(KeaError::Design("the future SKU has no cores".to_string()));
     }
     // Gather (cores, ssd, ram) observations for the source group.
     let mut cores = Vec::new();
@@ -367,6 +371,9 @@ mod tests {
         ));
         let mut p = params();
         p.candidate_ssd_gb.clear();
+        assert!(matches!(run_sku_design(&mon, &p), Err(KeaError::Design(_))));
+        let mut p = params();
+        p.future_cores = 0;
         assert!(matches!(run_sku_design(&mon, &p), Err(KeaError::Design(_))));
     }
 }

@@ -446,6 +446,9 @@ fn cmd_queues(raw: &[String]) -> Result<(), String> {
 fn cmd_value(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &["machines", "gain-pct", "power-w"])?;
     let machines: u32 = args.get("machines", 300_000)?;
+    if machines == 0 {
+        return Err("--machines must be at least 1".to_string());
+    }
     let gain_pct: f64 = args.get("gain-pct", 2.0)?;
     let power_w: f64 = args.get("power-w", 260.0)?;
     // Scale the default catalog to the requested fleet size.

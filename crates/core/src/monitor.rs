@@ -20,8 +20,8 @@ pub use kea_telemetry::GroupUtilization;
 /// Read-only analytical facade over a telemetry window.
 ///
 /// Every derived view delegates to the fused aggregation kernels of
-/// `kea-telemetry`, which run over the store's sealed run + delta pair —
-/// streaming appends land in the delta and queries merge the two sorted
+/// `kea-telemetry`, which run over the store's sealed runs and its delta
+/// — streaming appends land in the delta and queries merge the sorted
 /// sides, so a live window never pays a full index rebuild.
 #[derive(Debug)]
 pub struct PerformanceMonitor<'a> {

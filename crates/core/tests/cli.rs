@@ -146,6 +146,10 @@ fn out_of_range_flags_are_errors_not_panics() {
         &["power", "--group-size", "0"],
         // 4 groups of 2^62 machines: the machine count overflows usize.
         &["power", "--group-size", "4611686018427387904"],
+        &["power", "--caps", "NaN"],
+        &["power", "--caps", "-1"],
+        &["sku-design", "--cores", "0"],
+        &["value", "--machines", "0"],
     ] {
         let out = kea(args);
         let err = String::from_utf8_lossy(&out.stderr);

@@ -47,9 +47,10 @@
 // tests).
 
 use crate::metric::Metric;
-use crate::record::{GroupKey, MachineHourRecord, MachineId};
-use crate::store::{merge_dedup, remap_into, ColumnIndex, TelemetryStore};
-use std::ops::Range;
+use crate::record::{GroupKey, MachineId};
+use crate::store::{
+    group_union, machine_union, merge_by_hour_machine, remap_into, ColumnIndex, TelemetryStore,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One daily aggregate for one machine: per-metric means over the hours
@@ -159,37 +160,6 @@ fn roll_up_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// One group's presence across every side of the store: its row range in
-/// each side's sorted order (empty when absent from that side).
-struct MergedGroup {
-    group: GroupKey,
-    rows: Vec<Range<usize>>,
-}
-
-impl MergedGroup {
-    /// This group's rows narrowed to hours `[start, end)`: two binary
-    /// searches on each side's block table.
-    fn narrowed(&self, sides: &[&ColumnIndex], (start, end): (u64, u64)) -> MergedGroup {
-        MergedGroup {
-            group: self.group,
-            rows: sides.iter().map(|s| s.group_window(self.group, start, end)).collect(),
-        }
-    }
-}
-
-/// The merged group list across `sides`, ascending by group key.
-fn merged_groups(sides: &[&ColumnIndex]) -> Vec<MergedGroup> {
-    let keys = sides
-        .iter()
-        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups()));
-    keys.into_iter()
-        .map(|group| MergedGroup {
-            group,
-            rows: sides.iter().map(|s| s.group_range(group)).collect(),
-        })
-        .collect()
-}
-
 /// The merged dense machine-id space across every side: the combined
 /// distinct-machine list plus one remap table per side translating that
 /// side's dense ids into merged ids.
@@ -199,42 +169,9 @@ struct MergedMachines {
 }
 
 fn merged_machines(sides: &[&ColumnIndex]) -> MergedMachines {
-    let ids = sides
-        .iter()
-        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.machines));
+    let ids = machine_union(sides);
     let maps = sides.iter().map(|s| remap_into(&s.machines, &ids)).collect();
     MergedMachines { ids, maps }
-}
-
-/// K-cursor merge over one group's rows across every side, ordered by
-/// `(hour, machine)` (each side is already hour-major within a group;
-/// the earliest side wins ties, so passing sides oldest-run-first keeps
-/// arrival order). Yields each record with its *merged* dense machine
-/// id.
-fn for_each_merged_row(
-    sides: &[&ColumnIndex],
-    machines: &MergedMachines,
-    g: &MergedGroup,
-    mut visit: impl FnMut(&MachineHourRecord, usize),
-) {
-    let mut cursors: Vec<Range<usize>> = g.rows.clone();
-    loop {
-        let mut best: Option<(usize, (u64, MachineId))> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if c.start < c.end {
-                let r = &sides[i].sorted[c.start];
-                let k = (r.hour, r.machine);
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        let Some((i, _)) = best else { break };
-        let row = cursors[i].start;
-        cursors[i].start += 1;
-        let dense = machines.maps[i][sides[i].machine_dense[row] as usize] as usize;
-        visit(&sides[i].sorted[row], dense);
-    }
 }
 
 /// Per-worker scratch of the daily roll-up kernel: a count and a
@@ -440,7 +377,7 @@ fn merge_parts(parts: &[Part<'_>]) -> Vec<DailyAggregate> {
 /// days and behind each run's cached roll-up ([`ColumnIndex::daily`]).
 pub(crate) fn daily_core(sides: &[&ColumnIndex], windows: &[(u64, u64)]) -> Vec<DailyAggregate> {
     let machines = merged_machines(sides);
-    let groups = merged_groups(sides);
+    let groups = group_union(sides);
     let n_machines = machines.ids.len();
     run_group_partitions(
         groups.len(),
@@ -451,12 +388,18 @@ pub(crate) fn daily_core(sides: &[&ColumnIndex], windows: &[(u64, u64)]) -> Vec<
             touched: Vec::new(),
         },
         |scratch, gi| {
-            let group = groups[gi].group;
+            let group = groups[gi];
             let mut out: Vec<DailyAggregate> = Vec::new();
             let mut current_day = u64::MAX; // no day open yet
-            for &window in windows {
-                let g = groups[gi].narrowed(sides, window);
-                for_each_merged_row(sides, &machines, &g, |r, dense| {
+            for &(start, end) in windows {
+                let rows = sides
+                    .iter()
+                    .map(|s| s.group_window(group, start, end))
+                    .collect();
+                for (side, row) in merge_by_hour_machine(sides, rows) {
+                    let r = &sides[side].sorted[row];
+                    let dense =
+                        machines.maps[side][sides[side].machine_dense[row] as usize] as usize;
                     let day = r.hour / 24;
                     if day != current_day {
                         if current_day != u64::MAX {
@@ -472,7 +415,7 @@ pub(crate) fn daily_core(sides: &[&ColumnIndex], windows: &[(u64, u64)]) -> Vec<
                     for (acc, v) in scratch.sums[dense].iter_mut().zip(row_values) {
                         *acc += v;
                     }
-                });
+                }
             }
             if current_day != u64::MAX {
                 drain_day(group, current_day, &machines.ids, scratch, &mut out);
@@ -518,18 +461,10 @@ fn drain_day(
 
 /// Fleet-wide mean of `metric` per hour — the Figure 1 series, with one
 /// `(hour, mean)` point for every hour of the store's span (0.0 for hours
-/// no machine reported). Empty when the store is empty.
-///
-/// Kernel shape: every `(group, hour)` block of every side is one
-/// contiguous slice of that side's metric column, so each hour's sum is
-/// the sum of its blocks' slice sums (side by side, group by group) and
-/// its count the sum of their lengths — no per-record map lookups, no
-/// gathers and no predicate scans.
+/// no machine reported). Empty when the store is empty. The window
+/// variant over every hour a record may carry.
 pub fn hourly_fleet_series(store: &TelemetryStore, metric: Metric) -> Vec<(u64, f64)> {
-    let Some((start, end)) = store.hour_span() else {
-        return Vec::new();
-    };
-    hourly_core(&store.sides(), metric, start, end - 1)
+    hourly_fleet_series_window(store, metric, ALL_HOURS.0, ALL_HOURS.1)
 }
 
 /// [`hourly_fleet_series`] restricted to hours `[start_hour, end_hour)`
@@ -539,6 +474,12 @@ pub fn hourly_fleet_series(store: &TelemetryStore, metric: Metric) -> Vec<(u64, 
 /// recorded hour bounds miss the window are skipped: this is the query
 /// shape the multi-run layout serves, a one-day dashboard panel against
 /// a month of retained fleet history.
+///
+/// Kernel shape: every `(group, hour)` block of every side is one
+/// contiguous slice of that side's metric column, so each hour's sum is
+/// the sum of its blocks' slice sums (side by side, group by group) and
+/// its count the sum of their lengths — no per-record map lookups, no
+/// gathers and no predicate scans.
 pub fn hourly_fleet_series_window(
     store: &TelemetryStore,
     metric: Metric,
@@ -559,23 +500,9 @@ pub fn hourly_fleet_series_window(
     if end_inclusive < start {
         return Vec::new();
     }
-    hourly_core(
-        &store.window_sides(start_hour, end_hour),
-        metric,
-        start,
-        end_inclusive,
-    )
-}
-
-fn hourly_core(
-    sides: &[&ColumnIndex],
-    metric: Metric,
-    start: u64,
-    end_inclusive: u64,
-) -> Vec<(u64, f64)> {
     // Per hour of the span: the metric's sum and row count.
     let mut acc = vec![(0.0f64, 0usize); (end_inclusive - start + 1) as usize];
-    for s in sides {
+    for s in store.window_sides(start_hour, end_hour) {
         let column = s.column(metric);
         for (&(_, hour), rows) in s.blocks.iter().zip(s.block_offsets.windows(2)) {
             if hour < start || hour > end_inclusive {
@@ -603,7 +530,7 @@ fn hourly_core(
 pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
     let sides = store.sides();
     let machines = merged_machines(&sides);
-    let groups = merged_groups(&sides);
+    let groups = group_union(&sides);
     let n_machines = machines.ids.len();
     let cpus: Vec<&[f64]> = sides.iter().map(|s| s.column(Metric::CpuUtilization)).collect();
     let containers: Vec<&[f64]> = sides
@@ -619,12 +546,13 @@ pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
         roll_up_workers(),
         || (vec![false; n_machines], Vec::<u32>::new()),
         |(seen, touched), gi| {
-            let g = &groups[gi];
-            let n: usize = g.rows.iter().map(|r| r.len()).sum();
+            let group = groups[gi];
+            let mut n = 0;
             let mut cpu_sum = 0.0f64;
             let mut containers_sum = 0.0f64;
             for (i, side) in sides.iter().enumerate() {
-                let rows = g.rows[i].clone();
+                let rows = side.group_range(group);
+                n += rows.len();
                 for row in rows.clone() {
                     let raw = side.machine_dense[row] as usize;
                     let dense = if identity {
@@ -641,7 +569,7 @@ pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
                 containers_sum += containers[i][rows].iter().sum::<f64>();
             }
             let result = GroupUtilization {
-                group: g.group,
+                group,
                 machines: touched.len(),
                 mean_cpu_utilization: cpu_sum / n as f64,
                 mean_running_containers: containers_sum / n as f64,
@@ -669,9 +597,7 @@ pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
 pub fn latest_group_counts(store: &TelemetryStore) -> Vec<(GroupKey, usize)> {
     let sides = store.sides();
     let machines = merged_machines(&sides);
-    let groups = sides
-        .iter()
-        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups()));
+    let groups = group_union(&sides);
     // Per merged dense id: the hour and 1 + group rank of its latest
     // record; (0, 0) until one is seen.
     let mut latest = vec![(0u64, 0usize); machines.ids.len()];
@@ -1310,7 +1236,7 @@ mod tests {
         }
     }
 
-    fn push_hours(store: &mut TelemetryStore, state: &mut u64, hours: Range<u64>) {
+    fn push_hours(store: &mut TelemetryStore, state: &mut u64, hours: std::ops::Range<u64>) {
         for hour in hours {
             for machine in 0..5u32 {
                 store.push(noisy_record(state, machine, hour));
@@ -1455,7 +1381,7 @@ mod tests {
         // Serial ground truth via the single-worker kernel shape.
         let sides = store.sides();
         let machines = merged_machines(&sides);
-        let groups = merged_groups(&sides);
+        let groups = group_union(&sides);
         let n_machines = machines.ids.len();
         let serial: Vec<DailyAggregate> = {
             let mut scratch = DailyScratch {
@@ -1464,14 +1390,18 @@ mod tests {
                 touched: Vec::new(),
             };
             let mut out = Vec::new();
-            for g in &groups {
+            for &group in &groups {
                 let start = out.len();
                 let mut current_day = u64::MAX;
-                for_each_merged_row(&sides, &machines, g, |r, dense| {
+                let rows = sides.iter().map(|s| s.group_range(group)).collect();
+                for (side, row) in merge_by_hour_machine(&sides, rows) {
+                    let r = &sides[side].sorted[row];
+                    let dense =
+                        machines.maps[side][sides[side].machine_dense[row] as usize] as usize;
                     let day = r.hour / 24;
                     if day != current_day {
                         if current_day != u64::MAX {
-                            drain_day(g.group, current_day, &machines.ids, &mut scratch, &mut out);
+                            drain_day(group, current_day, &machines.ids, &mut scratch, &mut out);
                         }
                         current_day = day;
                     }
@@ -1485,9 +1415,9 @@ mod tests {
                     {
                         *acc += v;
                     }
-                });
+                }
                 if current_day != u64::MAX {
-                    drain_day(g.group, current_day, &machines.ids, &mut scratch, &mut out);
+                    drain_day(group, current_day, &machines.ids, &mut scratch, &mut out);
                 }
                 out[start..].sort_unstable_by_key(|a| (a.machine, a.day));
             }

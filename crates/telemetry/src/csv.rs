@@ -6,45 +6,31 @@
 //! header that doubles as a schema check on import — a file written by a
 //! different version of the schema is rejected loudly, not misparsed.
 
-use crate::record::{GroupKey, MachineHourRecord, MachineId, MetricValues, ScId, SkuId};
-use crate::store::{TelemetryStore, MAX_HOUR};
+use crate::record::{
+    GroupKey, MachineHourRecord, MachineId, MetricValues, Refused, ScId, SkuId, MAX_HOUR,
+};
+use crate::store::TelemetryStore;
 use std::fmt;
 use std::io::{BufRead, Write};
+use std::str::FromStr;
 
-/// The column header; also the schema version marker.
-pub const CSV_HEADER: &str = "machine,sku,sc,hour,total_data_read_gb,tasks_finished,\
-task_exec_time_s,cpu_time_s,cpu_utilization,avg_running_containers,avg_task_latency_s,\
-queued_containers,queue_latency_p99_ms,power_draw_w,ssd_used_gb,ram_used_gb,cores_used,\
-network_used_gbps";
+/// The key columns of a row; the stored metric fields follow them, named
+/// and ordered by [`MetricValues`].
+const KEY_COLUMNS: [&str; 4] = ["machine", "sku", "sc", "hour"];
 
-/// Column names of [`CSV_HEADER`] by field position, for error reporting.
-const COLUMN_NAMES: [&str; 18] = [
-    "machine",
-    "sku",
-    "sc",
-    "hour",
-    "total_data_read_gb",
-    "tasks_finished",
-    "task_exec_time_s",
-    "cpu_time_s",
-    "cpu_utilization",
-    "avg_running_containers",
-    "avg_task_latency_s",
-    "queued_containers",
-    "queue_latency_p99_ms",
-    "power_draw_w",
-    "ssd_used_gb",
-    "ram_used_gb",
-    "cores_used",
-    "network_used_gbps",
-];
+/// The header line: every column name in row order. It doubles as the
+/// schema version marker.
+fn header() -> String {
+    let columns: Vec<&str> = KEY_COLUMNS.into_iter().chain(MetricValues::NAMES).collect();
+    columns.join(",")
+}
 
 /// Errors raised while reading telemetry CSV.
 #[derive(Debug)]
 pub enum CsvError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// The header line did not match [`CSV_HEADER`].
+    /// The header line did not match the one [`write_csv`] writes.
     SchemaMismatch {
         /// The header actually found.
         found: String,
@@ -75,9 +61,10 @@ pub enum CsvError {
     /// A metric field parsed as a float but was NaN or infinite. Typed
     /// separately from [`CsvError::BadRow`] so ingestion pipelines can
     /// distinguish "malformed file" from "well-formed file carrying
-    /// poisoned measurements" — the store itself drops non-finite
-    /// records without saying where they came from, so this check is
-    /// what names the line and the column.
+    /// poisoned measurements". The store drops a refused record without
+    /// saying where it came from, so CSV ingest applies the store's
+    /// admission rule to each row itself and names the line and the
+    /// column.
     NonFinite {
         /// Line number in the file.
         line: usize,
@@ -138,52 +125,35 @@ fn narrow<T: TryFrom<u64>>(
     })
 }
 
-/// Checks the `hour` column against [`MAX_HOUR`]: the store's span ends
-/// at `hour + 1`, so `u64::MAX` is refused here, where the line is known,
-/// rather than dropped silently by the store.
-fn checked_hour(value: u64, line: usize) -> Result<u64, CsvError> {
-    if value > MAX_HOUR {
-        return Err(CsvError::ValueOutOfRange {
-            line,
-            column: "hour",
-            found: value,
-            max: MAX_HOUR,
-        });
-    }
-    Ok(value)
+/// Parses field `idx` of a row; a field that does not parse is a
+/// [`CsvError::BadRow`] naming it.
+fn parse_field<T: FromStr>(fields: &[&str], idx: usize, line: usize) -> Result<T, CsvError>
+where
+    T::Err: fmt::Display,
+{
+    let text = fields.get(idx).copied().unwrap_or("").trim();
+    text.parse().map_err(|e| CsvError::BadRow {
+        line,
+        reason: format!("field {idx}: {e}"),
+    })
 }
 
 /// Writes the store as CSV (header + one row per record, insertion order).
 ///
 /// # Errors
-/// Propagates I/O errors from the writer.
+/// Propagates I/O errors from the writer, including those of its final
+/// flush.
 pub fn write_csv<W: Write>(store: &TelemetryStore, mut out: W) -> Result<(), CsvError> {
-    writeln!(out, "{CSV_HEADER}")?;
+    writeln!(out, "{}", header())?;
     for r in store.iter() {
-        let m = &r.metrics;
-        writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            r.machine.0,
-            r.group.sku.0,
-            r.group.sc.0,
-            r.hour,
-            m.total_data_read_gb,
-            m.tasks_finished,
-            m.task_exec_time_s,
-            m.cpu_time_s,
-            m.cpu_utilization,
-            m.avg_running_containers,
-            m.avg_task_latency_s,
-            m.queued_containers,
-            m.queue_latency_p99_ms,
-            m.power_draw_w,
-            m.ssd_used_gb,
-            m.ram_used_gb,
-            m.cores_used,
-            m.network_used_gbps,
-        )?;
+        let (machine, sku, sc) = (r.machine.0, r.group.sku.0, r.group.sc.0);
+        write!(out, "{machine},{sku},{sc},{}", r.hour)?;
+        for v in r.metrics.to_array() {
+            write!(out, ",{v}")?;
+        }
+        writeln!(out)?;
     }
+    out.flush()?;
     Ok(())
 }
 
@@ -191,16 +161,19 @@ pub fn write_csv<W: Write>(store: &TelemetryStore, mut out: W) -> Result<(), Csv
 ///
 /// # Errors
 /// Rejects a wrong header ([`CsvError::SchemaMismatch`]), malformed rows
-/// ([`CsvError::BadRow`] with the line number), and identifier or hour
-/// values that do not fit their typed destination
-/// ([`CsvError::ValueOutOfRange`] with line and column); propagates I/O
-/// errors.
+/// ([`CsvError::BadRow`] with the line number), identifier values that
+/// do not fit their typed destination ([`CsvError::ValueOutOfRange`]
+/// with line and column), and a row the store's admission rule refuses:
+/// an hour past the last one the store accepts
+/// ([`CsvError::ValueOutOfRange`]) or a NaN or infinite metric
+/// ([`CsvError::NonFinite`]). Propagates I/O errors.
 pub fn read_csv<R: BufRead>(input: R) -> Result<TelemetryStore, CsvError> {
     let mut lines = input.lines();
-    let header = lines.next().transpose()?.unwrap_or_default();
-    if header.trim() != CSV_HEADER {
-        return Err(CsvError::SchemaMismatch { found: header });
+    let found = lines.next().transpose()?.unwrap_or_default();
+    if found.trim() != header() {
+        return Err(CsvError::SchemaMismatch { found });
     }
+    let n_columns = KEY_COLUMNS.len() + MetricValues::NAMES.len();
     let mut store = TelemetryStore::new();
     for (i, line) in lines.enumerate() {
         let line_no = i + 2; // 1-based, after the header
@@ -209,56 +182,42 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<TelemetryStore, CsvError> {
             continue;
         }
         let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 18 {
+        if fields.len() != n_columns {
             return Err(CsvError::BadRow {
                 line: line_no,
-                reason: format!("expected 18 fields, got {}", fields.len()),
+                reason: format!("expected {n_columns} fields, got {}", fields.len()),
             });
         }
-        let field = |idx: usize| -> &str { fields.get(idx).copied().unwrap_or("").trim() };
-        let int = |idx: usize| -> Result<u64, CsvError> {
-            field(idx).parse().map_err(|e| CsvError::BadRow {
-                line: line_no,
-                reason: format!("field {idx}: {e}"),
-            })
+        let int = |idx: usize| parse_field::<u64>(&fields, idx, line_no);
+        let machine = MachineId(narrow(int(0)?, u64::from(u32::MAX), line_no, "machine")?);
+        let group = GroupKey::new(
+            SkuId(narrow(int(1)?, u64::from(u16::MAX), line_no, "sku")?),
+            ScId(narrow(int(2)?, u64::from(u8::MAX), line_no, "sc")?),
+        );
+        let hour = int(3)?;
+        let mut metrics = [0.0; 14];
+        for (idx, v) in (KEY_COLUMNS.len()..).zip(&mut metrics) {
+            *v = parse_field(&fields, idx, line_no)?;
+        }
+        let record = MachineHourRecord {
+            machine,
+            group,
+            hour,
+            metrics: MetricValues::from_array(metrics),
         };
-        let num = |idx: usize| -> Result<f64, CsvError> {
-            let v: f64 = field(idx).parse().map_err(|e| CsvError::BadRow {
+        record.admit().map_err(|refused| match refused {
+            Refused::Hour(found) => CsvError::ValueOutOfRange {
                 line: line_no,
-                reason: format!("field {idx}: {e}"),
-            })?;
-            if !v.is_finite() {
-                return Err(CsvError::NonFinite {
-                    line: line_no,
-                    column: COLUMN_NAMES.get(idx).copied().unwrap_or("?"),
-                });
-            }
-            Ok(v)
-        };
-        store.push(MachineHourRecord {
-            machine: MachineId(narrow(int(0)?, u64::from(u32::MAX), line_no, "machine")?),
-            group: GroupKey::new(
-                SkuId(narrow(int(1)?, u64::from(u16::MAX), line_no, "sku")?),
-                ScId(narrow(int(2)?, u64::from(u8::MAX), line_no, "sc")?),
-            ),
-            hour: checked_hour(int(3)?, line_no)?,
-            metrics: MetricValues {
-                total_data_read_gb: num(4)?,
-                tasks_finished: num(5)?,
-                task_exec_time_s: num(6)?,
-                cpu_time_s: num(7)?,
-                cpu_utilization: num(8)?,
-                avg_running_containers: num(9)?,
-                avg_task_latency_s: num(10)?,
-                queued_containers: num(11)?,
-                queue_latency_p99_ms: num(12)?,
-                power_draw_w: num(13)?,
-                ssd_used_gb: num(14)?,
-                ram_used_gb: num(15)?,
-                cores_used: num(16)?,
-                network_used_gbps: num(17)?,
+                column: "hour",
+                found,
+                max: MAX_HOUR,
             },
-        });
+            Refused::NonFinite(column) => CsvError::NonFinite {
+                line: line_no,
+                column,
+            },
+        })?;
+        store.push(record);
     }
     Ok(store)
 }
@@ -266,6 +225,13 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<TelemetryStore, CsvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The header text, pinned byte for byte by
+    /// [`column_names_match_header`].
+    const HEADER: &str = "machine,sku,sc,hour,total_data_read_gb,tasks_finished,\
+task_exec_time_s,cpu_time_s,cpu_utilization,avg_running_containers,avg_task_latency_s,\
+queued_containers,queue_latency_p99_ms,power_draw_w,ssd_used_gb,ram_used_gb,cores_used,\
+network_used_gbps";
 
     fn sample_store() -> TelemetryStore {
         let mut s = TelemetryStore::new();
@@ -275,22 +241,24 @@ mod tests {
                     machine: MachineId(m),
                     group: GroupKey::new(SkuId(m as u16 % 2), ScId(1)),
                     hour: h,
-                    metrics: MetricValues {
-                        total_data_read_gb: 1.5 * (m + 1) as f64,
-                        tasks_finished: 10.0 + h as f64,
-                        task_exec_time_s: 1234.5,
-                        cpu_time_s: 1000.25,
-                        cpu_utilization: 61.25,
-                        avg_running_containers: 11.5,
-                        avg_task_latency_s: 300.125,
-                        queued_containers: 0.5,
-                        queue_latency_p99_ms: 4500.0,
-                        power_draw_w: 260.5,
-                        ssd_used_gb: 400.0,
-                        ram_used_gb: 96.5,
-                        cores_used: 20.25,
-                        network_used_gbps: 3.75,
-                    },
+                    // cpu_utilization 61.25 and power_draw_w 260.5 are
+                    // the values the tests below corrupt.
+                    metrics: MetricValues::from_array([
+                        1.5 * (m + 1) as f64,
+                        10.0 + h as f64,
+                        1234.5,
+                        1000.25,
+                        61.25,
+                        11.5,
+                        300.125,
+                        0.5,
+                        4500.0,
+                        260.5,
+                        400.0,
+                        96.5,
+                        20.25,
+                        3.75,
+                    ]),
                 });
             }
         }
@@ -320,7 +288,7 @@ mod tests {
 
     #[test]
     fn rejects_short_rows_with_line_number() {
-        let data = format!("{CSV_HEADER}\n1,2,3\n");
+        let data = format!("{HEADER}\n1,2,3\n");
         match read_csv(data.as_bytes()) {
             Err(CsvError::BadRow { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected BadRow, got {other:?}"),
@@ -374,7 +342,7 @@ mod tests {
     /// is now checked and names the line and column.
     #[test]
     fn rejects_machine_id_past_u32() {
-        let row = format!("{CSV_HEADER}\n{},0,0,0{}\n", 1u64 << 32, ",1.0".repeat(14));
+        let row = format!("{HEADER}\n{},0,0,0{}\n", 1u64 << 32, ",1.0".repeat(14));
         match read_csv(row.as_bytes()) {
             Err(CsvError::ValueOutOfRange {
                 line,
@@ -390,7 +358,7 @@ mod tests {
             other => panic!("expected ValueOutOfRange, got {other:?}"),
         }
         // The same id minus one is the last valid machine and must load.
-        let row = format!("{CSV_HEADER}\n{},0,0,0{}\n", u32::MAX, ",1.0".repeat(14));
+        let row = format!("{HEADER}\n{},0,0,0{}\n", u32::MAX, ",1.0".repeat(14));
         let store = read_csv(row.as_bytes()).unwrap();
         assert_eq!(store.iter().next().map(|r| r.machine), Some(MachineId(u32::MAX)));
     }
@@ -400,7 +368,7 @@ mod tests {
     /// silently merging unrelated machine groups.
     #[test]
     fn rejects_group_fields_past_width() {
-        let row = format!("{CSV_HEADER}\n0,{},0,0{}\n", 1u64 << 16, ",1.0".repeat(14));
+        let row = format!("{HEADER}\n0,{},0,0{}\n", 1u64 << 16, ",1.0".repeat(14));
         match read_csv(row.as_bytes()) {
             Err(CsvError::ValueOutOfRange { line, column, .. }) => {
                 assert_eq!(line, 2);
@@ -408,7 +376,7 @@ mod tests {
             }
             other => panic!("expected ValueOutOfRange, got {other:?}"),
         }
-        let row = format!("{CSV_HEADER}\n0,0,{},0{}\n", 1u64 << 8, ",1.0".repeat(14));
+        let row = format!("{HEADER}\n0,0,{},0{}\n", 1u64 << 8, ",1.0".repeat(14));
         match read_csv(row.as_bytes()) {
             Err(CsvError::ValueOutOfRange { line, column, .. }) => {
                 assert_eq!(line, 2);
@@ -422,7 +390,10 @@ mod tests {
     /// `u64::MAX` is rejected by `parse` itself as a BadRow.
     #[test]
     fn rejects_hour_past_u64_as_bad_row() {
-        let row = format!("{CSV_HEADER}\n0,0,0,18446744073709551616{}\n", ",1.0".repeat(14));
+        let row = format!(
+            "{HEADER}\n0,0,0,18446744073709551616{}\n",
+            ",1.0".repeat(14)
+        );
         match read_csv(row.as_bytes()) {
             Err(CsvError::BadRow { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected BadRow, got {other:?}"),
@@ -434,7 +405,7 @@ mod tests {
     #[test]
     fn rejects_the_last_u64_hour() {
         let row = format!(
-            "{CSV_HEADER}\n0,0,0,0{0}\n0,0,0,{1}{0}\n",
+            "{HEADER}\n0,0,0,0{0}\n0,0,0,{1}{0}\n",
             ",1.0".repeat(14),
             u64::MAX
         );
@@ -452,11 +423,7 @@ mod tests {
             }
             other => panic!("expected ValueOutOfRange, got {other:?}"),
         }
-        let row = format!(
-            "{CSV_HEADER}\n0,0,0,{}{}\n",
-            u64::MAX - 1,
-            ",1.0".repeat(14)
-        );
+        let row = format!("{HEADER}\n0,0,0,{}{}\n", u64::MAX - 1, ",1.0".repeat(14));
         let store = read_csv(row.as_bytes()).unwrap();
         assert_eq!(store.hour_span(), Some((u64::MAX - 1, u64::MAX)));
     }
@@ -476,7 +443,7 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&TelemetryStore::new(), &mut buf).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
-        assert_eq!(text.trim(), CSV_HEADER);
+        assert_eq!(text.trim(), HEADER);
         assert!(read_csv(buf.as_slice()).unwrap().is_empty());
     }
 
@@ -510,6 +477,6 @@ mod tests {
 
     #[test]
     fn column_names_match_header() {
-        assert_eq!(COLUMN_NAMES.join(","), CSV_HEADER);
+        assert_eq!(header(), HEADER);
     }
 }

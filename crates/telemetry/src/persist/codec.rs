@@ -2,15 +2,16 @@
 //! WAL and segment formats.
 //!
 //! A record is 127 little-endian bytes: `machine: u32`, `sku: u16`,
-//! `sc: u8`, `hour: u64`, then the 14 metric columns as `f64` in
-//! [`MetricValues`] field-declaration order (the same order as
-//! [`crate::Metric::ALL`]). The layout is versioned by the containing
-//! file's magic, not per record, so decoding never guesses widths.
+//! `sc: u8`, `hour: u64`, then the 14 stored metric fields as `f64` in
+//! the order [`MetricValues`] owns (its names table). The layout is
+//! versioned by the containing file's magic, not per record, so
+//! decoding never guesses widths.
 
 use crate::record::{GroupKey, MachineHourRecord, MachineId, MetricValues, ScId, SkuId};
 
-/// Encoded size of one record in bytes.
-pub const RECORD_BYTES: usize = 127;
+/// Encoded size of one record in bytes: 15 key bytes, then 8 per
+/// stored metric field.
+pub const RECORD_BYTES: usize = 15 + 8 * MetricValues::NAMES.len();
 
 /// Appends the 127-byte encoding of `r` to `out`.
 pub fn encode_record(r: &MachineHourRecord, out: &mut Vec<u8>) {
@@ -18,31 +19,9 @@ pub fn encode_record(r: &MachineHourRecord, out: &mut Vec<u8>) {
     out.extend_from_slice(&r.group.sku.0.to_le_bytes());
     out.push(r.group.sc.0);
     out.extend_from_slice(&r.hour.to_le_bytes());
-    let m = &r.metrics;
-    for v in [
-        m.total_data_read_gb,
-        m.tasks_finished,
-        m.task_exec_time_s,
-        m.cpu_time_s,
-        m.cpu_utilization,
-        m.avg_running_containers,
-        m.avg_task_latency_s,
-        m.queued_containers,
-        m.queue_latency_p99_ms,
-        m.power_draw_w,
-        m.ssd_used_gb,
-        m.ram_used_gb,
-        m.cores_used,
-        m.network_used_gbps,
-    ] {
+    for v in r.metrics.to_array() {
         out.extend_from_slice(&v.to_le_bytes());
     }
-}
-
-/// Reads a `u16` at `at`; `None` if out of bounds.
-fn u16_at(b: &[u8], at: usize) -> Option<u16> {
-    let bytes: [u8; 2] = b.get(at..at + 2)?.try_into().ok()?;
-    Some(u16::from_le_bytes(bytes))
 }
 
 /// Reads a `u32` at `at`; `None` if out of bounds.
@@ -57,44 +36,21 @@ pub fn u64_at(b: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(bytes))
 }
 
-/// Reads an `f64` at `at`; `None` if out of bounds.
-fn f64_at(b: &[u8], at: usize) -> Option<f64> {
-    Some(f64::from_bits(u64_at(b, at)?))
-}
-
 /// Decodes one record from exactly [`RECORD_BYTES`] bytes at the start
 /// of `b`. Returns `None` if `b` is too short; trailing bytes are the
-/// caller's business.
+/// caller's business. The record's bytes are converted once, to a
+/// fixed-size array, and every field is read from that array.
 pub fn decode_record(b: &[u8]) -> Option<MachineHourRecord> {
-    if b.len() < RECORD_BYTES {
-        return None;
-    }
-    let machine = MachineId(u32_at(b, 0)?);
-    let group = GroupKey::new(SkuId(u16_at(b, 4)?), ScId(*b.get(6)?));
-    let hour = u64_at(b, 7)?;
-    let mut at = 15;
-    let mut field = || {
-        let v = f64_at(b, at);
-        at += 8;
-        v
-    };
-    let metrics = MetricValues {
-        total_data_read_gb: field()?,
-        tasks_finished: field()?,
-        task_exec_time_s: field()?,
-        cpu_time_s: field()?,
-        cpu_utilization: field()?,
-        avg_running_containers: field()?,
-        avg_task_latency_s: field()?,
-        queued_containers: field()?,
-        queue_latency_p99_ms: field()?,
-        power_draw_w: field()?,
-        ssd_used_gb: field()?,
-        ram_used_gb: field()?,
-        cores_used: field()?,
-        network_used_gbps: field()?,
-    };
-    Some(MachineHourRecord { machine, group, hour, metrics })
+    let &[m0, m1, m2, m3, s0, s1, sc, h0, h1, h2, h3, h4, h5, h6, h7, ref fields @ ..] =
+        b.first_chunk::<RECORD_BYTES>()?;
+    // 112 bytes are 14 values of 8, so this conversion cannot fail.
+    let values: &[[u8; 8]; 14] = fields.as_chunks().0.try_into().ok()?;
+    Some(MachineHourRecord {
+        machine: MachineId(u32::from_le_bytes([m0, m1, m2, m3])),
+        group: GroupKey::new(SkuId(u16::from_le_bytes([s0, s1])), ScId(sc)),
+        hour: u64::from_le_bytes([h0, h1, h2, h3, h4, h5, h6, h7]),
+        metrics: MetricValues::from_array(values.map(f64::from_le_bytes)),
+    })
 }
 
 /// Decodes `count` consecutive records from `b`, which must be exactly
@@ -115,27 +71,14 @@ mod tests {
     use super::*;
 
     fn sample(seed: u64) -> MachineHourRecord {
-        let f = |k: u64| (seed.wrapping_mul(k) % 1000) as f64 / 8.0;
+        // Every field holds a distinct value, so a decode that reads a
+        // field at the wrong offset fails the round trip.
+        let f = |k: u64| (seed.wrapping_mul(k) % 1000) as f64 / 8.0 + k as f64 * 1e4;
         MachineHourRecord {
             machine: MachineId((seed % 5000) as u32),
             group: GroupKey::new(SkuId((seed % 300) as u16), ScId((seed % 7) as u8)),
             hour: seed.wrapping_mul(3600),
-            metrics: MetricValues {
-                total_data_read_gb: f(3),
-                tasks_finished: f(5),
-                task_exec_time_s: f(7),
-                cpu_time_s: f(11),
-                cpu_utilization: f(13),
-                avg_running_containers: f(17),
-                avg_task_latency_s: f(19),
-                queued_containers: f(23),
-                queue_latency_p99_ms: f(29),
-                power_draw_w: f(31),
-                ssd_used_gb: f(37),
-                ram_used_gb: f(41),
-                cores_used: f(43),
-                network_used_gbps: f(47),
-            },
+            metrics: MetricValues::from_array(std::array::from_fn(|i| f(i as u64 + 1))),
         }
     }
 

@@ -615,6 +615,12 @@ mod tests {
         let past_span = ColumnIndex::build(past_span);
         assert_invariant_refused(&dir, "past-span.kseg", &past_span, (0, u64::MAX));
 
+        // A row with a NaN metric, which ingest refuses too.
+        let mut non_finite = records(300);
+        non_finite[150].metrics.cpu_utilization = f64::NAN;
+        let non_finite = ColumnIndex::build(non_finite);
+        assert_invariant_refused(&dir, "non-finite.kseg", &non_finite, bounds);
+
         // A phantom machine no row references.
         let mut phantom = index.clone();
         phantom.machines.push(MachineId(1_000));

@@ -12,7 +12,9 @@
 //! short payload. Everything before the stop point is intact by
 //! checksum; everything after is a torn tail from a crash mid-write and
 //! is truncated (`set_len`) so subsequent appends land on a clean
-//! boundary. A torn tail is an expected outcome, not an error.
+//! boundary. A torn tail is an expected outcome, not an error. An intact
+//! frame holding a record the store's admission rule refuses is not a
+//! crash artifact: replay fails as corrupt before it truncates anything.
 //!
 //! The log also tracks its own clean high-water mark in memory: a batch
 //! that fails partway through an [`Wal::append`] marks the log torn, and
@@ -102,7 +104,11 @@ impl Wal {
     }
 
     /// Opens an existing WAL, replays every intact frame, truncates any
-    /// torn tail, and leaves the file positioned for appending.
+    /// torn tail, and leaves the file positioned for appending. Every
+    /// replayed record must pass the admission rule
+    /// ([`MachineHourRecord::admit`]); an intact frame with one that does
+    /// not fails the replay as [`PersistError::Corrupt`], and the file is
+    /// left as it was.
     pub fn open(path: &Path) -> Result<WalReplay, PersistError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -127,6 +133,14 @@ impl Wal {
             let intact = parse_frame(frame);
             match intact {
                 Some((consumed, mut frame_records)) => {
+                    if let Some(refused) = frame_records.iter().find_map(|r| r.admit().err()) {
+                        return Err(PersistError::Corrupt {
+                            path: path.to_path_buf(),
+                            reason: format!(
+                                "the frame at byte {at} holds a record ingest refuses: {refused}"
+                            ),
+                        });
+                    }
                     records.append(&mut frame_records);
                     at += consumed;
                 }
@@ -362,6 +376,43 @@ mod tests {
         let err = Wal::open(&path).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt { .. }));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// An intact frame (its CRC written by `append`) holding a record the
+    /// admission rule refuses fails the store's open as corrupt, naming
+    /// the WAL and leaving it as it was: a NaN metric, and the hour
+    /// `u64::MAX`, past which the store's span would wrap.
+    #[test]
+    fn intact_frame_with_a_refused_record_fails_open() {
+        let mut nan = rec(1);
+        nan.metrics.cpu_utilization = f64::NAN;
+        let mut last_hour = rec(1);
+        last_hour.hour = u64::MAX;
+        for (case, bad) in [("nan", nan), ("last-hour", last_hour)] {
+            let dir = tmp(&format!("refused-{case}"));
+            let dir = dir.parent().unwrap();
+            let mut store = crate::TelemetryStore::open(dir).unwrap();
+            store.extend((0..4).map(rec));
+            store.sync().unwrap();
+            drop(store);
+            let path = dir.join("wal-000001.wal");
+            let mut wal = Wal::open(&path).unwrap().wal;
+            wal.append(&[rec(5), bad]).unwrap();
+            wal.sync().unwrap();
+            drop(wal);
+            let before = std::fs::read(&path).unwrap();
+
+            match crate::TelemetryStore::open(dir) {
+                Err(PersistError::Corrupt { path: at, reason }) => {
+                    assert_eq!(at, path, "{case}: {reason}");
+                    assert!(reason.contains("refuses"), "{case}: {reason}");
+                }
+                Err(other) => panic!("{case}: expected Corrupt, got {other}"),
+                Ok(store) => panic!("{case}: opened with {} records", store.len()),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), before, "{case}");
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     /// A batch that fails mid-frame leaves the log torn; retrying the

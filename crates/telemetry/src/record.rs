@@ -99,24 +99,75 @@ impl MetricValues {
     /// True when every stored value is finite (guards the analysis
     /// pipeline against simulator bugs).
     pub fn is_finite(&self) -> bool {
-        [
-            self.total_data_read_gb,
-            self.tasks_finished,
-            self.task_exec_time_s,
-            self.cpu_time_s,
-            self.cpu_utilization,
-            self.avg_running_containers,
-            self.avg_task_latency_s,
-            self.queued_containers,
-            self.queue_latency_p99_ms,
-            self.power_draw_w,
-            self.ssd_used_gb,
-            self.ram_used_gb,
-            self.cores_used,
-            self.network_used_gbps,
-        ]
-        .iter()
-        .all(|v| v.is_finite())
+        self.to_array().iter().all(|v| v.is_finite())
+    }
+}
+
+/// Implements the stored layout of [`MetricValues`] from one list of its
+/// fields in storage order: the names table and the two array
+/// conversions. The compiler checks the list against the struct: the
+/// struct literal in `from_array` must name every field once, and the
+/// arrays hold exactly 14.
+macro_rules! stored_layout {
+    ($($field:ident),+ $(,)?) => {
+        impl MetricValues {
+            /// Column names of the stored fields, in storage order: the
+            /// order of the binary record codec and of the CSV metric
+            /// columns. The derived ratio metrics are not stored, so this
+            /// is not [`crate::Metric::ALL`] order.
+            pub(crate) const NAMES: [&'static str; 14] = [$(stringify!($field)),+];
+
+            /// The stored fields in [`NAMES`](MetricValues::NAMES) order.
+            pub(crate) fn to_array(self) -> [f64; 14] {
+                [$(self.$field),+]
+            }
+
+            /// The inverse of [`to_array`](MetricValues::to_array).
+            pub(crate) fn from_array(values: [f64; 14]) -> Self {
+                let [$($field),+] = values;
+                MetricValues { $($field),+ }
+            }
+        }
+    };
+}
+
+stored_layout!(
+    total_data_read_gb,
+    tasks_finished,
+    task_exec_time_s,
+    cpu_time_s,
+    cpu_utilization,
+    avg_running_containers,
+    avg_task_latency_s,
+    queued_containers,
+    queue_latency_p99_ms,
+    power_draw_w,
+    ssd_used_gb,
+    ram_used_gb,
+    cores_used,
+    network_used_gbps,
+);
+
+/// The last hour a record may carry. The store's
+/// [`hour_span`](crate::TelemetryStore::hour_span) ends at `max + 1`,
+/// which `u64::MAX` has no room for.
+pub(crate) const MAX_HOUR: u64 = u64::MAX - 1;
+
+/// The part of a record that the admission rule refuses.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Refused {
+    /// The hour is past [`MAX_HOUR`].
+    Hour(u64),
+    /// The stored metric field of this name is NaN or infinite.
+    NonFinite(&'static str),
+}
+
+impl std::fmt::Display for Refused {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Refused::Hour(hour) => write!(f, "hour {hour} is past the last hour {MAX_HOUR}"),
+            Refused::NonFinite(name) => write!(f, "{name} is not finite"),
+        }
     }
 }
 
@@ -138,6 +189,28 @@ impl MachineHourRecord {
     /// Day index of this record (24-hour days).
     pub fn day(&self) -> u64 {
         self.hour / 24
+    }
+
+    /// The admission rule, the one check every path into the store
+    /// applies: every metric is finite and the hour is at most
+    /// [`MAX_HOUR`], so no NaN reaches an aggregate and the store's span
+    /// cannot wrap. Returns the first part refused, the hour before the
+    /// metrics in their stored order. `push`/`extend`/`merge` drop a
+    /// refused record and count it, CSV ingest reports it with its line,
+    /// and a segment load or WAL replay that meets one fails the open as
+    /// corrupt.
+    pub(crate) fn admit(&self) -> Result<(), Refused> {
+        if self.hour > MAX_HOUR {
+            return Err(Refused::Hour(self.hour));
+        }
+        match MetricValues::NAMES
+            .iter()
+            .zip(self.metrics.to_array().iter())
+            .find(|(_, v)| !v.is_finite())
+        {
+            Some((name, _)) => Err(Refused::NonFinite(name)),
+            None => Ok(()),
+        }
     }
 }
 

@@ -83,11 +83,6 @@ use std::sync::OnceLock;
 /// day-sized. A larger batch (a 300k-machine hour) still seals at once.
 const MIN_COMPACT_DELTA: usize = 65_536;
 
-/// The last hour a record may carry. [`hour_span`](TelemetryStore::hour_span)
-/// ends at `max + 1`, which `u64::MAX` has no room for, so ingest
-/// refuses that hour.
-pub(crate) const MAX_HOUR: u64 = u64::MAX - 1;
-
 /// One sealed, immutable run of the store. Empty runs are never created.
 #[derive(Debug, Clone)]
 struct SealedRun {
@@ -344,11 +339,6 @@ impl ColumnIndex {
         let mi = self.machines.partition_point(|m| *m < machine);
         (self.machines.get(mi) == Some(&machine)).then_some(mi)
     }
-
-    /// One group's records, sorted by `(hour, machine)`.
-    pub(crate) fn group_rows(&self, group: GroupKey) -> std::slice::Iter<'_, MachineHourRecord> {
-        self.sorted[self.group_range(group)].iter()
-    }
 }
 
 /// The distinct keys of a key-ordered sequence and their CSR offsets,
@@ -448,9 +438,10 @@ impl IndexLoader {
     }
 
     /// Takes the next records of `sorted`: each must not sort before its
-    /// predecessor by `(group, hour, machine)`, its hour must be one
-    /// ingest accepts (at most [`MAX_HOUR`]), and its machine must be in
-    /// the machine table.
+    /// predecessor by `(group, hour, machine)`, must pass the admission
+    /// rule every ingest path applies
+    /// ([`MachineHourRecord::admit`]), and its machine must be in the
+    /// machine table.
     pub(crate) fn push_records(&mut self, records: impl IntoIterator<Item = MachineHourRecord>) {
         if self.fault.is_some() {
             return;
@@ -462,8 +453,8 @@ impl IndexLoader {
                 self.fault = Some(format!("row {row} out of (group, hour, machine) order"));
                 return;
             }
-            if r.hour > MAX_HOUR {
-                self.fault = Some(format!("row {row}'s hour {} is one ingest refuses", r.hour));
+            if let Err(refused) = r.admit() {
+                self.fault = Some(format!("row {row} is one ingest refuses: {refused}"));
                 return;
             }
             let dense = if self.machines.get(self.cursor) == Some(&r.machine) {
@@ -530,7 +521,7 @@ impl IndexLoader {
 }
 
 /// Merge two sorted, deduplicated key lists into one.
-pub(crate) fn merge_dedup<T: Copy + Ord>(a: &[T], b: &[T]) -> Vec<T> {
+fn merge_dedup<T: Copy + Ord>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() || j < b.len() {
@@ -576,28 +567,50 @@ pub(crate) fn remap_into(sub: &[MachineId], all: &[MachineId]) -> Vec<u32> {
     out
 }
 
-/// Key-ordered k-way merge of per-side views, each sorted by
-/// `(hour, machine)`. The earliest side wins ties, so passing sides
-/// oldest-run-first (delta last) keeps arrival order among duplicate
-/// keys — the same contract the two-run store upheld.
-fn merge_k_by_hour_machine<'a, I>(sides: Vec<I>) -> impl Iterator<Item = &'a MachineHourRecord>
-where
-    I: Iterator<Item = &'a MachineHourRecord> + 'a,
-{
-    let mut sides: Vec<std::iter::Peekable<I>> =
-        sides.into_iter().map(|s| s.peekable()).collect();
+/// The distinct groups across `sides`, ascending.
+pub(crate) fn group_union(sides: &[&ColumnIndex]) -> Vec<GroupKey> {
+    sides
+        .iter()
+        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups()))
+}
+
+/// The distinct machines across `sides`, ascending.
+pub(crate) fn machine_union(sides: &[&ColumnIndex]) -> Vec<MachineId> {
+    sides
+        .iter()
+        .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.machines))
+}
+
+/// The merged `(hour, machine)` view: a k-way merge of one row range per
+/// side, each in `(hour, machine)` order (a group's slice, or an hour
+/// window of it), yielding `(side, row)` pairs in `(hour, machine)`
+/// order. The earliest side wins ties, so passing sides oldest run
+/// first, delta last, keeps arrival order among duplicate keys. Serves
+/// [`by_group`](TelemetryStore::by_group) and the daily roll-up kernel.
+pub(crate) fn merge_by_hour_machine<'a>(
+    sides: &[&'a ColumnIndex],
+    rows: Vec<Range<usize>>,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let mut heads: Vec<(&'a [MachineHourRecord], usize)> = sides
+        .iter()
+        .zip(rows)
+        .map(|(s, rows)| (s.sorted.get(rows.clone()).unwrap_or_default(), rows.start))
+        .collect();
     std::iter::from_fn(move || {
         let mut best: Option<(usize, (u64, MachineId))> = None;
-        for (i, side) in sides.iter_mut().enumerate() {
-            if let Some(r) = side.peek() {
+        for (i, (rest, _)) in heads.iter().enumerate() {
+            if let Some(r) = rest.first() {
                 let k = (r.hour, r.machine);
-                if best.as_ref().is_none_or(|&(_, bk)| k < bk) {
+                if best.is_none_or(|(_, bk)| k < bk) {
                     best = Some((i, k));
                 }
             }
         }
         let (i, _) = best?;
-        sides.get_mut(i)?.next()
+        let (rest, row) = heads.get_mut(i)?;
+        *rest = rest.get(1..).unwrap_or_default();
+        *row += 1;
+        Some((i, *row - 1))
     })
 }
 
@@ -741,10 +754,9 @@ impl TelemetryStore {
 
     /// Appends one record into the delta buffer. The sealed runs are
     /// left untouched; only the delta mini-index is invalidated. Seals
-    /// when the delta outgrows its threshold. A record carrying a NaN or
-    /// infinite metric or the hour `u64::MAX` is dropped, as in
-    /// [`extend`](TelemetryStore::extend); returns whether the record was
-    /// kept.
+    /// when the delta outgrows its threshold. A record the admission
+    /// rule refuses is dropped, as in [`extend`](TelemetryStore::extend);
+    /// returns whether the record was kept.
     pub fn push(&mut self, record: MachineHourRecord) -> bool {
         self.extend(std::iter::once(record)) == 0
     }
@@ -753,18 +765,19 @@ impl TelemetryStore {
     /// once per call, so a bulk load seals at most once.
     ///
     /// Every ingest path (`push`, `extend`, `merge`) applies the
-    /// validation CSV ingest applies (see [`crate::csv`]), in every build
-    /// profile: records carrying a NaN or infinite metric, or the hour
-    /// `u64::MAX` (the store's span ends one past its last hour), are
-    /// dropped and counted, so a poisoned producer (e.g. a lognormal
-    /// sampler overflowing to `inf` under a degenerate calibration) can
-    /// never surface later as NaN aggregates or a wrapped span. Returns
-    /// the number of records dropped (zero for any healthy producer).
+    /// admission rule (`MachineHourRecord::admit`, which CSV ingest,
+    /// segment load and WAL replay apply too), in every build profile:
+    /// records carrying a NaN or infinite metric, or the hour `u64::MAX`
+    /// (the store's span ends one past its last hour), are dropped and
+    /// counted, so a poisoned producer (e.g. a lognormal sampler
+    /// overflowing to `inf` under a degenerate calibration) can never
+    /// surface later as NaN aggregates or a wrapped span. Returns the
+    /// number of records dropped (zero for any healthy producer).
     pub fn extend(&mut self, records: impl IntoIterator<Item = MachineHourRecord>) -> usize {
         self.delta.take();
         let mut dropped = 0usize;
         for record in records {
-            if record.metrics.is_finite() && record.hour <= MAX_HOUR {
+            if record.admit().is_ok() {
                 self.tail.push(record);
             } else {
                 dropped += 1;
@@ -947,9 +960,9 @@ impl TelemetryStore {
     /// Records for one machine group, sorted by `(hour, machine)` — a
     /// k-way merge of per-run slices and the delta slice.
     pub fn by_group(&self, group: GroupKey) -> impl Iterator<Item = &MachineHourRecord> {
-        merge_k_by_hour_machine(
-            self.sides().into_iter().map(|s| s.group_rows(group)).collect(),
-        )
+        let sides = self.sides();
+        let rows = sides.iter().map(|s| s.group_range(group)).collect();
+        merge_by_hour_machine(&sides, rows).map(move |(side, row)| &sides[side].sorted[row])
     }
 
     /// Records within `[start_hour, end_hour)`, side by side (sealed
@@ -998,16 +1011,12 @@ impl TelemetryStore {
 
     /// The distinct machine groups present, sorted.
     pub fn groups(&self) -> Vec<GroupKey> {
-        self.sides()
-            .into_iter()
-            .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.groups()))
+        group_union(&self.sides())
     }
 
     /// The distinct machines present, sorted.
     pub fn machines(&self) -> Vec<MachineId> {
-        self.sides()
-            .into_iter()
-            .fold(Vec::new(), |acc, s| merge_dedup(&acc, &s.machines))
+        machine_union(&self.sides())
     }
 
     /// Inclusive-exclusive hour span `(min, max+1)` covered by the
