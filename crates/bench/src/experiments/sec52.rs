@@ -80,13 +80,8 @@ pub fn run(scale: ExperimentScale) -> Report {
     );
     // §5.3: convert the mean capacity gain into money at the paper's
     // fleet scale (300k machines).
-    let mut skus = kea_sim::default_skus(1);
-    for s in &mut skus {
-        s.machine_count *= 200;
-    }
-    let fleet = ClusterSpec::build(skus, 3);
     if let Ok(value) = kea_core::capacity_gain_value(
-        &fleet,
+        300_000,
         &kea_core::FleetCostModel::default(),
         mean(&cap) / 100.0,
         260.0,

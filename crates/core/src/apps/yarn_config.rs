@@ -99,10 +99,23 @@ pub struct YarnTuningOutcome {
 /// Runs the full pipeline.
 ///
 /// # Errors
-/// [`KeaError::Design`] for an empty observation window; propagates
-/// model-fitting, optimization, and analysis errors; fails if the
-/// observation window is too short to calibrate any group.
+/// [`KeaError::Design`], before anything is simulated, for an
+/// observation or evaluation window shorter than 2 hours: the
+/// evaluation skips the first hour of each; propagates model-fitting,
+/// optimization, and analysis errors; fails if the observation window
+/// is too short to calibrate any group.
 pub fn run_yarn_tuning(params: &YarnTuningParams) -> Result<YarnTuningOutcome, KeaError> {
+    for (window, hours) in [
+        ("observation", params.observe_hours),
+        ("evaluation", params.eval_hours),
+    ] {
+        if hours < 2 {
+            return Err(KeaError::Design(format!(
+                "the {window} window lasts {hours} h; it needs at least 2 h, since the \
+                 deployment evaluation skips its first hour"
+            )));
+        }
+    }
     kea_sim::check_run(params.observe_hours, TARGET_OCCUPANCY).map_err(KeaError::Design)?;
     // ---- Phase: observe under the manual baseline -------------------
     let workload = WorkloadSpec::default_for(&params.cluster, TARGET_OCCUPANCY);

@@ -445,22 +445,14 @@ fn cmd_queues(raw: &[String]) -> Result<(), String> {
 
 fn cmd_value(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &["machines", "gain-pct", "power-w"])?;
-    let machines: u32 = args.get("machines", 300_000)?;
+    let machines: usize = args.get("machines", 300_000)?;
     if machines == 0 {
         return Err("--machines must be at least 1".to_string());
     }
     let gain_pct: f64 = args.get("gain-pct", 2.0)?;
     let power_w: f64 = args.get("power-w", 260.0)?;
-    // Scale the default catalog to the requested fleet size.
-    let base: u32 = kea_sim::default_skus(1).iter().map(|s| s.machine_count).sum();
-    let mut skus = kea_sim::default_skus(1);
-    for s in &mut skus {
-        s.machine_count =
-            ((s.machine_count as u64 * machines as u64) / base as u64).max(1) as u32;
-    }
-    let fleet = ClusterSpec::build(skus, 3);
     let v = capacity_gain_value(
-        &fleet,
+        machines,
         &FleetCostModel::default(),
         gain_pct / 100.0,
         power_w,

@@ -9,7 +9,6 @@
 //! it a typed, testable calculation instead of a slide.
 
 use crate::error::KeaError;
-use kea_sim::ClusterSpec;
 
 /// Cost structure of a machine fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,9 +48,10 @@ pub struct AnnualValue {
     pub total_per_year: f64,
 }
 
-/// Prices a capacity gain (e.g. the +2% of §5.2.2) on a fleet: a `g`%
-/// capacity gain is worth `g`% of the fleet's annual ownership cost —
-/// the machines that gain substitutes for.
+/// Prices a capacity gain (e.g. the +2% of §5.2.2) on a fleet of
+/// `machines` machines: a `g`% capacity gain is worth `g`% of the
+/// fleet's annual ownership cost — the machines that gain substitutes
+/// for.
 ///
 /// `mean_power_w` is the fleet-average electrical draw per machine (from
 /// telemetry), used for the power component of ownership cost.
@@ -59,7 +59,7 @@ pub struct AnnualValue {
 /// # Errors
 /// The gain must be a finite fraction > −1 and the power non-negative.
 pub fn capacity_gain_value(
-    cluster: &ClusterSpec,
+    machines: usize,
     cost: &FleetCostModel,
     capacity_gain_fraction: f64,
     mean_power_w: f64,
@@ -72,7 +72,6 @@ pub fn capacity_gain_value(
     if !mean_power_w.is_finite() || mean_power_w < 0.0 {
         return Err(KeaError::Design("mean power must be non-negative".to_string()));
     }
-    let machines = cluster.n_machines();
     let power_cost_per_machine = mean_power_w / 1000.0 * 24.0 * 365.0 * cost.price_per_kwh;
     let per_machine_year =
         cost.capex_per_machine_year + cost.facility_per_machine_year + power_cost_per_machine;
@@ -90,13 +89,8 @@ mod tests {
 
     #[test]
     fn two_percent_on_a_large_fleet_is_tens_of_millions() {
-        // Scale the paper's arithmetic: 300k machines, +2% capacity.
-        let mut skus = kea_sim::default_skus(1);
-        for s in &mut skus {
-            s.machine_count *= 200; // 1.5k → 300k
-        }
-        let fleet = ClusterSpec::build(skus, 3);
-        let value = capacity_gain_value(&fleet, &FleetCostModel::default(), 0.02, 250.0)
+        // The paper's arithmetic: 300k machines, +2% capacity.
+        let value = capacity_gain_value(300_000, &FleetCostModel::default(), 0.02, 250.0)
             .expect("valid inputs");
         assert!(
             value.total_per_year > 10_000_000.0,
@@ -108,27 +102,23 @@ mod tests {
 
     #[test]
     fn value_scales_linearly_in_the_gain() {
-        let cluster = ClusterSpec::small();
         let cost = FleetCostModel::default();
-        let one = capacity_gain_value(&cluster, &cost, 0.01, 250.0).unwrap();
-        let three = capacity_gain_value(&cluster, &cost, 0.03, 250.0).unwrap();
+        let one = capacity_gain_value(150, &cost, 0.01, 250.0).unwrap();
+        let three = capacity_gain_value(150, &cost, 0.03, 250.0).unwrap();
         assert!((three.total_per_year / one.total_per_year - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn negative_gains_price_as_losses() {
-        let cluster = ClusterSpec::small();
-        let v = capacity_gain_value(&cluster, &FleetCostModel::default(), -0.01, 250.0)
-            .unwrap();
+        let v = capacity_gain_value(150, &FleetCostModel::default(), -0.01, 250.0).unwrap();
         assert!(v.total_per_year < 0.0);
     }
 
     #[test]
     fn input_validation() {
-        let cluster = ClusterSpec::tiny();
         let cost = FleetCostModel::default();
-        assert!(capacity_gain_value(&cluster, &cost, f64::NAN, 250.0).is_err());
-        assert!(capacity_gain_value(&cluster, &cost, -1.5, 250.0).is_err());
-        assert!(capacity_gain_value(&cluster, &cost, 0.02, -1.0).is_err());
+        assert!(capacity_gain_value(60, &cost, f64::NAN, 250.0).is_err());
+        assert!(capacity_gain_value(60, &cost, -1.5, 250.0).is_err());
+        assert!(capacity_gain_value(60, &cost, 0.02, -1.0).is_err());
     }
 }

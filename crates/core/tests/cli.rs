@@ -131,29 +131,47 @@ fn unknown_commands_and_flags_fail_loudly() {
     assert!(!out.status.success());
 }
 
+#[test]
+fn value_prices_the_requested_machine_count() {
+    for n in ["3", "100"] {
+        let out = kea(&["value", "--machines", n]);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && text.starts_with(&format!("{n} machines:")),
+            "{text}"
+        );
+    }
+}
+
 /// Flag values outside what the simulator or an experiment design can
-/// run are refused as errors (exit 2), never a panic (exit 101).
+/// run are refused as errors (exit 2) that name what is wrong, never a
+/// panic (exit 101).
 #[test]
 fn out_of_range_flags_are_errors_not_panics() {
-    for args in [
-        &["observe", "--hours", "0"][..],
-        &["queues", "--hours", "0"],
-        &["yarn", "--observe-hours", "0"],
-        &["observe", "--occupancy", "0"],
-        &["observe", "--occupancy", "3"],
-        &["observe", "--occupancy", "NaN"],
-        &["queues", "--occupancy", "0"],
-        &["power", "--group-size", "0"],
+    for (args, message) in [
+        ("observe --hours 0", "duration must be at least 1 hour"),
+        ("queues --hours 0", "duration must be at least 1 hour"),
+        ("yarn --observe-hours 0", "observation window lasts 0 h"),
+        // The deployment evaluation skips each window's first hour, so a
+        // 1-hour window leaves it nothing to compare.
+        ("yarn --observe-hours 1", "observation window lasts 1 h"),
+        ("yarn --eval-hours 1", "evaluation window lasts 1 h"),
+        ("observe --occupancy 0", "target_occupancy 0 must be finite"),
+        ("observe --occupancy 3", "target_occupancy 3 must be finite"),
+        ("observe --occupancy NaN", "target_occupancy NaN must"),
+        ("queues --occupancy 0", "target_occupancy 0 must be finite"),
+        ("power --group-size 0", "group_size must be positive"),
         // 4 groups of 2^62 machines: the machine count overflows usize.
-        &["power", "--group-size", "4611686018427387904"],
-        &["power", "--caps", "NaN"],
-        &["power", "--caps", "-1"],
-        &["sku-design", "--cores", "0"],
-        &["value", "--machines", "0"],
+        ("power --group-size 4611686018427387904", "machines, need"),
+        ("power --caps NaN", "capping level NaN is not a fraction"),
+        ("power --caps -1", "capping level -1 is not a fraction"),
+        ("sku-design --cores 0", "the future SKU has no cores"),
+        ("value --machines 0", "--machines must be at least 1"),
     ] {
-        let out = kea(args);
+        let out = kea(&args.split(' ').collect::<Vec<_>>());
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
-        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(2), "{args}: {err}");
+        assert!(!err.contains("panicked"), "{args}: {err}");
+        assert!(err.contains(message), "{args}: {err}");
     }
 }

@@ -131,7 +131,7 @@ impl<T> CalendarQueue<T> {
     /// A queue with an explicit slot width (seconds) and slot count.
     /// Nonsensical geometry (non-finite or non-positive width, zero
     /// slots) falls back to the defaults.
-    pub fn with_geometry(width_s: f64, n_slots: usize) -> Self {
+    fn with_geometry(width_s: f64, n_slots: usize) -> Self {
         let (width_s, n_slots) = if width_s.is_finite() && width_s > 0.0 && n_slots > 0 {
             (width_s, n_slots)
         } else {

@@ -129,7 +129,7 @@ pub fn default_scs() -> Vec<ScSpec> {
 ///
 /// # Panics
 /// The id must be [`SC1`] or [`SC2`].
-pub fn default_scs_static(id: ScId) -> &'static ScSpec {
+pub(crate) fn default_scs_static(id: ScId) -> &'static ScSpec {
     use std::sync::OnceLock;
     static SCS: OnceLock<Vec<ScSpec>> = OnceLock::new();
     SCS.get_or_init(default_scs)
@@ -147,7 +147,7 @@ pub fn default_scs_static(id: ScId) -> &'static ScSpec {
 /// # Panics
 /// `scale` must be at least 1.
 pub fn default_skus(scale: u32) -> Vec<SkuSpec> {
-    // kea-lint: allow(panic-in-library) — documented `# Panics` contract; every library caller passes a literal scale (the `ClusterSpec` presets, `kea value`)
+    // kea-lint: allow(panic-in-library) — documented `# Panics` contract; every library caller passes a literal scale (the `ClusterSpec` presets)
     assert!(scale >= 1, "scale must be at least 1");
     let scaled = |n: u32| (n / scale).max(2);
     vec![

@@ -207,7 +207,7 @@ const FALLBACK_CONFIG: MachineConfig = MachineConfig {
 /// in no flight — the overwhelming majority) or a dense per-hour index
 /// table. Lookup is then two array reads.
 #[derive(Debug, Clone)]
-pub struct ResolvedPlan {
+pub(crate) struct ResolvedPlan {
     /// The distinct configurations that occur anywhere in the run.
     configs: Vec<MachineConfig>,
     /// Per machine position: index into `configs` when the machine is in

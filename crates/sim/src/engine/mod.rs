@@ -1,10 +1,18 @@
 //! Discrete-event simulation engines.
 //!
-//! Two implementations share one output contract:
+//! A run has two sides. The **job side** — backlog seeding and respawn,
+//! recurring and Poisson (thinned) arrivals, stage release, the sampled
+//! task and job logs, critical-path marks, job completion, and the task
+//! and job slabs — is written once, in `engine/jobs.rs`, and both
+//! engines drive it through one trait that supplies the rng, the clock,
+//! an event push, task placement and the output. The free-slot set that
+//! placement samples from and the formula that turns a machine-hour
+//! accumulator into a telemetry record are shared the same way. The two
+//! engines differ only on the **machine side**:
 //!
-//! * [`reference`](mod@reference) — the original heap-driven engine:
-//!   one global `BinaryHeap` event queue, `ConfigPlan::effective` on
-//!   every lookup, telemetry materialized whole at the end of the run.
+//! * [`reference`](mod@reference) — the original heap-driven machine
+//!   side: one global `BinaryHeap` event queue, `ConfigPlan::effective`
+//!   on every lookup, telemetry materialized whole at the end of the run.
 //!   Simple, and the semantic oracle for everything below.
 //! * **This module's fleet-scale engine** — what [`run`] and
 //!   [`run_with_exec`] execute:
@@ -16,8 +24,8 @@
 //!      utilization / throttle / interference / power / resource value
 //!      per (configuration × SKU × running-count), collapsing the
 //!      per-event hot path (BTreeMap lookups, `powf`, flight scans in
-//!      `ConfigPlan::effective`) to two array reads via
-//!      [`crate::config::ResolvedPlan`];
+//!      `ConfigPlan::effective`) to two array reads via the crate's
+//!      `ResolvedPlan`;
 //!   3. **windowed telemetry emission**: completed machine-hours stream
 //!      into the output [`kea_telemetry::TelemetryStore`] once per
 //!      simulated window (default daily) through `reserve` +
@@ -26,29 +34,33 @@
 //!   4. optional **federated execution** (`ExecConfig::shards != 1`):
 //!      scheduling is sharded per sub-cluster, each domain simulated by a
 //!      scoped worker with its own counter-based RNG stream
-//!      ([`crate::rng::CounterRng`]) keyed by the domain's lowest machine
+//!      (`rng::CounterRng`) keyed by the domain's lowest machine
 //!      id — so the output is deterministic and invariant in both the
 //!      worker-thread count and the work-claiming schedule.
 //!
 //! **Agreement contract**: `run` (single global domain) reproduces
 //! [`reference::run`] *bit for bit* — same event total order, same RNG
 //! draw sequence, same floating-point expression order (service times go
-//! through [`machine::service_time_parts`], the single place the
+//! through `machine::service_time_parts`, the single place the
 //! multiplication order is written). The federated mode is a different
 //! *scheduling model* by design (per-sub-cluster placement scope and RNG
 //! streams); its guarantee is determinism and shard-count invariance, and
-//! the `tests/` agreement suite enforces both.
+//! the `tests/` agreement suite enforces both. With the job side shared,
+//! that suite checks the two machine sides against each other; the
+//! golden pins in `tests/golden.rs` hold the output itself.
 
+mod jobs;
 pub mod reference;
 
 use crate::cluster::{ClusterSpec, Machine, SubClusterId};
 use crate::config::{ConfigPlan, ExecConfig, ResolvedPlan};
 use crate::machine::{self};
-use crate::output::{JobRecord, SimOutput, TaskRecord};
-use crate::rng::{exponential, gauge_noise_at, lognormal_mean, CounterRng};
-use crate::workload::{Schedule, TaskType, WorkloadSpec};
+use crate::output::SimOutput;
+use crate::rng::{gauge_noise_at, CounterRng};
+use crate::workload::{TaskType, WorkloadSpec};
 use crate::CalendarQueue;
-use kea_telemetry::{run_group_partitions, GroupKey, MachineHourRecord, MetricValues, SkuId};
+use jobs::{JobSide, JobState};
+use kea_telemetry::{run_group_partitions, GroupKey, MachineHourRecord, MetricValues, ScId, SkuId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
@@ -227,9 +239,6 @@ fn run_federated(cfg: &SimConfig, exec: ExecConfig) -> SimOutput {
 // Shared simulation vocabulary (also used by `reference`)
 // ---------------------------------------------------------------------
 
-/// Sentinel job id marking closed-loop backlog tasks.
-pub(super) const BACKLOG_JOB: u32 = u32::MAX;
-
 /// Payloads are `u32` so the enum packs into 8 bytes — a calendar-queue
 /// entry is then 24 bytes instead of 32, which matters when a fleet-day
 /// run moves tens of millions of them through the ring slots.
@@ -262,30 +271,59 @@ pub(super) struct HourAcc {
     pub queue_waits_s: Vec<f64>,
 }
 
-#[derive(Debug, Clone, Copy)]
-pub(super) struct TaskRun {
-    pub job: u32,
-    pub base_cpu_s: f64,
-    pub input_gb: f64,
-    pub io_heavy: bool,
-    pub task_type: TaskType,
-    pub machine: u32,
-    pub queue_wait_s: f64,
-    pub duration_s: f64,
-    pub cpu_time_s: f64,
-    pub log_index: u32, // u32::MAX = unsampled; u32::MAX-1 = sampled, pending
+impl HourAcc {
+    /// The telemetry record of machine `info`'s hour `hour`, run under
+    /// software configuration `sc`.
+    fn record(&mut self, seed: u64, info: &Machine, sc: ScId, hour: u64) -> MachineHourRecord {
+        let p99 = if self.queue_waits_s.is_empty() {
+            0.0
+        } else {
+            self.queue_waits_s.sort_by(f64::total_cmp);
+            percentile_sorted(&self.queue_waits_s, 99.0)
+        };
+        // Small measurement noise on resource gauges so the §6
+        // regressions see realistic residuals. Keyed by (machine, hour,
+        // lane), so the order records are emitted in does not matter.
+        let noise = |lane: u32| gauge_noise_at(seed, info.id.0, hour, lane);
+        let metrics = MetricValues {
+            total_data_read_gb: self.data_read_gb,
+            tasks_finished: self.tasks_finished as f64,
+            task_exec_time_s: self.exec_time_s,
+            cpu_time_s: self.cpu_time_s,
+            cpu_utilization: self.util_seconds / 3600.0 * 100.0,
+            avg_running_containers: self.container_seconds / 3600.0,
+            avg_task_latency_s: if self.latency_count > 0 {
+                self.latency_sum_s / self.latency_count as f64
+            } else {
+                0.0
+            },
+            queued_containers: self.queue_len_seconds / 3600.0,
+            queue_latency_p99_ms: p99 * 1000.0,
+            power_draw_w: self.power_joules / 3600.0,
+            ssd_used_gb: self.ssd_seconds / 3600.0 * noise(0),
+            ram_used_gb: self.ram_seconds / 3600.0 * noise(1),
+            cores_used: self.cores_seconds / 3600.0 * noise(2),
+            network_used_gbps: self.network_seconds / 3600.0 * noise(3),
+        };
+        MachineHourRecord {
+            machine: info.id,
+            group: GroupKey::new(info.sku, sc),
+            hour,
+            metrics,
+        }
+    }
 }
 
-#[derive(Debug, Clone)]
-pub(super) struct JobRun {
-    pub template: usize,
-    pub arrival_s: f64,
-    pub stage: usize,
-    pub remaining_in_stage: u32,
-    pub total_tasks: u32,
-    pub logged: bool,
-    // Slowest task of the current stage so far: (end time, sku, log idx).
-    pub stage_max: (f64, u16, u32),
+/// Streams records into the output store through the validating ingest
+/// path (the same non-finite filter CSV ingest applies), counting
+/// rejects instead of smuggling them.
+fn ingest(out: &mut SimOutput, records: Vec<MachineHourRecord>) {
+    if records.is_empty() {
+        return;
+    }
+    out.telemetry.reserve(records.len());
+    let dropped = out.telemetry.extend(records);
+    out.nonfinite_dropped += dropped as u64;
 }
 
 /// Percentile of a pre-sorted slice (linear interpolation). Local copy to
@@ -293,7 +331,7 @@ pub(super) struct JobRun {
 /// fleet engine stays lint-clean; the interpolation expression matches
 /// the historical one bit for bit (`lo == hi` collapses because
 /// `a·1.0 + b·0.0 == a` exactly for the non-negative waits fed in here).
-pub(super) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     let rank = p / 100.0 * (sorted.len().saturating_sub(1)) as f64;
     let lo = (rank as usize).min(sorted.len().saturating_sub(1));
     let hi = (lo + 1).min(sorted.len().saturating_sub(1));
@@ -305,6 +343,79 @@ pub(super) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     }
     let frac = rank - lo as f64;
     a * (1.0 - frac) + b * frac
+}
+
+/// Machines believed to have a free container slot, as a swap-remove
+/// index set for O(1) uniform sampling (hand-rolled so the removal
+/// cannot panic). Entries can go stale when a flight lowers a machine's
+/// maximum; placement re-validates each pick.
+#[derive(Debug)]
+struct FreeSet {
+    set: Vec<u32>,
+    pos: Vec<u32>, // u32::MAX = not in set
+}
+
+impl FreeSet {
+    /// All `n` machine positions, in order.
+    fn full(n: usize) -> Self {
+        FreeSet {
+            set: (0..n as u32).collect(),
+            pos: (0..n as u32).collect(),
+        }
+    }
+
+    /// A uniformly drawn member; `None`, without a draw, when empty.
+    fn pick<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+        if self.set.is_empty() {
+            return None;
+        }
+        let pick = rng.gen_range(0..self.set.len());
+        self.set.get(pick).map(|&m| m as usize)
+    }
+
+    fn add(&mut self, m: usize) {
+        let set_len = self.set.len();
+        let Some(pos) = self.pos.get_mut(m) else {
+            return;
+        };
+        if *pos != u32::MAX {
+            return;
+        }
+        *pos = u32::try_from(set_len).unwrap_or(u32::MAX);
+        self.set.push(m as u32);
+    }
+
+    fn evict(&mut self, m: usize) {
+        let Some(&pos32) = self.pos.get(m) else {
+            return;
+        };
+        if pos32 == u32::MAX {
+            return;
+        }
+        let pos = pos32 as usize;
+        // pos != MAX implies pos indexes the live set; degrade to a no-op
+        // if the invariant is ever broken rather than aborting the sim.
+        if pos >= self.set.len() {
+            return;
+        }
+        let Some(&last) = self.set.last() else {
+            return;
+        };
+        // Hand-rolled swap-remove: move the tail entry into `pos`, drop
+        // the tail. Identical set order to `Vec::swap_remove`.
+        if let Some(slot) = self.set.get_mut(pos) {
+            *slot = last;
+        }
+        self.set.pop();
+        if last != m as u32 {
+            if let Some(p) = self.pos.get_mut(last as usize) {
+                *p = pos32;
+            }
+        }
+        if let Some(p) = self.pos.get_mut(m) {
+            *p = u32::MAX;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -545,14 +656,11 @@ impl MachAcc {
 struct Fleet<'a, R: RngCore> {
     // Immutable run parameters.
     machines_info: &'a [Machine],
-    workload: &'a WorkloadSpec,
     resolved: ResolvedPlan,
     tables: ModelTables,
     duration_hours: u64,
     end_s: f64,
     seed: u64,
-    task_log_every: u32,
-    adhoc_job_log_every: u32,
     emit_window_s: f64,
     // Mutable simulation state.
     rng: R,
@@ -560,16 +668,10 @@ struct Fleet<'a, R: RngCore> {
     events: CalendarQueue<EventKind>,
     mach: Vec<MachState>,
     accs: Vec<MachAcc>,
-    tasks: Vec<TaskRun>,
-    task_free: Vec<u32>,
-    jobs: Vec<JobRun>,
-    job_free: Vec<u32>,
+    jobs: JobState<'a>,
+    free: FreeSet,
     out: SimOutput,
     records: Vec<MachineHourRecord>,
-    tasks_created: u64,
-    tasks_completed: u64,
-    adhoc_seen: u64,
-    jobs_active: u64,
     // Dense task counters, folded into the output's `TaskCounters`
     // BTreeMaps once at the end of the run — three array increments per
     // task finish instead of three tree walks.
@@ -578,12 +680,96 @@ struct Fleet<'a, R: RngCore> {
     cnt_sku: Vec<u64>,
     cnt_sku_type: Vec<u64>,  // sku-major, × TaskType::ALL
     cnt_rack_type: Vec<u64>, // rack-major, × TaskType::ALL
-    // Machines believed to have free container slots, as a swap-remove
-    // index set for O(1) uniform sampling (hand-rolled so the removal
-    // cannot panic). Entries can be stale after flight-driven max
-    // changes; `place_task` re-validates on pick.
-    free_set: Vec<u32>,
-    free_pos: Vec<u32>, // u32::MAX = not in set
+}
+
+impl<'a, R: RngCore> JobSide<'a> for Fleet<'a, R> {
+    type Random = R;
+
+    fn job_state(&mut self) -> &mut JobState<'a> {
+        &mut self.jobs
+    }
+
+    fn rng(&mut self) -> &mut R {
+        &mut self.rng
+    }
+
+    fn now_s(&self) -> f64 {
+        self.now_s
+    }
+
+    fn push_event(&mut self, time_s: f64, kind: EventKind) {
+        self.events.push(time_s, kind);
+    }
+
+    fn out(&mut self) -> &mut SimOutput {
+        &mut self.out
+    }
+
+    fn task_site(&self, m: usize) -> Option<(Machine, ScId)> {
+        let info = *self.machines_info.get(m)?;
+        let hour = (self.now_s / 3600.0) as u64;
+        Some((info, self.resolved.config_at(m, hour).sc))
+    }
+
+    /// The YARN-like placement policy of the reference engine, with the
+    /// per-event configuration lookups served from [`ModelTables`].
+    fn place_task(&mut self, task_idx: u32) {
+        let hour = (self.now_s / 3600.0) as u64;
+        while let Some(m) = self.free.pick(&mut self.rng) {
+            let Some((running, sku_idx, cfg_idx)) = self.mach.get_mut(m).map(|ms| {
+                if ms.flighted && ms.cfg_hour != hour {
+                    ms.cfg_idx = self.resolved.config_index(m, hour);
+                    ms.cfg_hour = hour;
+                }
+                (ms.running, ms.sku_idx, ms.cfg_idx)
+            }) else {
+                self.free.evict(m);
+                continue;
+            };
+            let Some(entry) = self.tables.entry(cfg_idx, sku_idx) else {
+                self.free.evict(m);
+                continue;
+            };
+            let max_running = entry.max_running;
+            if running < max_running {
+                self.start_task(m, task_idx, 0.0);
+                let now_running = self.mach.get(m).map_or(0, |ms| ms.running);
+                if now_running >= max_running {
+                    self.free.evict(m);
+                }
+                return;
+            }
+            // Stale entry (flight lowered the max); evict and retry.
+            self.free.evict(m);
+        }
+        // Cluster fully busy: queue as a low-priority container. Respect
+        // per-machine queue caps (§5.3's tuning knob) by re-drawing a few
+        // times; if the whole sample is capped out, force-enqueue at the
+        // last draw — work is never dropped.
+        let n = self.mach.len();
+        let mut target = self.rng.gen_range(0..n);
+        for _ in 0..10 {
+            let (qlen, sku_idx, cfg_idx) = self.mach.get_mut(target).map_or((0, 0, 0), |ms| {
+                if ms.flighted && ms.cfg_hour != hour {
+                    ms.cfg_idx = self.resolved.config_index(target, hour);
+                    ms.cfg_hour = hour;
+                }
+                (ms.queue.len(), ms.sku_idx, ms.cfg_idx)
+            });
+            let Some(entry) = self.tables.entry(cfg_idx, sku_idx) else {
+                break;
+            };
+            let max_queue = entry.max_queue;
+            if (qlen as u64) < u64::from(max_queue) {
+                break;
+            }
+            target = self.rng.gen_range(0..n);
+        }
+        self.advance(target, self.now_s);
+        if let Some(ms) = self.mach.get_mut(target) {
+            ms.queue.push_back((task_idx, self.now_s));
+        }
+    }
 }
 
 impl<'a, R: RngCore> Fleet<'a, R> {
@@ -627,37 +813,26 @@ impl<'a, R: RngCore> Fleet<'a, R> {
             .unwrap_or(0);
         Fleet {
             machines_info: machines,
-            workload,
             resolved,
             tables,
             duration_hours: cfg.duration_hours,
             end_s: cfg.duration_hours as f64 * 3600.0,
             seed: cfg.seed,
-            task_log_every: cfg.task_log_every,
-            adhoc_job_log_every: cfg.adhoc_job_log_every,
             emit_window_s: emit_window_hours.max(1) as f64 * 3600.0,
             rng,
             now_s: 0.0,
             events: CalendarQueue::new(),
             mach,
             accs: (0..n).map(|_| MachAcc::new()).collect(),
-            tasks: Vec::new(),
-            task_free: Vec::new(),
-            jobs: Vec::new(),
-            job_free: Vec::new(),
+            jobs: JobState::new(cfg, workload),
+            free: FreeSet::full(n),
             out: SimOutput::default(),
             records: Vec::new(),
-            tasks_created: 0,
-            tasks_completed: 0,
-            adhoc_seen: 0,
-            jobs_active: 0,
             sku_ids,
             n_racks,
             cnt_sku: vec![0; n_skus],
             cnt_sku_type: vec![0; n_skus * n_types],
             cnt_rack_type: vec![0; n_racks * n_types],
-            free_set: (0..n as u32).collect(),
-            free_pos: (0..n as u32).collect(),
         }
     }
 
@@ -707,53 +882,8 @@ impl<'a, R: RngCore> Fleet<'a, R> {
         }
     }
 
-    fn free_add(&mut self, m: usize) {
-        let set_len = self.free_set.len();
-        let Some(pos) = self.free_pos.get_mut(m) else {
-            return;
-        };
-        if *pos != u32::MAX {
-            return;
-        }
-        *pos = u32::try_from(set_len).unwrap_or(u32::MAX);
-        self.free_set.push(m as u32);
-    }
-
-    fn free_remove(&mut self, m: usize) {
-        let Some(&pos32) = self.free_pos.get(m) else {
-            return;
-        };
-        if pos32 == u32::MAX {
-            return;
-        }
-        let pos = pos32 as usize;
-        // pos != MAX implies pos indexes the live set; degrade to a no-op
-        // if the invariant is ever broken rather than aborting the sim.
-        if pos >= self.free_set.len() {
-            return;
-        }
-        let Some(&last) = self.free_set.last() else {
-            return;
-        };
-        // Hand-rolled swap-remove: move the tail entry into `pos`, drop
-        // the tail. Identical set order to `Vec::swap_remove`.
-        if let Some(slot) = self.free_set.get_mut(pos) {
-            *slot = last;
-        }
-        self.free_set.pop();
-        if last != m as u32 {
-            if let Some(p) = self.free_pos.get_mut(last as usize) {
-                *p = pos32;
-            }
-        }
-        if let Some(p) = self.free_pos.get_mut(m) {
-            *p = u32::MAX;
-        }
-    }
-
     fn run(mut self) -> SimOutput {
-        self.seed_backlog();
-        self.schedule_arrivals();
+        self.start_workload();
         let mut next_emit_s = self.emit_window_s;
         while let Some((time_s, kind)) = self.events.pop() {
             if time_s > self.end_s {
@@ -774,298 +904,6 @@ impl<'a, R: RngCore> Fleet<'a, R> {
             }
         }
         self.finish()
-    }
-
-    // ------------------------------------------------------------------
-    // Backlog (closed-loop opportunistic work)
-    // ------------------------------------------------------------------
-
-    fn seed_backlog(&mut self) {
-        let Some(backlog) = self.workload.backlog else {
-            return;
-        };
-        for _ in 0..backlog.concurrent_tasks {
-            self.spawn_backlog_task(&backlog);
-        }
-    }
-
-    fn spawn_backlog_task(&mut self, backlog: &crate::workload::BacklogSpec) {
-        let base_cpu_s = lognormal_mean(&mut self.rng, backlog.mean_cpu_s, backlog.sigma);
-        let input_gb = lognormal_mean(&mut self.rng, backlog.mean_input_gb, 0.4);
-        let sampled = self.task_log_every > 0
-            && self.tasks_created.is_multiple_of(self.task_log_every as u64);
-        let task = TaskRun {
-            job: BACKLOG_JOB,
-            base_cpu_s,
-            input_gb,
-            io_heavy: backlog.io_heavy,
-            task_type: backlog.task_type,
-            machine: u32::MAX,
-            queue_wait_s: 0.0,
-            duration_s: 0.0,
-            cpu_time_s: 0.0,
-            log_index: if sampled { u32::MAX - 1 } else { u32::MAX },
-        };
-        let task_idx = self.alloc_task(task);
-        self.tasks_created += 1;
-        self.place_task(task_idx);
-    }
-
-    fn alloc_task(&mut self, task: TaskRun) -> u32 {
-        if let Some(i) = self.task_free.pop() {
-            if let Some(slot) = self.tasks.get_mut(i as usize) {
-                *slot = task;
-                return i;
-            }
-        }
-        self.tasks.push(task);
-        (self.tasks.len() - 1) as u32
-    }
-
-    // ------------------------------------------------------------------
-    // Arrivals
-    // ------------------------------------------------------------------
-
-    fn schedule_arrivals(&mut self) {
-        let duration_h = self.duration_hours as f64;
-        for idx in 0..self.workload.templates.len() {
-            let Some(template) = self.workload.templates.get(idx) else {
-                continue;
-            };
-            match template.schedule {
-                Schedule::Recurring {
-                    period_hours,
-                    offset_hours,
-                } => {
-                    let mut t = offset_hours;
-                    while t < duration_h {
-                        self.events
-                            .push(t * 3600.0, EventKind::JobArrival { template: idx as u32 });
-                        t += period_hours;
-                    }
-                }
-                Schedule::Poisson { rate_per_hour } => {
-                    if rate_per_hour > 0.0 {
-                        let first = self.next_poisson_gap(rate_per_hour);
-                        self.events
-                            .push(first, EventKind::PoissonCandidate { template: idx as u32 });
-                    }
-                }
-            }
-        }
-    }
-
-    fn next_poisson_gap(&mut self, base_rate_per_hour: f64) -> f64 {
-        // Thinning: candidates at the max rate, accepted by the seasonal
-        // factor at the candidate's time.
-        let max_rate = base_rate_per_hour * self.workload.seasonality.max_factor();
-        self.now_s + exponential(&mut self.rng, max_rate / 3600.0)
-    }
-
-    fn on_poisson_candidate(&mut self, template: usize) {
-        let Some(tpl) = self.workload.templates.get(template) else {
-            return;
-        };
-        let Schedule::Poisson { rate_per_hour } = tpl.schedule else {
-            return; // candidates are only scheduled for Poisson templates
-        };
-        // Chain the next candidate first.
-        let next = self.next_poisson_gap(rate_per_hour);
-        self.events
-            .push(next, EventKind::PoissonCandidate { template: template as u32 });
-        // Accept-reject against the seasonal envelope.
-        let season = &self.workload.seasonality;
-        let accept_p = season.factor(self.now_s / 3600.0) / season.max_factor();
-        if self.rng.gen_range(0.0..1.0) < accept_p {
-            self.on_job_arrival(template);
-        }
-    }
-
-    fn on_job_arrival(&mut self, template: usize) {
-        let Some(spec) = self.workload.templates.get(template) else {
-            return;
-        };
-        let is_adhoc = matches!(spec.schedule, Schedule::Poisson { .. });
-        let logged = if is_adhoc {
-            self.adhoc_seen += 1;
-            self.adhoc_job_log_every > 0
-                && self.adhoc_seen.is_multiple_of(self.adhoc_job_log_every as u64)
-        } else {
-            true
-        };
-        let job = JobRun {
-            template,
-            arrival_s: self.now_s,
-            stage: 0,
-            remaining_in_stage: 0,
-            total_tasks: 0,
-            logged,
-            stage_max: (f64::NEG_INFINITY, 0, u32::MAX),
-        };
-        let job_idx = 'alloc: {
-            if let Some(i) = self.job_free.pop() {
-                if let Some(slot) = self.jobs.get_mut(i as usize) {
-                    *slot = job;
-                    break 'alloc i;
-                }
-            }
-            self.jobs.push(job);
-            (self.jobs.len() - 1) as u32
-        };
-        self.jobs_active += 1;
-        self.release_stage(job_idx);
-    }
-
-    // ------------------------------------------------------------------
-    // Stages and tasks
-    // ------------------------------------------------------------------
-
-    fn release_stage(&mut self, job_idx: u32) {
-        loop {
-            let Some(job) = self.jobs.get(job_idx as usize) else {
-                return;
-            };
-            let (template, stage_idx) = (job.template, job.stage);
-            let Some(tpl) = self.workload.templates.get(template) else {
-                return;
-            };
-            let n_stages = tpl.stages.len();
-            let Some(stage) = tpl.stages.get(stage_idx) else {
-                return;
-            };
-            let stage = stage.clone();
-            if stage.tasks == 0 {
-                // Federated workload slicing can round a small stage down
-                // to zero tasks; an empty stage completes instantly (and
-                // contributes no critical path).
-                if stage_idx + 1 < n_stages {
-                    if let Some(job) = self.jobs.get_mut(job_idx as usize) {
-                        job.stage = stage_idx + 1;
-                    }
-                    continue;
-                }
-                self.complete_job(job_idx);
-                return;
-            }
-            if let Some(job) = self.jobs.get_mut(job_idx as usize) {
-                job.remaining_in_stage = stage.tasks;
-                job.total_tasks += stage.tasks;
-                job.stage_max = (f64::NEG_INFINITY, 0, u32::MAX);
-            }
-            for _ in 0..stage.tasks {
-                let base_cpu_s = lognormal_mean(&mut self.rng, stage.mean_cpu_s, stage.sigma);
-                let input_gb = lognormal_mean(&mut self.rng, stage.mean_input_gb, 0.4);
-                // Sampling into the task log is decided by creation order,
-                // so it is unbiased w.r.t. queueing and placement.
-                let sampled = self.task_log_every > 0
-                    && self.tasks_created.is_multiple_of(self.task_log_every as u64);
-                let task = TaskRun {
-                    job: job_idx,
-                    base_cpu_s,
-                    input_gb,
-                    io_heavy: stage.io_heavy,
-                    task_type: stage.task_type,
-                    machine: u32::MAX,
-                    queue_wait_s: 0.0,
-                    duration_s: 0.0,
-                    cpu_time_s: 0.0,
-                    log_index: if sampled { u32::MAX - 1 } else { u32::MAX },
-                };
-                let task_idx = self.alloc_task(task);
-                self.tasks_created += 1;
-                self.place_task(task_idx);
-            }
-            return;
-        }
-    }
-
-    /// Finishes a job: logs it (if sampled and it ran any task at all)
-    /// and recycles its slab slot.
-    fn complete_job(&mut self, job_idx: u32) {
-        let Some(job) = self.jobs.get(job_idx as usize) else {
-            return;
-        };
-        if job.logged && job.total_tasks > 0 {
-            let name = self
-                .workload
-                .templates
-                .get(job.template)
-                .map_or_else(String::new, |t| t.name.clone());
-            self.out.jobs.push(JobRecord {
-                template: job.template,
-                template_name: name,
-                arrival_hour: job.arrival_s / 3600.0,
-                runtime_s: self.now_s - job.arrival_s,
-                tasks: job.total_tasks,
-            });
-        }
-        self.jobs_active = self.jobs_active.saturating_sub(1);
-        self.job_free.push(job_idx);
-    }
-
-    /// The YARN-like placement policy of the reference engine, with the
-    /// per-event configuration lookups served from [`ModelTables`].
-    fn place_task(&mut self, task_idx: u32) {
-        let hour = (self.now_s / 3600.0) as u64;
-        while !self.free_set.is_empty() {
-            let pick = self.rng.gen_range(0..self.free_set.len());
-            let Some(&m32) = self.free_set.get(pick) else {
-                return;
-            };
-            let m = m32 as usize;
-            let Some((running, sku_idx, cfg_idx)) = self.mach.get_mut(m).map(|ms| {
-                if ms.flighted && ms.cfg_hour != hour {
-                    ms.cfg_idx = self.resolved.config_index(m, hour);
-                    ms.cfg_hour = hour;
-                }
-                (ms.running, ms.sku_idx, ms.cfg_idx)
-            }) else {
-                self.free_remove(m);
-                continue;
-            };
-            let Some(entry) = self.tables.entry(cfg_idx, sku_idx) else {
-                self.free_remove(m);
-                continue;
-            };
-            let max_running = entry.max_running;
-            if running < max_running {
-                self.start_task(m, task_idx, 0.0);
-                let now_running = self.mach.get(m).map_or(0, |ms| ms.running);
-                if now_running >= max_running {
-                    self.free_remove(m);
-                }
-                return;
-            }
-            // Stale entry (flight lowered the max); evict and retry.
-            self.free_remove(m);
-        }
-        // Cluster fully busy: queue as a low-priority container. Respect
-        // per-machine queue caps (§5.3's tuning knob) by re-drawing a few
-        // times; if the whole sample is capped out, force-enqueue at the
-        // last draw — work is never dropped.
-        let n = self.mach.len();
-        let mut target = self.rng.gen_range(0..n);
-        for _ in 0..10 {
-            let (qlen, sku_idx, cfg_idx) = self.mach.get_mut(target).map_or((0, 0, 0), |ms| {
-                if ms.flighted && ms.cfg_hour != hour {
-                    ms.cfg_idx = self.resolved.config_index(target, hour);
-                    ms.cfg_hour = hour;
-                }
-                (ms.queue.len(), ms.sku_idx, ms.cfg_idx)
-            });
-            let Some(entry) = self.tables.entry(cfg_idx, sku_idx) else {
-                break;
-            };
-            let max_queue = entry.max_queue;
-            if (qlen as u64) < u64::from(max_queue) {
-                break;
-            }
-            target = self.rng.gen_range(0..n);
-        }
-        self.advance(target, self.now_s);
-        if let Some(ms) = self.mach.get_mut(target) {
-            ms.queue.push_back((task_idx, self.now_s));
-        }
     }
 
     fn start_task(&mut self, m: usize, task_idx: u32, queue_wait_s: f64) {
@@ -1092,7 +930,7 @@ impl<'a, R: RngCore> Fleet<'a, R> {
         let speed = entry.speed;
         let feature = entry.feature;
         let sc_io_mult = entry.sc_io_mult;
-        let Some(task) = self.tasks.get_mut(task_idx as usize) else {
+        let Some(task) = self.jobs.task_mut(task_idx) else {
             return;
         };
         let sc_mult = if task.io_heavy { sc_io_mult } else { 1.0 };
@@ -1121,8 +959,11 @@ impl<'a, R: RngCore> Fleet<'a, R> {
         self.events.push(finish, EventKind::TaskFinish { task: task_idx });
     }
 
+    /// The machine half of a task finish: integration up to now, the
+    /// freed container, completion metrics and counters; then the job
+    /// half, then the machine's queue.
     fn on_task_finish(&mut self, task_idx: u32) {
-        let Some(&task) = self.tasks.get(task_idx as usize) else {
+        let Some(task) = self.jobs.task(task_idx) else {
             return;
         };
         let m = task.machine as usize;
@@ -1133,7 +974,6 @@ impl<'a, R: RngCore> Fleet<'a, R> {
         }) else {
             return;
         };
-        self.tasks_completed += 1;
 
         // Attribute completion metrics to the hour of completion — via
         // the inline accumulator when it is already on that hour (the
@@ -1162,87 +1002,7 @@ impl<'a, R: RngCore> Fleet<'a, R> {
         if let Some(c) = self.cnt_rack_type.get_mut(rack_idx * n_types + ti) {
             *c += 1;
         }
-        let mut log_index = u32::MAX;
-        if task.log_index == u32::MAX - 1 {
-            // The sampled log wants fields the hot path doesn't: the
-            // machine's identity and its active software config.
-            let Some(&mach_info) = self.machines_info.get(m) else {
-                return;
-            };
-            let cfg_hour = (self.now_s / 3600.0) as u64;
-            let sc = self.resolved.config_at(m, cfg_hour).sc;
-            log_index = u32::try_from(self.out.tasks.len()).unwrap_or(u32::MAX);
-            let template = if task.job == BACKLOG_JOB {
-                usize::MAX
-            } else {
-                self.jobs.get(task.job as usize).map_or(usize::MAX, |j| j.template)
-            };
-            self.out.tasks.push(TaskRecord {
-                template,
-                task_type: task.task_type,
-                machine: mach_info.id,
-                sku: mach_info.sku,
-                sc,
-                rack: mach_info.rack,
-                end_hour: self.now_s / 3600.0,
-                duration_s: task.duration_s,
-                queue_wait_s: task.queue_wait_s,
-                on_critical_path: false,
-            });
-        }
-
-        // Backlog tasks skip job bookkeeping and immediately respawn —
-        // the closed loop that keeps opportunistic pressure constant.
-        if task.job == BACKLOG_JOB {
-            self.task_free.push(task_idx);
-            // A backlog task can only exist if a backlog spec was set;
-            // if not, degrade by not respawning.
-            if let Some(backlog) = self.workload.backlog {
-                self.spawn_backlog_task(&backlog);
-            }
-            self.serve_queue(m);
-            return;
-        }
-
-        // Job bookkeeping.
-        let job_idx = task.job;
-        let Some(job) = self.jobs.get_mut(job_idx as usize) else {
-            self.task_free.push(task_idx);
-            self.serve_queue(m);
-            return;
-        };
-        if self.now_s > job.stage_max.0 {
-            job.stage_max = (self.now_s, sku_id.0, log_index);
-        }
-        job.remaining_in_stage = job.remaining_in_stage.saturating_sub(1);
-        if job.remaining_in_stage == 0 {
-            let (max_end, max_sku, max_log) = job.stage_max;
-            let next_stage = job.stage + 1;
-            let template = job.template;
-            debug_assert!(max_end.is_finite());
-            self.out.counters.record_critical(SkuId(max_sku));
-            if max_log != u32::MAX {
-                if let Some(rec) = self.out.tasks.get_mut(max_log as usize) {
-                    rec.on_critical_path = true;
-                }
-            }
-            let n_stages = self
-                .workload
-                .templates
-                .get(template)
-                .map_or(0, |t| t.stages.len());
-            if next_stage < n_stages {
-                if let Some(job) = self.jobs.get_mut(job_idx as usize) {
-                    job.stage = next_stage;
-                }
-                self.release_stage(job_idx);
-            } else {
-                self.complete_job(job_idx);
-            }
-        }
-
-        // Recycle the task slot, then serve the machine's queue.
-        self.task_free.push(task_idx);
+        self.finish_task(task_idx, sku_id);
         self.serve_queue(m);
     }
 
@@ -1265,9 +1025,9 @@ impl<'a, R: RngCore> Fleet<'a, R> {
             if queue_empty || running >= max_running {
                 // Advertise remaining capacity to the global scheduler.
                 if running < max_running {
-                    self.free_add(m);
+                    self.free.add(m);
                 } else {
-                    self.free_remove(m);
+                    self.free.evict(m);
                 }
                 return;
             }
@@ -1387,7 +1147,7 @@ impl<'a, R: RngCore> Fleet<'a, R> {
         for m in 0..self.mach.len() {
             self.flush_machine(m, limit, true);
         }
-        self.ingest_records();
+        ingest(&mut self.out, std::mem::take(&mut self.records));
     }
 
     /// Converts machine `m`'s completed hours `< limit_hour` into
@@ -1418,57 +1178,9 @@ impl<'a, R: RngCore> Fleet<'a, R> {
             let hour = macc.window_base;
             let mut acc = macc.window.pop_front().unwrap_or_default();
             macc.window_base += 1;
-            let cfg = self.resolved.config_at(m, hour);
-            let p99 = if acc.queue_waits_s.is_empty() {
-                0.0
-            } else {
-                acc.queue_waits_s.sort_by(f64::total_cmp);
-                percentile_sorted(&acc.queue_waits_s, 99.0)
-            };
-            // Small measurement noise on resource gauges so the §6
-            // regressions see realistic residuals. Keyed by
-            // (machine, hour, lane): emission order does not matter.
-            let noise = |lane: u32| gauge_noise_at(self.seed, info.id.0, hour, lane);
-            let metrics = MetricValues {
-                total_data_read_gb: acc.data_read_gb,
-                tasks_finished: acc.tasks_finished as f64,
-                task_exec_time_s: acc.exec_time_s,
-                cpu_time_s: acc.cpu_time_s,
-                cpu_utilization: acc.util_seconds / 3600.0 * 100.0,
-                avg_running_containers: acc.container_seconds / 3600.0,
-                avg_task_latency_s: if acc.latency_count > 0 {
-                    acc.latency_sum_s / acc.latency_count as f64
-                } else {
-                    0.0
-                },
-                queued_containers: acc.queue_len_seconds / 3600.0,
-                queue_latency_p99_ms: p99 * 1000.0,
-                power_draw_w: acc.power_joules / 3600.0,
-                ssd_used_gb: acc.ssd_seconds / 3600.0 * noise(0),
-                ram_used_gb: acc.ram_seconds / 3600.0 * noise(1),
-                cores_used: acc.cores_seconds / 3600.0 * noise(2),
-                network_used_gbps: acc.network_seconds / 3600.0 * noise(3),
-            };
-            self.records.push(MachineHourRecord {
-                machine: info.id,
-                group: GroupKey::new(info.sku, cfg.sc),
-                hour,
-                metrics,
-            });
+            let sc = self.resolved.config_at(m, hour).sc;
+            self.records.push(acc.record(self.seed, &info, sc, hour));
         }
-    }
-
-    /// Streams the pending record batch into the output store through
-    /// the validating ingest path (the same non-finite filter CSV ingest
-    /// applies), counting rejects instead of smuggling them.
-    fn ingest_records(&mut self) {
-        if self.records.is_empty() {
-            return;
-        }
-        self.out.telemetry.reserve(self.records.len());
-        let batch = std::mem::take(&mut self.records);
-        let dropped = self.out.telemetry.extend(batch);
-        self.out.nonfinite_dropped += dropped as u64;
     }
 
     fn finish(mut self) -> SimOutput {
@@ -1485,14 +1197,9 @@ impl<'a, R: RngCore> Fleet<'a, R> {
         for m in 0..self.mach.len() {
             self.flush_machine(m, self.duration_hours, false);
         }
-        self.ingest_records();
+        ingest(&mut self.out, std::mem::take(&mut self.records));
         self.fold_counters();
-        self.out.jobs_in_flight_at_end = self.jobs_active;
-        debug_assert_eq!(
-            self.tasks_created,
-            self.tasks_completed + self.out.tasks_in_flight_at_end,
-            "task conservation"
-        );
+        self.jobs.close(&mut self.out);
         self.out
     }
 }

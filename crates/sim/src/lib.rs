@@ -19,7 +19,7 @@
 //!   interference, power, throttling, SSD/RAM usage);
 //! * [`engine`] — the fleet-scale event loop (calendar queue, model
 //!   tables, windowed telemetry, optional federated sharding) plus the
-//!   preserved reference engine it must agree with;
+//!   reference engine it must agree with; both drive one job side;
 //! * [`calendar`] — the hierarchical calendar event queue;
 //! * [`output`] — job/task logs and exact counters;
 //! * [`rng`] — seeded distribution samplers.

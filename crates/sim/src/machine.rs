@@ -104,7 +104,7 @@ pub struct ServiceTime {
 /// factors looked up from its precomputed per-configuration tables. Both
 /// paths therefore evaluate the exact same floating-point expression and
 /// agree bit for bit.
-pub fn service_time_parts(
+pub(crate) fn service_time_parts(
     base_cpu_s: f64,
     speed: f64,
     throttle: f64,

@@ -29,7 +29,7 @@ fn mix64(mut z: u64) -> u64 {
 /// with the stream folded into the starting state — one multiply and
 /// three xor-shift rounds per draw, no branches.
 #[derive(Debug, Clone)]
-pub struct CounterRng {
+pub(crate) struct CounterRng {
     key: u64,
     ctr: u64,
 }
@@ -45,11 +45,6 @@ impl CounterRng {
         let key = mix64(seed ^ GOLDEN_GAMMA).wrapping_add(mix64(stream.wrapping_mul(GOLDEN_GAMMA)));
         CounterRng { key, ctr: 0 }
     }
-
-    /// Number of 64-bit words drawn so far (diagnostic).
-    pub fn draws(&self) -> u64 {
-        self.ctr
-    }
 }
 
 impl RngCore for CounterRng {
@@ -64,7 +59,7 @@ impl RngCore for CounterRng {
 /// sequential stream — so the value is independent of emission order and
 /// identical whether records flush machine-major at the end of a run
 /// (the reference engine) or stream out per simulated day per shard.
-pub fn gauge_noise_at(seed: u64, machine: u32, hour: u64, lane: u32) -> f64 {
+pub(crate) fn gauge_noise_at(seed: u64, machine: u32, hour: u64, lane: u32) -> f64 {
     let stream = ((machine as u64) << 32) | (hour << 2) | lane as u64;
     let mut rng = CounterRng::new(seed ^ 0x5eed_7e1e, stream);
     normal(&mut rng, 1.0, 0.015).clamp(0.9, 1.1)
@@ -181,7 +176,6 @@ mod tests {
         let xs: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
         let ys: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
         assert_eq!(xs, ys);
-        assert_eq!(a.draws(), 32);
     }
 
     #[test]

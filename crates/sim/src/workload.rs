@@ -49,7 +49,7 @@ impl TaskType {
 }
 
 /// One stage of a job template.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSpec {
     /// Number of parallel tasks in the stage.
     pub tasks: u32,
@@ -143,31 +143,6 @@ impl Seasonality {
     }
 }
 
-/// A standing pool of opportunistic (low-priority batch) work.
-///
-/// Production clusters at Cosmos-like utilization are never demand-bound:
-/// a backlog of opportunistic jobs soaks up whatever capacity the
-/// SLO-carrying workload leaves free. We model it closed-loop — a fixed
-/// number of tasks permanently in flight, each completion immediately
-/// spawning a replacement — which is what makes cluster throughput
-/// *elastic in capacity*: KEA's container re-balancing (§5.2.2) increases
-/// Total Data Read because the backlog converts freed slots into work.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BacklogSpec {
-    /// Number of opportunistic tasks permanently in flight.
-    pub concurrent_tasks: u32,
-    /// Mean task work in CPU-seconds on the reference SKU.
-    pub mean_cpu_s: f64,
-    /// Lognormal shape of task work.
-    pub sigma: f64,
-    /// Mean input bytes per task, GB.
-    pub mean_input_gb: f64,
-    /// Whether backlog tasks hammer the temp store.
-    pub io_heavy: bool,
-    /// Task classification.
-    pub task_type: TaskType,
-}
-
 /// The full workload specification for a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
@@ -175,8 +150,17 @@ pub struct WorkloadSpec {
     pub templates: Vec<JobTemplate>,
     /// Seasonal modulation of Poisson templates.
     pub seasonality: Seasonality,
-    /// Optional opportunistic backlog (closed-loop).
-    pub backlog: Option<BacklogSpec>,
+    /// Optional standing pool of opportunistic (low-priority batch)
+    /// work: one stage whose `tasks` are permanently in flight, each
+    /// completion spawning a replacement at once.
+    ///
+    /// Production clusters at Cosmos-like utilization are never
+    /// demand-bound: a backlog of opportunistic jobs soaks up whatever
+    /// capacity the SLO-carrying workload leaves free. The closed loop is
+    /// what makes cluster throughput *elastic in capacity*: KEA's
+    /// container re-balancing (§5.2.2) increases Total Data Read because
+    /// the backlog converts freed slots into work.
+    pub backlog: Option<StageSpec>,
 }
 
 impl WorkloadSpec {
@@ -237,8 +221,8 @@ impl WorkloadSpec {
         // peaks), ~62% from diurnal ad-hoc Poisson jobs (whose troughs
         // give every SKU the operating-point spread of Figures 8–9), the
         // remainder from recurring pipelines.
-        let backlog = BacklogSpec {
-            concurrent_tasks: (target_occupancy * 0.25 * total_slots).round().max(4.0) as u32,
+        let backlog = StageSpec {
+            tasks: (target_occupancy * 0.25 * total_slots).round().max(4.0) as u32,
             mean_cpu_s: 300.0,
             sigma: 0.5,
             mean_input_gb: 0.7,
@@ -420,7 +404,7 @@ impl WorkloadSpec {
             })
             .collect();
         let backlog = self.backlog.map(|mut b| {
-            b.concurrent_tasks = share(b.concurrent_tasks);
+            b.tasks = share(b.tasks);
             b
         });
         WorkloadSpec {
@@ -464,7 +448,7 @@ impl WorkloadSpec {
             })
             .collect();
         let backlog = self.backlog.map(|mut b| {
-            b.concurrent_tasks = (b.concurrent_tasks / f).max(1);
+            b.tasks = (b.tasks / f).max(1);
             b.mean_cpu_s *= f as f64;
             b
         });
@@ -622,9 +606,9 @@ mod tests {
         }
         let backlog_sum: u32 = slices
             .iter()
-            .map(|s| s.backlog.map(|b| b.concurrent_tasks).unwrap_or(0))
+            .map(|s| s.backlog.map_or(0, |b| b.tasks))
             .sum();
-        assert_eq!(backlog_sum, spec.backlog.unwrap().concurrent_tasks);
+        assert_eq!(backlog_sum, spec.backlog.unwrap().tasks);
     }
 
     #[test]
@@ -665,7 +649,7 @@ mod tests {
             }
         }
         let (a, b) = (spec.backlog.unwrap(), coarse.backlog.unwrap());
-        assert_eq!(b.concurrent_tasks, a.concurrent_tasks / 8);
+        assert_eq!(b.tasks, a.tasks / 8);
         assert!((b.mean_cpu_s / a.mean_cpu_s - 8.0).abs() < 1e-9);
         // Identity at factor 1 and 0.
         assert_eq!(spec.scaled_tasks(1), spec);
