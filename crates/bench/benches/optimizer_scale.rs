@@ -62,6 +62,9 @@ fn fleet_store() -> (TelemetryStore, BTreeMap<GroupKey, usize>) {
     (store, counts)
 }
 
+/// Every group's three relations are exact lines, so each Huber fit
+/// stops at its OLS start (residual scale below 1e-12): this times the
+/// fit's row collection, the containers sort and the R² passes, not IRLS.
 fn bench_fit(c: &mut Criterion) {
     let (store, _) = fleet_store();
     let monitor = PerformanceMonitor::new(&store);

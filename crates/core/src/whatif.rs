@@ -17,8 +17,8 @@
 
 use crate::error::KeaError;
 use crate::monitor::PerformanceMonitor;
-use kea_ml::{r2_score, LinearModel1D};
-use kea_telemetry::{run_group_partitions, GroupKey, Metric};
+use kea_ml::LinearModel1D;
+use kea_telemetry::{run_group_partitions, DailyAggregate, GroupKey, Metric};
 use std::collections::BTreeMap;
 
 /// Training-row granularity.
@@ -36,13 +36,31 @@ pub enum Granularity {
     Daily,
 }
 
-/// One training observation for a group's models.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TrainRow {
-    containers: f64,
-    util: f64,
-    tasks: f64,
-    latency: f64,
+/// One group's training observations, a column per metric. Each worker
+/// of the fit keeps one and refills it for every group it claims.
+#[derive(Default)]
+struct Columns {
+    containers: Vec<f64>,
+    util: Vec<f64>,
+    tasks: Vec<f64>,
+    latency: Vec<f64>,
+}
+
+impl Columns {
+    /// Replaces the contents with `rows`, each `[containers, util,
+    /// tasks, latency]`.
+    fn refill(&mut self, rows: impl Iterator<Item = [f64; 4]>) {
+        self.containers.clear();
+        self.util.clear();
+        self.tasks.clear();
+        self.latency.clear();
+        for [containers, util, tasks, latency] in rows {
+            self.containers.push(containers);
+            self.util.push(util);
+            self.tasks.push(tasks);
+            self.latency.push(latency);
+        }
+    }
 }
 
 /// Which estimator the engine fits.
@@ -73,9 +91,11 @@ pub struct GroupModels {
     pub r2: (f64, f64, f64),
     /// Training rows used.
     pub n_rows: usize,
-    /// Sorted daily-mean container observations, kept so the Optimizer
-    /// can evaluate high-load operating points (the Figure 10 sensitivity
-    /// run "focusing on a higher percentile of CPU utilization level").
+    /// The training rows' running-container observations (daily means
+    /// or hourly values, per the fit's [`Granularity`]), sorted, kept so
+    /// the Optimizer can evaluate high-load operating points (the Figure
+    /// 10 sensitivity run "focusing on a higher percentile of CPU
+    /// utilization level").
     containers_sorted: Vec<f64>,
 }
 
@@ -83,7 +103,9 @@ impl GroupModels {
     /// Predicted CPU utilization at `containers` running containers,
     /// clamped to the physical `[0, 100]` range.
     pub fn predict_util(&self, containers: f64) -> f64 {
-        self.g_containers_to_util.predict(containers).clamp(0.0, 100.0)
+        self.g_containers_to_util
+            .predict(containers)
+            .clamp(0.0, 100.0)
     }
 
     /// Predicted tasks/hour at a utilization level (non-negative).
@@ -96,8 +118,9 @@ impl GroupModels {
         self.f_util_to_latency.predict(util).max(0.0)
     }
 
-    /// Percentile (0–100) of the observed daily-mean running containers —
-    /// the operating point selector for high-load optimization runs.
+    /// Percentile (0–100) of the observed running containers (one value
+    /// per training row) — the operating point selector for high-load
+    /// optimization runs.
     ///
     /// Out-of-range `p` (including NaN) is clamped to the nearest
     /// observed extreme rather than indexing past the sorted
@@ -138,7 +161,8 @@ impl WhatIfEngine {
     /// Rows with no completed tasks (cold machines) are dropped: their
     /// latency is undefined. Groups with fewer than `min_rows` usable
     /// rows are skipped rather than fitted badly, and so is a group whose
-    /// fit fails (a singular system when its load never varies).
+    /// fit fails (a singular system when its load never varies). A group
+    /// with no usable row is left out whatever `min_rows` is.
     ///
     /// # Errors
     /// [`KeaError::NoObservations`] when no group has `min_rows` usable
@@ -149,68 +173,89 @@ impl WhatIfEngine {
         granularity: Granularity,
         min_rows: usize,
     ) -> Result<Self, KeaError> {
-        // Both sources arrive group-contiguous and group-sorted (daily
-        // aggregates are (group, machine, day)-sorted; the store serves
-        // each group as one run+delta merged stream), so training rows
-        // accumulate into per-group runs with no map lookup per row.
-        let mut groups: Vec<(GroupKey, Vec<TrainRow>)> = Vec::new();
-        let mut push_row = |group: GroupKey, row: TrainRow| {
-            match groups.last_mut() {
-                Some((g, rows)) if *g == group => rows.push(row),
-                _ => groups.push((group, vec![row])),
-            }
-        };
-        match granularity {
-            Granularity::Daily => {
-                for agg in monitor.daily_aggregates() {
-                    if agg.mean(Metric::NumberOfTasks) > 0.0 {
-                        push_row(agg.group, TrainRow {
-                            containers: agg.mean(Metric::AverageRunningContainers),
-                            util: agg.mean(Metric::CpuUtilization),
-                            tasks: agg.mean(Metric::NumberOfTasks),
-                            latency: agg.mean(Metric::AverageTaskLatency),
-                        });
-                    }
-                }
-            }
-            Granularity::Hourly => {
-                for group in monitor.store().groups() {
-                    for rec in monitor.store().by_group(group) {
-                        if rec.metrics.tasks_finished > 0.0 {
-                            push_row(group, TrainRow {
-                                containers: rec.metrics.avg_running_containers,
-                                util: rec.metrics.cpu_utilization,
-                                tasks: rec.metrics.tasks_finished,
-                                latency: rec.metrics.avg_task_latency_s,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        groups.retain(|(_, rows)| rows.len() >= min_rows);
-        if groups.is_empty() {
-            return Err(KeaError::NoObservations {
-                what: "no group had enough training rows to fit".to_string(),
-            });
-        }
-
         // Groups are independent, so fit them in parallel on scoped
         // threads, one worker per available core.
-        let n_workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let results = Self::fit_groups(&groups, method, n_workers);
+        let n_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::fit_with_workers(monitor, method, granularity, min_rows, n_workers)
+    }
+
+    /// [`fit_at`](Self::fit_at) on at most `n_workers` scoped threads,
+    /// work-stealing groups through [`run_group_partitions`]: one giant
+    /// group (row count is wildly skewed in real fleets) pins one worker
+    /// while the others drain the rest. A worker collects each group's
+    /// rows straight into its own columns and fits them there, so the
+    /// output is identical to a serial loop for any worker count.
+    fn fit_with_workers(
+        monitor: &PerformanceMonitor<'_>,
+        method: FitMethod,
+        granularity: Granularity,
+        min_rows: usize,
+        n_workers: usize,
+    ) -> Result<Self, KeaError> {
+        // `None` for a group with no usable row or fewer than `min_rows`.
+        let fit = |cols: &mut Columns, group: GroupKey| {
+            (cols.containers.len() >= min_rows.max(1)).then(|| Self::fit_group(group, cols, method))
+        };
+        let fitted = match granularity {
+            Granularity::Hourly => {
+                let store = monitor.store();
+                let groups = store.groups();
+                run_group_partitions(groups.len(), n_workers, Columns::default, |cols, gi| {
+                    let group = groups[gi];
+                    cols.refill(
+                        store
+                            .by_group(group)
+                            .map(|rec| &rec.metrics)
+                            .filter(|m| m.tasks_finished > 0.0)
+                            .map(|m| {
+                                [
+                                    m.avg_running_containers,
+                                    m.cpu_utilization,
+                                    m.tasks_finished,
+                                    m.avg_task_latency_s,
+                                ]
+                            }),
+                    );
+                    fit(cols, group)
+                })
+            }
+            Granularity::Daily => {
+                let aggregates = monitor.daily_aggregates();
+                let key = |a: &DailyAggregate| (a.group, a.machine, a.day);
+                debug_assert!(
+                    aggregates.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+                    "daily aggregates must be (group, machine, day)-sorted"
+                );
+                let groups: Vec<&[DailyAggregate]> =
+                    aggregates.chunk_by(|a, b| a.group == b.group).collect();
+                run_group_partitions(groups.len(), n_workers, Columns::default, |cols, gi| {
+                    let rows = groups[gi];
+                    cols.refill(
+                        rows.iter()
+                            .filter(|a| a.mean(Metric::NumberOfTasks) > 0.0)
+                            .map(|a| {
+                                [
+                                    a.mean(Metric::AverageRunningContainers),
+                                    a.mean(Metric::CpuUtilization),
+                                    a.mean(Metric::NumberOfTasks),
+                                    a.mean(Metric::AverageTaskLatency),
+                                ]
+                            }),
+                    );
+                    fit(cols, rows[0].group)
+                })
+            }
+        };
 
         // A group whose fit fails (its load never varies, say) is skipped
         // like a group under the floor, so it does not sink the groups
         // that did fit.
         let mut models = BTreeMap::new();
         let mut first_failure = None;
-        for ((group, _), result) in groups.iter().zip(results) {
+        for result in fitted.into_iter().flatten() {
             match result {
                 Ok(m) => {
-                    models.insert(*group, m);
+                    models.insert(m.group, m);
                 }
                 Err(e) => {
                     first_failure.get_or_insert(e);
@@ -218,78 +263,57 @@ impl WhatIfEngine {
             }
         }
         match first_failure {
-            Some(e) if models.is_empty() => Err(KeaError::NoObservations {
+            _ if !models.is_empty() => Ok(WhatIfEngine { models }),
+            Some(e) => Err(KeaError::NoObservations {
                 what: format!("no group's models could be fitted ({e})"),
             }),
-            _ => Ok(WhatIfEngine { models }),
+            None => Err(KeaError::NoObservations {
+                what: "no group had enough training rows to fit".to_string(),
+            }),
         }
     }
 
-    /// Fits every group, work-stealing across at most `n_workers` scoped
-    /// threads through [`run_group_partitions`]: one giant group (row
-    /// count is wildly skewed in real fleets) pins one worker while the
-    /// others drain the rest, and the output is identical to a serial
-    /// loop for any worker count.
-    fn fit_groups(
-        groups: &[(GroupKey, Vec<TrainRow>)],
-        method: FitMethod,
-        n_workers: usize,
-    ) -> Vec<Result<GroupModels, KeaError>> {
-        run_group_partitions(
-            groups.len(),
-            n_workers,
-            || (),
-            |_, gi| {
-                let (group, rows) = &groups[gi];
-                Self::fit_group(*group, rows, method)
-            },
-        )
-    }
-
+    /// Fits one group's models on a worker's columns. Reorders the
+    /// utilization column.
     fn fit_group(
         group: GroupKey,
-        rows: &[TrainRow],
+        cols: &mut Columns,
         method: FitMethod,
     ) -> Result<GroupModels, KeaError> {
-        let containers: Vec<f64> = rows.iter().map(|r| r.containers).collect();
-        let util: Vec<f64> = rows.iter().map(|r| r.util).collect();
-        let tasks: Vec<f64> = rows.iter().map(|r| r.tasks).collect();
-        let latency: Vec<f64> = rows.iter().map(|r| r.latency).collect();
-
+        let Columns {
+            containers,
+            util,
+            tasks,
+            latency,
+        } = cols;
         let fit = |x: &[f64], y: &[f64]| -> Result<LinearModel1D, KeaError> {
             Ok(match method {
                 FitMethod::Huber => LinearModel1D::fit_huber(x, y)?,
                 FitMethod::Ols => LinearModel1D::fit_ols(x, y)?,
             })
         };
-        let g = fit(&containers, &util)?;
-        let h = fit(&util, &tasks)?;
-        let f = fit(&util, &latency)?;
+        let g = fit(containers, util)?;
+        let h = fit(util, tasks)?;
+        let f = fit(util, latency)?;
+        let r2 = (
+            g.r2(containers, util).unwrap_or(f64::NAN),
+            h.r2(util, tasks).unwrap_or(f64::NAN),
+            f.r2(util, latency).unwrap_or(f64::NAN),
+        );
 
-        let r2_of = |m: &LinearModel1D, x: &[f64], y: &[f64]| {
-            let pred: Vec<f64> = x.iter().map(|&v| m.predict(v)).collect();
-            r2_score(y, &pred).unwrap_or(f64::NAN)
-        };
-        // Sort each observation column once; the median (and, for
-        // containers, every later percentile lookup) reads the sorted
-        // copy instead of re-sorting per call.
-        let mut containers_sorted = containers.clone();
-        containers_sorted.sort_by(f64::total_cmp);
-        let mut util_sorted = util.clone();
-        util_sorted.sort_by(f64::total_cmp);
+        // Containers are sorted once, for the median and every later
+        // percentile lookup; utilization needs only its median, which a
+        // selection finds without sorting.
+        let containers_sorted = sorted_by_total_order(containers);
         Ok(GroupModels {
             group,
             current_containers: median_of_sorted(&containers_sorted),
-            current_util: median_of_sorted(&util_sorted),
-            r2: (
-                r2_of(&g, &containers, &util),
-                r2_of(&h, &util, &tasks),
-                r2_of(&f, &util, &latency),
-            ),
+            current_util: median_by_selection(util),
+            r2,
             g_containers_to_util: g,
             h_util_to_tasks: h,
             f_util_to_latency: f,
-            n_rows: rows.len(),
+            n_rows: containers.len(),
             containers_sorted,
         })
     }
@@ -322,9 +346,12 @@ impl WhatIfEngine {
     /// # Errors
     /// The group must be calibrated.
     pub fn predict(&self, key: GroupKey, containers: f64) -> Result<(f64, f64, f64), KeaError> {
-        let m = self.models.get(&key).ok_or_else(|| KeaError::NoObservations {
-            what: format!("no calibrated models for {key:?}"),
-        })?;
+        let m = self
+            .models
+            .get(&key)
+            .ok_or_else(|| KeaError::NoObservations {
+                what: format!("no calibrated models for {key:?}"),
+            })?;
         let util = m.predict_util(containers);
         Ok((
             util,
@@ -334,8 +361,52 @@ impl WhatIfEngine {
     }
 }
 
-/// Median of an already-sorted slice (callers sort each observation
-/// column exactly once at fit time).
+/// `v` in the order of a `sort_by(f64::total_cmp)`, sorted as integer
+/// keys: a non-negative value gains the sign bit and a negative one has
+/// every bit flipped, so the keys' unsigned order is `total_cmp`'s order.
+/// Two keys are equal exactly when the values' bits are, so the unstable
+/// sort yields the stable sort's sequence.
+fn sorted_by_total_order(v: &[f64]) -> Vec<f64> {
+    const SIGN: u64 = 1 << 63;
+    let mut keys: Vec<u64> = v
+        .iter()
+        .map(|x| {
+            let bits = x.to_bits();
+            if bits & SIGN == 0 {
+                bits | SIGN
+            } else {
+                !bits
+            }
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|k| f64::from_bits(if k & SIGN != 0 { k & !SIGN } else { !k }))
+        .collect()
+}
+
+/// The median [`median_of_sorted`] reads off the column sorted by
+/// `f64::total_cmp`, found by selection instead. Reorders `v`.
+fn median_by_selection(v: &mut [f64]) -> f64 {
+    let n = v.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let (lower, upper_median, _) = v.select_nth_unstable_by(n / 2, f64::total_cmp);
+    if n % 2 == 1 {
+        return *upper_median;
+    }
+    // The lower half holds the n/2 smallest values; its maximum is the
+    // sorted column's element n/2 − 1.
+    let lower_median = lower
+        .iter()
+        .copied()
+        .max_by(f64::total_cmp)
+        .unwrap_or(*upper_median);
+    0.5 * (lower_median + *upper_median)
+}
+
+/// Median of an already-sorted slice.
 fn median_of_sorted(s: &[f64]) -> f64 {
     debug_assert!(s.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
     let n = s.len();
@@ -358,15 +429,28 @@ mod tests {
     /// util = 5 + 4·containers, tasks = 2·util, latency = 100 + 3·util.
     fn synthetic_store(n_machines: u32, days: u64) -> TelemetryStore {
         let mut s = TelemetryStore::new();
-        for m in 0..n_machines {
-            for h in 0..days * 24 {
+        push_group(&mut s, 0, 4.0, 0..n_machines, days * 24);
+        s
+    }
+
+    /// Pushes hours `0..hours` of `machines` in group `(sku, SC1)`, where
+    /// util = 5 + slope·containers, tasks = 2·util, latency = 100 + 3·util.
+    fn push_group(
+        s: &mut TelemetryStore,
+        sku: u16,
+        slope: f64,
+        machines: std::ops::Range<u32>,
+        hours: u64,
+    ) {
+        for m in machines {
+            for h in 0..hours {
                 // Vary containers across machines and hours to give the
                 // fit a spread of operating points.
                 let containers = 4.0 + (m % 5) as f64 + ((h % 7) as f64) * 0.5;
-                let util = 5.0 + 4.0 * containers;
+                let util = 5.0 + slope * containers;
                 s.push(MachineHourRecord {
                     machine: MachineId(m),
-                    group: GroupKey::new(SkuId(0), ScId(1)),
+                    group: GroupKey::new(SkuId(sku), ScId(1)),
                     hour: h,
                     metrics: MetricValues {
                         avg_running_containers: containers,
@@ -378,7 +462,39 @@ mod tests {
                 });
             }
         }
-        s
+    }
+
+    /// Pushes 48 hours of `machines` in group `(sku, SC1)` that never
+    /// finish a task.
+    fn push_idle_machines(s: &mut TelemetryStore, sku: u16, machines: std::ops::Range<u32>) {
+        for m in machines {
+            for h in 0..48 {
+                s.push(MachineHourRecord {
+                    machine: MachineId(m),
+                    group: GroupKey::new(SkuId(sku), ScId(1)),
+                    hour: h,
+                    metrics: MetricValues::default(),
+                });
+            }
+        }
+    }
+
+    /// Fits `store` (Huber, 5-row floor) at 1, 2, 3, 8, 32 and 64
+    /// workers and asserts that every fit equals the one-worker fit.
+    fn fit_at_every_worker_count(store: &TelemetryStore, granularity: Granularity) -> WhatIfEngine {
+        let mon = PerformanceMonitor::new(store);
+        let fit = |workers| {
+            WhatIfEngine::fit_with_workers(&mon, FitMethod::Huber, granularity, 5, workers).unwrap()
+        };
+        let serial = fit(1);
+        for workers in [2, 3, 8, 32, 64] {
+            assert_eq!(
+                fit(workers),
+                serial,
+                "{granularity:?} diverged at {workers} workers"
+            );
+        }
+        serial
     }
 
     #[test]
@@ -406,7 +522,9 @@ mod tests {
         assert!((tasks - 90.0).abs() < 2.0);
         assert!((latency - 235.0).abs() < 3.0);
         // Unknown group errors.
-        assert!(engine.predict(GroupKey::new(SkuId(9), ScId(1)), 10.0).is_err());
+        assert!(engine
+            .predict(GroupKey::new(SkuId(9), ScId(1)), 10.0)
+            .is_err());
     }
 
     #[test]
@@ -425,16 +543,7 @@ mod tests {
     fn cold_rows_are_dropped() {
         let mut store = synthetic_store(6, 2);
         // Add machines that never ran a task; they must not poison fits.
-        for m in 100..110u32 {
-            for h in 0..48u64 {
-                store.push(MachineHourRecord {
-                    machine: MachineId(m),
-                    group: GroupKey::new(SkuId(0), ScId(1)),
-                    hour: h,
-                    metrics: MetricValues::default(),
-                });
-            }
-        }
+        push_idle_machines(&mut store, 0, 100..110);
         let mon = PerformanceMonitor::new(&store);
         let engine = WhatIfEngine::fit_at(&mon, FitMethod::Huber, Granularity::Daily, 5).unwrap();
         let g = engine.group(GroupKey::new(SkuId(0), ScId(1))).unwrap();
@@ -479,50 +588,33 @@ mod tests {
 
     #[test]
     fn parallel_fit_matches_serial_semantics_across_groups() {
-        // Many groups with distinct known slopes: the scoped-thread fit
-        // must calibrate each group exactly as a serial loop would, for
-        // any worker count (including more workers than cores, and more
-        // workers than groups).
-        let groups: Vec<(GroupKey, Vec<TrainRow>)> = (0..16u16)
-            .map(|g| {
-                let slope = 2.0 + g as f64 * 0.5;
-                let rows: Vec<TrainRow> = (0..48u32)
-                    .map(|i| {
-                        let containers = 4.0 + (i % 5) as f64 + ((i % 7) as f64) * 0.5;
-                        let util = 5.0 + slope * containers;
-                        TrainRow {
-                            containers,
-                            util,
-                            tasks: 2.0 * util,
-                            latency: 100.0 + 3.0 * util,
-                        }
-                    })
-                    .collect();
-                (GroupKey::new(SkuId(g), ScId(1)), rows)
-            })
-            .collect();
-
-        let serial = WhatIfEngine::fit_groups(&groups, FitMethod::Huber, 1);
-        for workers in [2, 4, 16, 64] {
-            let parallel = WhatIfEngine::fit_groups(&groups, FitMethod::Huber, workers);
-            assert_eq!(serial.len(), parallel.len());
-            for (g, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-                assert_eq!(
-                    s.as_ref().unwrap(),
-                    p.as_ref().unwrap(),
-                    "group {g} diverged at {workers} workers"
+        // Many groups with distinct known slopes, collected from the
+        // store inside the fan-out: every worker count (more workers
+        // than cores, and more than groups) must calibrate each group
+        // exactly as a serial loop would.
+        let mut store = TelemetryStore::new();
+        for g in 0..16u16 {
+            let first = u32::from(g) * 8;
+            push_group(
+                &mut store,
+                g,
+                2.0 + f64::from(g) * 0.5,
+                first..first + 8,
+                48,
+            );
+        }
+        for granularity in [Granularity::Hourly, Granularity::Daily] {
+            let engine = fit_at_every_worker_count(&store, granularity);
+            assert_eq!(engine.len(), 16);
+            // And the slopes are the known ground truth.
+            for (g, models) in engine.groups().enumerate() {
+                let expected = 2.0 + g as f64 * 0.5;
+                assert!(
+                    (models.g_containers_to_util.slope() - expected).abs() < 0.05,
+                    "{granularity:?} group {g}: slope {} vs expected {expected}",
+                    models.g_containers_to_util.slope()
                 );
             }
-        }
-        // And the slopes are the known ground truth.
-        for (g, r) in serial.iter().enumerate() {
-            let models = r.as_ref().unwrap();
-            let expected = 2.0 + g as f64 * 0.5;
-            assert!(
-                (models.g_containers_to_util.slope() - expected).abs() < 0.05,
-                "group {g}: slope {} vs expected {expected}",
-                models.g_containers_to_util.slope()
-            );
         }
     }
 
@@ -530,41 +622,186 @@ mod tests {
     fn work_stealing_fit_handles_pathological_group_skew() {
         // One giant group (10k rows) among many tiny ones (8 rows each):
         // a contiguous chunk split would serialize the giant's whole
-        // chunk behind it. The work-stealing fit must keep output order
-        // (and every fitted model) identical to the serial loop for any
-        // worker count, with the giant claimed by exactly one worker.
-        let make_rows = |slope: f64, n: usize| -> Vec<TrainRow> {
-            (0..n as u32)
-                .map(|i| {
-                    let containers = 4.0 + (i % 5) as f64 + ((i % 7) as f64) * 0.5;
-                    let util = 5.0 + slope * containers;
-                    TrainRow {
-                        containers,
-                        util,
-                        tasks: 2.0 * util,
-                        latency: 100.0 + 3.0 * util,
-                    }
-                })
-                .collect()
-        };
-        let mut groups: Vec<(GroupKey, Vec<TrainRow>)> = Vec::new();
-        groups.push((GroupKey::new(SkuId(0), ScId(1)), make_rows(2.0, 10_000)));
+        // chunk behind it. The work-stealing fit must keep every fitted
+        // model identical to the serial loop for any worker count, with
+        // the giant claimed by exactly one worker.
+        let mut store = TelemetryStore::new();
+        push_group(&mut store, 0, 2.0, 0..10, 1_000);
         for g in 1..12u16 {
-            groups.push((GroupKey::new(SkuId(g), ScId(1)), make_rows(2.0 + g as f64 * 0.5, 8)));
+            let machine = 100 + u32::from(g);
+            push_group(
+                &mut store,
+                g,
+                2.0 + f64::from(g) * 0.5,
+                machine..machine + 1,
+                8,
+            );
         }
+        let engine = fit_at_every_worker_count(&store, Granularity::Hourly);
+        assert_eq!(engine.len(), 12);
+        let giant = engine.group(GroupKey::new(SkuId(0), ScId(1))).unwrap();
+        assert_eq!(giant.n_rows, 10_000);
+        assert!(engine.groups().skip(1).all(|g| g.n_rows == 8));
+    }
 
-        let serial = WhatIfEngine::fit_groups(&groups, FitMethod::Huber, 1);
-        for workers in [2, 3, 8, 32] {
-            let parallel = WhatIfEngine::fit_groups(&groups, FitMethod::Huber, workers);
-            assert_eq!(serial.len(), parallel.len());
-            for (g, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+    #[test]
+    fn an_idle_group_is_absent_at_any_row_floor() {
+        // A group that never finished a task has no training row, so it
+        // is left out, not counted as a failed fit, even when the floor
+        // admits a group of zero rows.
+        let mut store = synthetic_store(6, 2);
+        push_idle_machines(&mut store, 7, 200..204);
+        let mut idle = TelemetryStore::new();
+        push_idle_machines(&mut idle, 7, 200..204);
+        for granularity in [Granularity::Hourly, Granularity::Daily] {
+            for min_rows in [0, 1] {
+                let mon = PerformanceMonitor::new(&store);
+                let engine =
+                    WhatIfEngine::fit_at(&mon, FitMethod::Huber, granularity, min_rows).unwrap();
+                let fitted: Vec<GroupKey> = engine.groups().map(|g| g.group).collect();
                 assert_eq!(
-                    s.as_ref().unwrap(),
-                    p.as_ref().unwrap(),
-                    "group {g} diverged at {workers} workers under skew"
+                    fitted,
+                    [GroupKey::new(SkuId(0), ScId(1))],
+                    "{granularity:?}"
                 );
+
+                let mon = PerformanceMonitor::new(&idle);
+                match WhatIfEngine::fit_at(&mon, FitMethod::Huber, granularity, min_rows) {
+                    Err(KeaError::NoObservations { what }) => {
+                        assert_eq!(what, "no group had enough training rows to fit");
+                    }
+                    other => panic!("{granularity:?}, min_rows {min_rows}: {other:?}"),
+                }
             }
         }
+    }
+
+    #[test]
+    fn key_sort_and_selection_match_the_total_cmp_sort() {
+        // Random bit patterns (every class of f64 shows up), ties, and
+        // the special values, at odd and even lengths.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            f64::from_bits(state)
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0, 1, 2, 7, 64, 1001] {
+            let mut v: Vec<f64> = (0..n).map(|_| next()).collect();
+            v.extend([
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                -f64::NAN,
+            ]);
+            v.extend([1.5, 1.5, -2.25, -2.25, 0.0, -0.0]);
+            let mut want = v.clone();
+            want.sort_by(f64::total_cmp);
+            assert_eq!(bits(&sorted_by_total_order(&v)), bits(&want), "n = {n}");
+
+            // The median by selection is the sorted column's, on the
+            // finite values a fit sees, at an even and an odd length.
+            let mut finite: Vec<f64> = v.into_iter().filter(|x| x.is_finite()).collect();
+            for _ in 0..2 {
+                let mut sorted = finite.clone();
+                sorted.sort_by(f64::total_cmp);
+                let want = median_of_sorted(&sorted).to_bits();
+                assert_eq!(median_by_selection(&mut finite).to_bits(), want, "n = {n}");
+                finite.pop();
+            }
+        }
+    }
+
+    /// FNV-1a over the bits of every field of every fitted group, or of
+    /// the error a fit returns.
+    fn fit_digest(fit: &Result<WhatIfEngine, KeaError>) -> u64 {
+        let mut words: Vec<u64> = Vec::new();
+        match fit {
+            Ok(engine) => {
+                for g in engine.groups() {
+                    words.extend([u64::from(g.group.sku.0), u64::from(g.group.sc.0)]);
+                    for m in [
+                        &g.g_containers_to_util,
+                        &g.h_util_to_tasks,
+                        &g.f_util_to_latency,
+                    ] {
+                        words.extend([m.intercept().to_bits(), m.slope().to_bits()]);
+                    }
+                    words.extend([g.current_containers, g.current_util].map(f64::to_bits));
+                    words.extend([g.r2.0, g.r2.1, g.r2.2].map(f64::to_bits));
+                    words.extend([g.n_rows as u64, g.containers_sorted.len() as u64]);
+                    words.extend(g.containers_sorted.iter().map(|v| v.to_bits()));
+                }
+            }
+            Err(e) => words.extend(e.to_string().bytes().map(u64::from)),
+        }
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Every fitted bit, pinned: Hourly and Daily × Huber and OLS on a
+    /// plain simulated fleet and on one where a flight moves a third of
+    /// the machines into SC2, so each SKU appears under both SCs. The
+    /// digests were recorded from the fit that gathered every row on one
+    /// thread, copied it into columns and sorted both medians' columns;
+    /// a change meant to move a fitted bit updates them and says why.
+    #[test]
+    fn fitted_models_are_pinned_bit_for_bit() {
+        use kea_sim::{run, ClusterSpec, ConfigPatch, Flight, SimConfig, SC2};
+        let plain = run(&SimConfig::baseline(ClusterSpec::tiny(), 48, 7)).telemetry;
+        let mut cfg = SimConfig::baseline(ClusterSpec::tiny(), 48, 91);
+        let targets = cfg
+            .cluster
+            .machines
+            .iter()
+            .filter(|m| m.id.0 % 3 == 0)
+            .map(|m| m.id)
+            .collect();
+        cfg.plan.add_flight(Flight {
+            label: "sc2-flight".into(),
+            machines: targets,
+            start_hour: 6,
+            end_hour: 30,
+            patch: ConfigPatch {
+                sc: Some(SC2),
+                ..Default::default()
+            },
+        });
+        let flighted = run(&cfg).telemetry;
+        let sc2_groups = flighted.groups().iter().filter(|g| g.sc == SC2).count();
+        assert!(sc2_groups > 0, "the flight must put groups under SC2");
+
+        let mut got = Vec::new();
+        for store in [&plain, &flighted] {
+            let mon = PerformanceMonitor::new(store);
+            for granularity in [Granularity::Hourly, Granularity::Daily] {
+                for method in [FitMethod::Huber, FitMethod::Ols] {
+                    let fit = WhatIfEngine::fit_at(&mon, method, granularity, 2);
+                    got.push(format!("{:016x}", fit_digest(&fit)));
+                }
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                "51c9ab129c6e9b6d", // plain, Hourly, Huber
+                "99d0f55839c094e5", // plain, Hourly, OLS
+                "e94e941f3b9aaaf0", // plain, Daily, Huber
+                "d1b5a3f474af31d1", // plain, Daily, OLS
+                "c4a936dbcf2f8797", // flighted, Hourly, Huber
+                "ea5b567de176ae98", // flighted, Hourly, OLS
+                "b8b8e130bbba8756", // flighted, Daily, Huber
+                "43c7631f60e4ff35", // flighted, Daily, OLS
+            ]
+        );
     }
 
     #[test]
@@ -576,8 +813,6 @@ mod tests {
         let key = GroupKey::new(SkuId(0), ScId(1));
         let hg = huber.group(key).unwrap();
         let og = ols.group(key).unwrap();
-        assert!(
-            (hg.g_containers_to_util.slope() - og.g_containers_to_util.slope()).abs() < 0.01
-        );
+        assert!((hg.g_containers_to_util.slope() - og.g_containers_to_util.slope()).abs() < 0.01);
     }
 }

@@ -14,7 +14,7 @@
 //! choice for the What-if Engine, §5.2.1) in `huber`.
 
 use crate::error::MlError;
-use crate::{huber, linreg};
+use crate::{huber, linreg, metrics};
 
 /// A univariate linear model `y = intercept + slope·x`.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,6 +81,17 @@ impl LinearModel1D {
     /// Forward prediction `y = intercept + slope·x`.
     pub fn predict(&self, x: f64) -> f64 {
         self.intercept + self.slope * x
+    }
+
+    /// Goodness of fit on `(x, y)`: bit for bit the
+    /// [`r2_score`](crate::r2_score) of `y` against this line's
+    /// predictions at `x`, which it makes on the fly instead of storing.
+    ///
+    /// # Errors
+    /// Same as [`r2_score`](crate::r2_score); a prediction that overflows
+    /// to ±∞ is non-finite input.
+    pub fn r2(&self, x: &[f64], y: &[f64]) -> Result<f64, MlError> {
+        metrics::r2_of(y, x.len(), || x.iter().map(|&v| self.predict(v)))
     }
 
     /// Exact inverse `x = (y − intercept) / slope` — the `p⁻¹`, `q⁻¹` of
@@ -167,7 +178,9 @@ mod tests {
         assert!(m.inverse(4.0).is_err());
     }
 
-    /// Asserts the raw bits of `(intercept, slope)` from OLS, then Huber.
+    /// Asserts the raw bits of `(intercept, slope)` from OLS, then Huber,
+    /// and that each model's `r2` equals `r2_score` of its stored
+    /// predictions bit for bit.
     fn assert_fit_bits(name: &str, (x, y): (Vec<f64>, Vec<f64>), want: [u64; 4]) {
         let ols = LinearModel1D::fit_ols(&x, &y).unwrap();
         let huber = LinearModel1D::fit_huber(&x, &y).unwrap();
@@ -178,6 +191,43 @@ mod tests {
             huber.slope(),
         ];
         assert_eq!(got.map(f64::to_bits), want, "{name}");
+        for m in [&ols, &huber] {
+            let (on_the_fly, stored) = r2_both_ways(m, &x, &y);
+            assert!(on_the_fly.is_ok(), "{name}");
+            assert_eq!(on_the_fly, stored, "{name}");
+        }
+    }
+
+    /// `(m.r2(x, y), r2_score(y, &predictions))`, as bits.
+    fn r2_both_ways(
+        m: &LinearModel1D,
+        x: &[f64],
+        y: &[f64],
+    ) -> (Result<u64, MlError>, Result<u64, MlError>) {
+        let pred: Vec<f64> = x.iter().map(|&v| m.predict(v)).collect();
+        let bits = |r: Result<f64, MlError>| r.map(f64::to_bits);
+        (bits(m.r2(x, y)), bits(crate::r2_score(y, &pred)))
+    }
+
+    /// The two ways to score a line fail alike: on a constant target the
+    /// line misses, and on predictions that overflow to ±∞.
+    #[test]
+    fn r2_and_r2_score_refuse_alike() {
+        let x = [-2.0, 1.0, 2.0];
+        let off = LinearModel1D {
+            intercept: 1.0,
+            slope: 1.0,
+        };
+        let (on_the_fly, stored) = r2_both_ways(&off, &x, &[5.0; 3]);
+        assert!(matches!(on_the_fly, Err(MlError::InvalidParameter(_))));
+        assert_eq!(on_the_fly, stored);
+        let steep = LinearModel1D {
+            intercept: 0.0,
+            slope: f64::MAX,
+        };
+        let (on_the_fly, stored) = r2_both_ways(&steep, &x, &[1.0, 2.0, 3.0]);
+        assert_eq!(on_the_fly, Err(MlError::NonFiniteInput));
+        assert_eq!(on_the_fly, stored);
     }
 
     fn line_with(
@@ -193,6 +243,7 @@ mod tests {
     /// Both fits reproduce, bit for bit, the coefficients of the general
     /// p-feature solver (dense matrix, IRLS over feature rows) that this
     /// closed-form path replaced. The bits were recorded from that solver.
+    /// On each fixture `r2` and `r2_score` also agree bit for bit.
     #[test]
     fn golden_bits_match_the_p_feature_solver() {
         assert_fit_bits(

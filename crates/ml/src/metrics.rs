@@ -6,25 +6,6 @@
 
 use crate::error::MlError;
 
-fn check(y_true: &[f64], y_pred: &[f64]) -> Result<(), MlError> {
-    if y_true.len() != y_pred.len() {
-        return Err(MlError::ShapeMismatch {
-            x_rows: y_pred.len(),
-            y_len: y_true.len(),
-        });
-    }
-    if y_true.is_empty() {
-        return Err(MlError::InsufficientData {
-            required: 1,
-            actual: 0,
-        });
-    }
-    if y_true.iter().chain(y_pred).any(|v| !v.is_finite()) {
-        return Err(MlError::NonFiniteInput);
-    }
-    Ok(())
-}
-
 /// Coefficient of determination `R² = 1 − SS_res / SS_tot`.
 ///
 /// Returns 1.0 when both the residuals and the total variance are zero
@@ -35,12 +16,44 @@ fn check(y_true: &[f64], y_pred: &[f64]) -> Result<(), MlError> {
 /// non-zero residuals has undefined R² and returns
 /// [`MlError::InvalidParameter`].
 pub fn r2_score(y_true: &[f64], y_pred: &[f64]) -> Result<f64, MlError> {
-    check(y_true, y_pred)?;
+    r2_of(y_true, y_pred.len(), || y_pred.iter().copied())
+}
+
+/// The one R² computation, behind [`r2_score`] and
+/// [`LinearModel1D::r2`](crate::LinearModel1D::r2): `y_pred` yields the
+/// `pred_len` predictions afresh on each call, so a caller can predict on
+/// the fly instead of storing them. Every sum runs in row order from the
+/// same start, so a value does not depend on which caller asked.
+pub(crate) fn r2_of<I: Iterator<Item = f64>>(
+    y_true: &[f64],
+    pred_len: usize,
+    y_pred: impl Fn() -> I,
+) -> Result<f64, MlError> {
+    if y_true.len() != pred_len {
+        return Err(MlError::ShapeMismatch {
+            x_rows: pred_len,
+            y_len: y_true.len(),
+        });
+    }
+    if y_true.is_empty() {
+        return Err(MlError::InsufficientData {
+            required: 1,
+            actual: 0,
+        });
+    }
+    if y_true
+        .iter()
+        .copied()
+        .chain(y_pred())
+        .any(|v| !v.is_finite())
+    {
+        return Err(MlError::NonFiniteInput);
+    }
     let mean = y_true.iter().sum::<f64>() / y_true.len() as f64;
     let ss_tot: f64 = y_true.iter().map(|y| (y - mean).powi(2)).sum();
     let ss_res: f64 = y_true
         .iter()
-        .zip(y_pred)
+        .zip(y_pred())
         .map(|(t, p)| (t - p).powi(2))
         .sum();
     if ss_tot == 0.0 {
