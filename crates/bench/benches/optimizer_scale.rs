@@ -5,6 +5,9 @@
 //!   through both the incremental O(G) implementation and the preserved
 //!   O(G²) full-recompute reference, so the speedup is measured in the
 //!   same process on the same engine.
+//! * `huber_fit`: one Huber fit of a 120k-row noisy line with gross
+//!   outliers, the size of fit_week's largest group, so IRLS iterates
+//!   (the `whatif_fit` fixture's exact lines stop at the OLS start).
 //! * `lp_simplex`: the LP solve itself at fleet scale — a 256-group
 //!   YARN-shaped LP (one latency row, per-group `[−δ, δ]` step boxes)
 //!   solved by the closed-form `knapsack::solve` the optimizer calls.
@@ -18,6 +21,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use kea_core::whatif::{FitMethod, Granularity, WhatIfEngine};
 use kea_core::{optimize_max_containers, OperatingPoint, PerformanceMonitor};
+use kea_ml::LinearModel1D;
 use kea_opt::knapsack;
 use kea_telemetry::{
     GroupKey, MachineHourRecord, MachineId, MetricValues, ScId, SkuId, TelemetryStore,
@@ -129,6 +133,48 @@ fn bench_optimize(c: &mut Criterion) {
     group.finish();
 }
 
+const HUBER_ROWS: usize = 120_000;
+
+/// Utilization → task latency over 120k hourly rows: `80 + 1.5·util`
+/// with uniform noise of ±4 s and a 5% share of rows 60–260 s slow
+/// (draining machines). Deterministic: each draw is a SplitMix64 hash
+/// of the row index.
+fn noisy_latency_line() -> (Vec<f64>, Vec<f64>) {
+    let unit = |k: u64| {
+        let mut z = k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..HUBER_ROWS as u64)
+        .map(|i| {
+            let util = 5.0 + 90.0 * unit(3 * i);
+            let latency = 80.0 + 1.5 * util + 8.0 * (unit(3 * i + 1) - 0.5);
+            let slow = if i % 20 == 7 {
+                60.0 + 200.0 * unit(3 * i + 2)
+            } else {
+                0.0
+            };
+            (util, latency + slow)
+        })
+        .unzip()
+}
+
+/// One Huber fit as the What-if Engine fits a group's `f` model. IRLS
+/// takes seven iterations here (fit_week's `h` and `f` fits take 8–17).
+fn bench_huber(c: &mut Criterion) {
+    let (util, latency) = noisy_latency_line();
+    let mut group = c.benchmark_group("huber_fit");
+    group.sample_size(20);
+    group.bench_function("noisy_line_120k", |b| {
+        b.iter(|| {
+            LinearModel1D::fit_huber(black_box(&util), black_box(&latency))
+                .expect("a finite line with varying x fits")
+        })
+    });
+    group.finish();
+}
+
 const LP_GROUPS: usize = 256;
 
 /// Deterministic pseudo-varied latency gradients for a 256-group
@@ -164,5 +210,5 @@ fn bench_lp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fit, bench_optimize, bench_lp);
+criterion_group!(benches, bench_fit, bench_huber, bench_optimize, bench_lp);
 criterion_main!(benches);

@@ -9,11 +9,11 @@
 //! variable, so this crate provides exactly that:
 //!
 //! * [`mod@line`] — [`LinearModel1D`], fitted by OLS or by Huber robust
-//!   regression (IRLS with a MAD scale estimate), used for the paper's
-//!   `g_k`, `h_k`, `f_k`, `p`, `q` models, with an exact inverse (needed
-//!   by the Monte-Carlo SKU-design optimizer, §6.1). The two fits live in
-//!   the private `linreg` and `huber` modules and share the 2×2 solve in
-//!   `matrix`.
+//!   regression (IRLS with a scale of 1.4826 × the median absolute
+//!   residual), used for the paper's `g_k`, `h_k`, `f_k`, `p`, `q` models,
+//!   with an exact inverse (needed by the Monte-Carlo SKU-design
+//!   optimizer, §6.1). The two fits live in the private `linreg` and
+//!   `huber` modules and share the 2×2 solve in `matrix`.
 //! * [`metrics`] — R², the goodness of fit reviewed with domain experts.
 //! * [`error`] — [`MlError`], the typed reasons a fit is refused.
 

@@ -10,8 +10,9 @@
 //!
 //! Both fits run directly on the `x` and `y` slices and solve the 2×2
 //! normal equations of the design `[1, x]` in closed form: OLS in
-//! `linreg`, Huber robust regression (IRLS with a MAD scale, the paper's
-//! choice for the What-if Engine, §5.2.1) in `huber`.
+//! `linreg`, Huber robust regression (IRLS scaled by the median absolute
+//! residual, the paper's choice for the What-if Engine, §5.2.1) in
+//! `huber`.
 
 use crate::error::MlError;
 use crate::{huber, linreg, metrics};
@@ -343,6 +344,77 @@ mod tests {
                 0x3f609d6253014751,
                 0xc03c2c3f546dac66,
                 0x3f609d77947d8bfd,
+            ],
+        );
+    }
+
+    /// Deterministic noise in `[-0.5, 0.5)`, scrambled across rows.
+    fn noise(i: usize) -> f64 {
+        ((i * 7919 + 13) % 1009) as f64 / 1009.0 - 0.5
+    }
+
+    /// Fits large enough for IRLS to bracket its median from a sample.
+    /// The bits were recorded from the IRLS that took every median by a
+    /// full selection.
+    #[test]
+    fn golden_bits_on_large_fits() {
+        assert_fit_bits(
+            "45,001-row noisy line, 10% outliers",
+            line_with(
+                45_001,
+                |i| (i % 3_001) as f64 * 0.01,
+                |i, v| {
+                    let base = 5.0 + 2.0 * v + noise(i);
+                    if i % 10 == 3 {
+                        base + 100.0
+                    } else {
+                        base
+                    }
+                },
+            ),
+            [
+                0x402e04dade2600fb,
+                0x3ffffd35ac2ef538,
+                0x40143e0f32ed7808,
+                0x400000105ae9de89,
+            ],
+        );
+        assert_fit_bits(
+            "50,000 rows, y quantized to 0.5: residuals tie at the median",
+            line_with(
+                50_000,
+                |i| (i % 200) as f64 * 0.25,
+                |i, v| {
+                    let y = 3.0 + 1.5 * v + 2.0 * noise(i) + if i % 13 == 5 { 40.0 } else { 0.0 };
+                    (2.0 * y).round() * 0.5
+                },
+            ),
+            [
+                0x4018500145872fac,
+                0x3ff7ffa1290442b7,
+                0x4008ba739847eff5,
+                0x3ff7ffff5a0f8c6e,
+            ],
+        );
+        assert_fit_bits(
+            "41,984 rows, every 41st an outlier: the stride sample sees only those",
+            line_with(
+                41_984,
+                |i| (i % 997) as f64 * 0.1,
+                |i, v| {
+                    let base = -2.0 + 0.75 * v + 0.1 * noise(i);
+                    match i % 82 {
+                        0 => base + 500.0,
+                        41 => base - 300.0,
+                        _ => base,
+                    }
+                },
+            ),
+            [
+                0x3fd4e50cc34c3ebd,
+                0x3fe8128c52a025fa,
+                0xc000004ce556ac88,
+                0x3fe800040766616a,
             ],
         );
     }
